@@ -14,6 +14,7 @@ from .core import (
     CoxeterSystem,
     CoxKLError,
     InputError,
+    InvariantError,
     PreconditionError,
     validate_system,
 )

@@ -2,20 +2,23 @@
 
 Subcommands: poly, interval, extend, verify-reduction, scan.  Every
 command prints a JSON envelope {format, command, inputs, result, timing}
-to stdout.  Exit codes: 0 success, 1 mathematical disagreement found,
-2 malformed input or configuration, 3 precondition violation.
+to stdout.  Exit codes: 0 success, 1 mathematical disagreement found
+(including a failed internal invariant), 2 malformed input or
+configuration (an unwritable output path included, refused before any
+work), 3 precondition violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys as _sys
 import time
 
 from . import serialize
 from .bruhat import interval as build_interval
 from .bruhat import parabolic_interval
-from .core import INF, CoxeterSystem, InputError, PreconditionError
+from .core import INF, CoxeterSystem, InputError, InvariantError, PreconditionError
 from .extension import extend_system, verify_reduction_sweep
 from .invariance import ClassX, scan as run_scan
 from .klpoly import get_table
@@ -63,8 +66,23 @@ def _parse_class_x(text: str) -> ClassX:
         item = item.strip()
         if not item:
             continue
-        values.append(INF if item == "inf" else int(item))
+        if item == "inf":
+            values.append(INF)
+            continue
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise InputError(f"bad class bond {item!r}") from None
     return ClassX(values)
+
+
+def _check_output(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work."""
+    parent = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else parent
+    writable = os.path.isdir(parent) and not os.path.isdir(path)
+    if not (writable and os.access(target, os.W_OK)):
+        raise InputError(f"cannot write output file {path!r}")
 
 
 def _emit(command: str, inputs: dict, result: dict, started: float) -> None:
@@ -139,6 +157,8 @@ def cmd_poly(args) -> int:
 
 def cmd_interval(args) -> int:
     started = time.perf_counter()
+    if args.dot:
+        _check_output(args.dot)
     name, sys, _spec = serialize.load_system(args.system)
     u = sys.element(args.u)
     v = sys.element(args.v)
@@ -176,6 +196,8 @@ def cmd_interval(args) -> int:
 
 def cmd_extend(args) -> int:
     started = time.perf_counter()
+    if args.out:
+        _check_output(args.out)
     name, sys, _spec = serialize.load_system(args.system)
     J = _parse_quotient(sys, args.quotient)
     policy = _parse_policy(sys, args.policy)
@@ -240,6 +262,10 @@ def cmd_verify_reduction(args) -> int:
 
 def cmd_scan(args) -> int:
     started = time.perf_counter()
+    json_path = args.out + ".json"
+    csv_path = args.out + ".csv"
+    _check_output(json_path)
+    _check_output(csv_path)
     config = serialize.load_scan_config(args.config)
     cache_counts = None
     if args.cache:
@@ -248,8 +274,6 @@ def cmd_scan(args) -> int:
             tables[system_fingerprint(system)] = get_table(system)
         cache_counts = serialize.cache_load(args.cache, tables)
     report = run_scan(config)
-    json_path = args.out + ".json"
-    csv_path = args.out + ".csv"
     with open(json_path, "w") as fh:
         fh.write(canonical_dumps(report.to_jsonable()))
     with open(csv_path, "w") as fh:
@@ -340,7 +364,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except InputError as exc:
+    except InvariantError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_DISAGREEMENT
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except PreconditionError as exc:

@@ -9,7 +9,11 @@ integers for matrix entries in {1,2,3,4,6,inf}, residues in a real
 cyclotomic ring otherwise.
 
 Systems are immutable and safe to share; every operation here is a pure
-function of its inputs.
+function of its inputs.  Each system remembers the kernel's answers
+(canonical forms and right-descent masks, per validated word), so a fact
+about a word is computed once per system.  The memo holds only these
+deterministic answers: an entry lost or inserted twice by concurrent
+callers changes nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ class InputError(CoxKLError):
 
 class PreconditionError(CoxKLError):
     """Operation called outside its contract (u > v, w not in W^J, caps)."""
+
+
+class InvariantError(CoxKLError):
+    """A mathematical invariant failed: an implementation bug, or a
+    preloaded value that contradicts the computation reading it."""
 
 
 def _check_entry(v):
@@ -176,6 +185,10 @@ class CoxeterSystem:
         self.cartan = cartan
         self.kernel = kernel
         self.caches: dict = {}
+        #: kernel answers per validated word: canonical forms, and
+        #: right-descent masks (left descents of w are keyed by reversed w)
+        self.canonical_memo: dict = {}
+        self.descent_memo: dict = {}
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -239,7 +252,12 @@ class CoxeterSystem:
     def canonicalize(self, word) -> tuple[Word, bool]:
         """ShortLex canonical form of an arbitrary word; also reports
         whether the input was already reduced."""
-        return self.kernel.canonicalize(self._check_word(word))
+        # validate first: (1.0,) == (1,), so the memo must never see it
+        word = self._check_word(word)
+        got = self.canonical_memo.get(word)
+        if got is None:
+            got = self.canonical_memo[word] = self.kernel.canonicalize(word)
+        return got
 
     def element(self, word_or_text) -> Word:
         if isinstance(word_or_text, str):
@@ -263,11 +281,15 @@ class CoxeterSystem:
         return len(w)
 
     def descent_mask(self, w: Word, side: str = "right") -> int:
-        if side == "right":
-            return self.kernel.right_descent_mask(self._check_word(w))
+        word = self._check_word(w)
         if side == "left":
-            return self.kernel.right_descent_mask(tuple(reversed(self._check_word(w))))
-        raise InputError(f"side must be 'left' or 'right', not {side!r}")
+            word = word[::-1]
+        elif side != "right":
+            raise InputError(f"side must be 'left' or 'right', not {side!r}")
+        mask = self.descent_memo.get(word)
+        if mask is None:
+            mask = self.descent_memo[word] = self.kernel.right_descent_mask(word)
+        return mask
 
     def descents(self, w: Word, side: str = "right") -> frozenset:
         mask = self.descent_mask(w, side)

@@ -12,10 +12,10 @@ both computation paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bruhat import bruhat_leq, parabolic_interval
-from .core import INF, CoxeterSystem, InputError, PreconditionError
+from .core import INF, CoxeterSystem, InputError, InvariantError, PreconditionError
 from .invariance import IsoWitness
 from .klpoly import KL_TYPES, get_table
 from .laurent import LaurentPoly
@@ -28,8 +28,7 @@ def _default_bond(class_values):
     return finite[0] if finite else INF
 
 
-@dataclass(frozen=True)
-class ExtendedSystem:
+class ExtendedSystem(NamedTuple):
     """A base system, a subset J, and the system extended by st."""
 
     base: CoxeterSystem
@@ -96,7 +95,8 @@ def lift(ext: ExtendedSystem, z) -> tuple:
     if any(s >= ext.base.n for s in z):
         raise PreconditionError("element already mentions the adjoined generator")
     lifted = ext.extended.canonicalize(z + (ext.stilde,))[0]
-    assert lifted == z + (ext.stilde,), "lift must append a single letter"
+    if lifted != z + (ext.stilde,):
+        raise InvariantError("lift must append a single letter")
     return lifted
 
 
@@ -104,7 +104,7 @@ def lift_interval(ext: ExtendedSystem, u, v):
     """Lift [u, v]^J to [u st, v st]^S and certify the transport.
 
     Returns the lifted interval together with the witness isomorphism
-    z -> z st from the base interval.  Raises AssertionError if the
+    z -> z st from the base interval.  Raises InvariantError if the
     lifted marked set or the order structure disagrees with the direct
     construction (which would be an implementation bug).
     """
@@ -113,21 +113,21 @@ def lift_interval(ext: ExtendedSystem, u, v):
         ext.extended, lift(ext, u), lift(ext, v), ext.maximal_quotient
     )
     lifted_ground = [lift(ext, z) for z in base_ivl.ground]
-    assert set(lifted_ground) == set(lifted_ivl.ground), (
-        "lifted interval differs from the direct one"
-    )
+    if set(lifted_ground) != set(lifted_ivl.ground):
+        raise InvariantError("lifted interval differs from the direct one")
     mapping = tuple(lifted_ivl.index[w] for w in lifted_ground)
     marked_image = {mapping[i] for i in base_ivl.marked}
-    assert marked_image == set(lifted_ivl.marked), (
-        "lift does not carry the marked subset onto the marked subset"
-    )
+    if marked_image != set(lifted_ivl.marked):
+        raise InvariantError(
+            "lift does not carry the marked subset onto the marked subset"
+        )
     witness = IsoWitness(base_ivl, lifted_ivl, mapping, respects_marking=True)
-    assert witness.verify(), "lift is not a poset isomorphism"
+    if not witness.verify():
+        raise InvariantError("lift is not a poset isomorphism")
     return lifted_ivl, witness
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
+class ReductionRecord(NamedTuple):
     u: tuple
     v: tuple
     x: str
@@ -138,9 +138,9 @@ class ReductionRecord:
     paths_agree: bool  # fast path == duality solver on both sides (P only)
 
 
-@dataclass
 class ReductionReport:
-    records: list = field(default_factory=list)
+    def __init__(self):
+        self.records: list[ReductionRecord] = []
 
     @property
     def all_equal(self) -> bool:

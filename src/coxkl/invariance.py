@@ -11,21 +11,26 @@ iteration in canonical orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .bruhat import IntervalPoset, bruhat_leq, parabolic_interval
-from .core import INF, CoxeterSystem, CoxeterMatrix, InputError, PreconditionError
+from .core import (
+    INF,
+    CoxeterMatrix,
+    CoxeterSystem,
+    InputError,
+    InvariantError,
+    PreconditionError,
+)
 from .klpoly import get_table
 
 DEFAULT_SIZE_CAP = 40
 
 
-@dataclass(frozen=True)
 class ClassX:
     """A nonempty set of admissible bond labels (>= 3 or INF)."""
 
-    values: frozenset
+    __slots__ = ("values",)
 
     def __init__(self, values):
         values = frozenset(values)
@@ -34,7 +39,16 @@ class ClassX:
         for v in values:
             if v is not INF and not (isinstance(v, int) and v >= 3):
                 raise InputError(f"class member {v!r} must be >= 3 or INF")
-        object.__setattr__(self, "values", values)
+        self.values = values
+
+    def __eq__(self, other):
+        return isinstance(other, ClassX) and self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"ClassX(values={self.values!r})"
 
 
 def is_class_x(matrix: CoxeterMatrix, class_x: ClassX) -> bool:
@@ -48,8 +62,7 @@ def is_class_x(matrix: CoxeterMatrix, class_x: ClassX) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """A claimed isomorphism between two interval posets.
 
     mapping[i] is the target index of source element i.  verify() checks
@@ -119,7 +132,8 @@ def find_isomorphisms(
     def extend(pos: int) -> Iterator[IsoWitness]:
         if pos == k:
             witness = IsoWitness(A, B, tuple(mapping), respect_marking)
-            assert witness.verify(), "search produced an invalid witness"
+            if not witness.verify():
+                raise InvariantError("search produced an invalid witness")
             yield witness
             return
         i = order[pos]
@@ -143,8 +157,7 @@ def find_isomorphisms(
     yield from extend(0)
 
 
-@dataclass(frozen=True)
-class ScanCase:
+class ScanCase(NamedTuple):
     """One (system, J, u, v) instance with its marked interval."""
 
     system_name: str
@@ -184,42 +197,55 @@ def check_hypothesis_pair(case_a, case_b, cap: int = DEFAULT_SIZE_CAP) -> Option
     return None
 
 
-@dataclass
 class ScanConfig:
-    """Deterministic scan over configured systems and quotients."""
+    """Deterministic scan over configured systems and quotients.
 
-    entries: list  # (name, CoxeterSystem, spec dict) in configured order
-    quotients: str = "all"  # or "maximal"
-    max_length: int = 8
-    max_rank_gap: int = 4
-    max_interval_size: int = DEFAULT_SIZE_CAP
-    types: tuple = ("q", "-1")
-    include_r: bool = True
-    class_x: Optional[ClassX] = None
-    lift_controls: bool = True
+    entries lists (name, CoxeterSystem, spec dict) in configured order;
+    quotients is "all" or "maximal".
+    """
 
-    def __post_init__(self):
-        if self.quotients not in ("all", "maximal"):
+    def __init__(
+        self,
+        entries: list,
+        quotients: str = "all",
+        max_length: int = 8,
+        max_rank_gap: int = 4,
+        max_interval_size: int = DEFAULT_SIZE_CAP,
+        types: tuple = ("q", "-1"),
+        include_r: bool = True,
+        class_x: Optional[ClassX] = None,
+        lift_controls: bool = True,
+    ):
+        if quotients not in ("all", "maximal"):
             raise InputError("quotients must be 'all' or 'maximal'")
-        for x in self.types:
+        for x in types:
             if x not in ("q", "-1"):
                 raise InputError(f"unknown polynomial type {x!r}")
+        self.entries = entries
+        self.quotients = quotients
+        self.max_length = max_length
+        self.max_rank_gap = max_rank_gap
+        self.max_interval_size = max_interval_size
+        self.types = types
+        self.include_r = include_r
+        self.class_x = class_x
+        self.lift_controls = lift_controls
 
 
-@dataclass
 class ScanReport:
-    config_echo: dict
-    cases: int = 0
-    candidate_pairs: int = 0
-    pairs_checked: int = 0
-    hypothesis_hits: int = 0
-    implied_pairs: int = 0
-    equalities_verified: int = 0
-    controls_checked: int = 0
-    skipped_oversize: int = 0
-    skipped_systems: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    rows: list = field(default_factory=list)  # per checked pair, for the CSV
+    def __init__(self, config_echo: dict):
+        self.config_echo = config_echo
+        self.cases = 0
+        self.candidate_pairs = 0
+        self.pairs_checked = 0
+        self.hypothesis_hits = 0
+        self.implied_pairs = 0
+        self.equalities_verified = 0
+        self.controls_checked = 0
+        self.skipped_oversize = 0
+        self.skipped_systems: list = []
+        self.counterexamples: list = []
+        self.rows: list = []  # per checked pair, for the CSV
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,4 @@
-"""Pure-Python word kernels.
+"""Word kernels: canonical forms and descents of words.
 
 A kernel tracks the reflection representation of a Coxeter system on
 root coordinates: columns of an n x n matrix hold the images of the
@@ -6,13 +6,16 @@ simple roots in the simple-root basis.  A generator is a right descent
 exactly when its column goes negative, and the ShortLex canonical word
 falls out of greedily extracting the least left descent.
 
-`PyIntKernel` works over Python ints (never overflows) and is the
-fallback for the compiled kernel.  `RingKernel` runs the same algorithm
-over an exact scalar ring, for systems whose Cartan values are not
-rational integers.
+`PyIntKernel` works over Python ints, which never overflow, for integer
+Cartan matrices.  `RingKernel` runs the same algorithm over an exact
+scalar ring, for systems whose Cartan values are not rational integers.
+Both rebuild the matrix from scratch on every call and keep no state;
+`CoxeterSystem` remembers their answers per word.
 """
 
 from __future__ import annotations
+
+__all__ = ["PyIntKernel", "RingKernel", "make_integer_kernel"]
 
 
 class PyIntKernel:
@@ -71,6 +74,11 @@ class PyIntKernel:
             if all(x <= 0 for x in m[t]):
                 mask |= 1 << t
         return mask
+
+
+def make_integer_kernel(cartan) -> PyIntKernel:
+    """Kernel for an integer Cartan matrix."""
+    return PyIntKernel(cartan)
 
 
 class RingKernel:

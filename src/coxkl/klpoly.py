@@ -5,7 +5,7 @@ Two independent computation paths are kept side by side:
 * `parabolic_kl_duality` is the normative definition: it solves the
   bar-duality identity by descending induction, splitting each right-hand
   side into a low-degree half (the polynomial) and its mirrored image,
-  and asserts that the split is consistent.
+  and checks that the split is consistent.
 * `parabolic_kl` is the fast path: the descent recursion with a
   mu-coefficient correction sum.
 
@@ -18,7 +18,7 @@ For J = {} both degenerate to the ordinary R- and KL polynomials.
 from __future__ import annotations
 
 from .bruhat import bruhat_leq, cone
-from .core import CoxeterSystem, InputError, PreconditionError
+from .core import CoxeterSystem, InputError, InvariantError, PreconditionError
 from .laurent import ONE, Q, ZERO, LaurentPoly
 
 KL_TYPES = ("q", "-1")
@@ -125,7 +125,8 @@ class KLTable:
             res = _QM1 * self._r(u, sv, J, x) + Q * self._r(su, sv, J, x)
         else:
             res = _R3[x] * self._r(u, sv, J, x)
-        assert res.is_zero or res.low >= 0, "R-polynomial left Z[q]"
+        if not (res.is_zero or res.low >= 0):
+            raise InvariantError("R-polynomial left Z[q]")
         self.tables["R"][key] = res
         return res
 
@@ -161,11 +162,13 @@ class KLTable:
             m = self._mu(w, sv, J, x)
             if m:
                 gap = len(v) - len(w)
-                assert gap % 2 == 0, "mu correction at odd length gap"
+                if gap % 2:
+                    raise InvariantError("mu correction at odd length gap")
                 res = res - m * LaurentPoly.q_power(gap // 2) * self._kl(u, w, J, x)
-        assert res.is_zero or (
+        if not (res.is_zero or (
             res.low >= 0 and 2 * res.degree <= len(v) - len(u) - 1
-        ), "degree bound violated"
+        )):
+            raise InvariantError("degree bound violated")
         self.tables["P"][key] = res
         return res
 
@@ -200,10 +203,10 @@ class KLTable:
                 term = -term
             rhs = rhs + term
         res = rhs.truncate_above((gap - 1) // 2)
-        assert rhs == res - res.bar().shift(gap), (
-            "duality right-hand side is not self-mirrored"
-        )
-        assert res.is_zero or res.low >= 0, "KL polynomial left Z[q]"
+        if rhs != res - res.bar().shift(gap):
+            raise InvariantError("duality right-hand side is not self-mirrored")
+        if not (res.is_zero or res.low >= 0):
+            raise InvariantError("KL polynomial left Z[q]")
         self.tables["Pdual"][key] = res
         return res
 

@@ -102,6 +102,15 @@ def test_interval_command(capsys, tmp_path):
     assert text.startswith("digraph")
 
 
+def test_interval_unwritable_dot_exits_2(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "interval", "--system", str(CONFIGS / "a2.json"),
+        "--u", "", "--v", "s1 s2", "--dot", str(tmp_path / "missing" / "x.dot"),
+    )
+    assert code == 2
+    assert out == "" and "cannot write" in err
+
+
 def test_interval_point(capsys):
     code, out, _ = run(
         capsys, "interval", "--system", str(CONFIGS / "a2.json"),
@@ -168,6 +177,41 @@ def test_extend_policy_conflicts_with_class_x(capsys):
     assert code == 2
 
 
+def test_extend_bad_class_x_exits_2(capsys):
+    code, out, err = run(
+        capsys, "extend", "--system", str(CONFIGS / "a2.json"),
+        "--quotient", "s2", "--class-x", "abc",
+    )
+    assert code == 2
+    assert out == "" and "abc" in err
+
+
+def test_extend_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "e.json"
+    code, out, err = run(
+        capsys, "extend", "--system", str(CONFIGS / "a3.json"),
+        "--quotient", "s2", "--out", str(target),
+    )
+    assert code == 2
+    assert out == "" and "cannot write" in err
+    assert not target.exists()
+
+
+def test_extend_invariant_failure_exits_1(capsys, monkeypatch):
+    import coxkl.cli
+    from coxkl import InvariantError
+
+    def broken(*args, **kwargs):
+        raise InvariantError("lift must append a single letter")
+
+    monkeypatch.setattr(coxkl.cli, "extend_system", broken)
+    code, out, err = run(
+        capsys, "extend", "--system", str(CONFIGS / "a2.json"), "--quotient", "s2",
+    )
+    assert code == 1
+    assert out == "" and "lift must append a single letter" in err
+
+
 def test_extend_policy_inf(capsys):
     code, out, _ = run(
         capsys, "extend", "--system", str(CONFIGS / "a2.json"),
@@ -224,6 +268,21 @@ def test_scan_bad_config_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "scan", "--config", str(cfg), "--out",
                        str(tmp_path / "r"))
     assert code == 2
+
+
+def test_scan_unwritable_out_exits_2_before_scanning(capsys, tmp_path, monkeypatch):
+    import coxkl.cli
+
+    def must_not_run(config):
+        raise AssertionError("the scan ran before the output path was checked")
+
+    monkeypatch.setattr(coxkl.cli, "run_scan", must_not_run)
+    code, out, err = run(
+        capsys, "scan", "--config", str(CONFIGS / "a3-maximal.json"),
+        "--out", str(tmp_path / "missing" / "r"),
+    )
+    assert code == 2
+    assert out == "" and "cannot write" in err
 
 
 def test_scan_determinism(capsys, tmp_path):

@@ -1,7 +1,15 @@
 """R- and KL polynomials: frozen small values, the bar-squared identity,
-oracle equivalence of the two computation paths, and degenerations."""
+oracle equivalence of the two computation paths, degenerations, and
+invariant checks that hold under python -O."""
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import coxkl
 
 from conftest import all_subsets
 from coxkl import PreconditionError
@@ -134,6 +142,26 @@ def test_fast_path_equals_duality_affine(affine_a2):
                 assert t.parabolic_kl(u, v, J, x) == t.parabolic_kl_duality(u, v, J, x)
 
 
+def test_h3_fast_path_equals_duality_nonnegative(h3):
+    """The general backend: on every ordinary pair u <= v of H3 with
+    l(v) <= 7, both paths agree and every coefficient is nonnegative
+    (Elias-Williamson)."""
+    t = get_table(h3)
+    J = frozenset()
+    pairs = list(_pairs(h3, h3.ball(7), J))
+    assert len(pairs) == 1099
+    for u, v in pairs:
+        p = t.parabolic_kl(u, v, J, "q")
+        assert p == t.parabolic_kl_duality(u, v, J, "q")
+        assert (p.is_zero or p.low >= 0) and all(c >= 0 for c in p.coeffs)
+
+
+def test_h3_longest_element_polynomial_is_one(h3):
+    w0 = h3.all_elements()[-1]
+    assert len(w0) == 15
+    assert get_table(h3).parabolic_kl((), w0, frozenset(), "q") == ONE
+
+
 def test_ordinary_types_coincide(b3):
     t = get_table(b3)
     elems = b3.all_elements()
@@ -226,3 +254,31 @@ def test_invalid_type_rejected(a2):
     t = get_table(a2)
     with pytest.raises(Exception):
         t.parabolic_kl((), (0,), frozenset(), "bogus")
+
+
+def test_invariant_check_survives_python_O():
+    """A preloaded P entry that breaks the degree bound is read by the
+    recursion for (e, s1 s2); the check must fire with asserts stripped."""
+    script = textwrap.dedent("""
+        import sys
+        from coxkl import InvariantError, validate_system
+        from coxkl.klpoly import get_table
+        from coxkl.laurent import LaurentPoly
+
+        assert sys.flags.optimize
+        a2 = validate_system([[1, 3], [3, 1]])
+        t = get_table(a2)
+        t.preload("P", (), (1,), frozenset(), "q", LaurentPoly.q_power(3))
+        try:
+            t.parabolic_kl((), (0, 1), frozenset(), "q")
+        except InvariantError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxkl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "degree bound violated" in proc.stdout
