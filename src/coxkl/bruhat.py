@@ -249,7 +249,8 @@ def _build_interval(sys, u, v, J, max_len):
     covers.sort()
     marked = None
     if J is not None:
-        marked = [i for i, z in enumerate(ground) if sys.is_min_rep(z, J)]
+        jmask = sys.subset_masks[J]
+        marked = [i for i, z in enumerate(ground) if not sys._right_descents(z) & jmask]
     return IntervalPoset(sys, u, v, J, ground, covers, marked)
 
 

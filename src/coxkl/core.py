@@ -10,10 +10,16 @@ cyclotomic ring otherwise.
 
 Systems are immutable and safe to share; every operation here is a pure
 function of its inputs.  Each system remembers the kernel's answers
-(canonical forms and right-descent masks, per validated word), so a fact
-about a word is computed once per system.  The memo holds only these
-deterministic answers: an entry lost or inserted twice by concurrent
-callers changes nothing.
+(canonical forms and right-descent masks, per validated word) and the bit
+mask of each validated generator subset, so a fact about a word is
+computed once per system.  The memos hold only these deterministic
+answers: an entry lost or inserted twice by concurrent callers changes
+nothing.
+
+Public methods validate their arguments on every call.  The private
+lookups `_right_descents` and `_left_mul` skip that step: they take only
+canonical words that coxkl itself produced (out of `canonicalize`, a
+cone, or an earlier lookup), which have already passed the check.
 """
 
 from __future__ import annotations
@@ -189,6 +195,8 @@ class CoxeterSystem:
         #: right-descent masks (left descents of w are keyed by reversed w)
         self.canonical_memo: dict = {}
         self.descent_memo: dict = {}
+        #: bit mask of each generator subset that has passed check_subset
+        self.subset_masks: dict = {}
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -239,13 +247,13 @@ class CoxeterSystem:
         for s in J:
             if not (isinstance(s, int) and 0 <= s < self.matrix.n):
                 raise InputError(f"invalid generator index {s!r} in subset")
+        # only after validation: frozenset({1.0}) == frozenset({1})
+        if J not in self.subset_masks:
+            self.subset_masks[J] = sum(1 << s for s in J)
         return J
 
     def subset_mask(self, J: Iterable[int]) -> int:
-        mask = 0
-        for s in self.check_subset(J):
-            mask |= 1 << s
-        return mask
+        return self.subset_masks[self.check_subset(J)]
 
     # -- element arithmetic -------------------------------------------------
 
@@ -253,11 +261,7 @@ class CoxeterSystem:
         """ShortLex canonical form of an arbitrary word; also reports
         whether the input was already reduced."""
         # validate first: (1.0,) == (1,), so the memo must never see it
-        word = self._check_word(word)
-        got = self.canonical_memo.get(word)
-        if got is None:
-            got = self.canonical_memo[word] = self.kernel.canonicalize(word)
-        return got
+        return self._canonical(self._check_word(word))
 
     def element(self, word_or_text) -> Word:
         if isinstance(word_or_text, str):
@@ -286,10 +290,7 @@ class CoxeterSystem:
             word = word[::-1]
         elif side != "right":
             raise InputError(f"side must be 'left' or 'right', not {side!r}")
-        mask = self.descent_memo.get(word)
-        if mask is None:
-            mask = self.descent_memo[word] = self.kernel.right_descent_mask(word)
-        return mask
+        return self._right_descents(word)
 
     def descents(self, w: Word, side: str = "right") -> frozenset:
         mask = self.descent_mask(w, side)
@@ -309,6 +310,24 @@ class CoxeterSystem:
                 return w
             s = (hit & -hit).bit_length() - 1
             w = self.multiply_gen(w, s, side)
+
+    # -- lookups for words coxkl produced (no validation) --------------------
+
+    def _canonical(self, word: Word) -> tuple[Word, bool]:
+        got = self.canonical_memo.get(word)
+        if got is None:
+            got = self.canonical_memo[word] = self.kernel.canonicalize(word)
+        return got
+
+    def _right_descents(self, w: Word) -> int:
+        mask = self.descent_memo.get(w)
+        if mask is None:
+            mask = self.descent_memo[w] = self.kernel.right_descent_mask(w)
+        return mask
+
+    def _left_mul(self, s: int, w: Word) -> Word:
+        """Canonical form of s*w, for a generator s and a canonical word w."""
+        return self._canonical((s,) + w)[0]
 
     # -- enumeration ---------------------------------------------------------
 

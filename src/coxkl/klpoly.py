@@ -13,21 +13,28 @@ The suites require the two paths to agree everywhere; neither consults
 the other's memo.  The type parameter x takes the values "q" and "-1".
 
 For J = {} both degenerate to the ordinary R- and KL polynomials.
+
+R and P always lie in Z[q], so the layer computes and stores them as
+coefficient tuples with offset 0: p[i] is the coefficient of q^i, and
+the tuple has no trailing zero (the zero polynomial is ()).  The `_`
+helpers below do that arithmetic; `LaurentPoly` is the public type, made
+at the entry points and accepted by `KLTable.preload`.  The recursions
+run on canonical words that have passed `_check_pair`, through the
+system's unvalidated lookups.
 """
 
 from __future__ import annotations
 
 from .bruhat import bruhat_leq, cone
 from .core import CoxeterSystem, InputError, InvariantError, PreconditionError
-from .laurent import ONE, Q, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly
 
 KL_TYPES = ("q", "-1")
 
-_QM1 = Q - ONE
-#: multiplier (q - 1 - x) in the third branch of the R recursion
-_R3 = {"q": LaurentPoly.const(-1), "-1": Q}
-#: multiplier (x + 1) in the third branch of the KL recursion
-_P3 = {"q": Q + ONE, "-1": ZERO}
+_ONE = (1,)
+#: multiplier (q - 1 - x) in the third branch of the R recursion, as (c, k)
+#: for c * q^k
+_R3 = {"q": (-1, 0), "-1": (1, 1)}
 
 
 def check_kl_type(x: str) -> str:
@@ -36,13 +43,64 @@ def check_kl_type(x: str) -> str:
     return x
 
 
+# -- Z[q] coefficient tuples ---------------------------------------------------
+
+
+def _trim(out: list) -> tuple:
+    """The tuple of a coefficient list, trailing zeros dropped."""
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _addto(out: list, p: tuple, c: int = 1, k: int = 0) -> list:
+    """out += c * q^k * p in place (k >= 0); returns out."""
+    need = len(p) + k
+    if len(out) < need:
+        out.extend([0] * (need - len(out)))
+    for i, a in enumerate(p, k):
+        out[i] += c * a
+    return out
+
+
+def _addmul(out: list, a: tuple, b: tuple, c: int = 1) -> list:
+    """out += c * a * b in place; returns out.  Fastest with the sparser
+    factor as a, whose zero coefficients cost nothing."""
+    for k, y in enumerate(a):
+        if y:
+            _addto(out, b, c * y, k)
+    return out
+
+
+def _mirror(p: tuple, d: int) -> tuple:
+    """q^d * p(1/q), which lies in Z[q] when deg p <= d."""
+    if len(p) > d + 1:
+        raise InvariantError("mirrored polynomial left Z[q]")
+    return _trim([0] * (d + 1 - len(p)) + list(reversed(p)))
+
+
+def _truncate(p: tuple, k: int) -> tuple:
+    """The terms of p of degree <= k (k >= 0)."""
+    return _trim(list(p[: k + 1]))
+
+
+def _from_laurent(poly: LaurentPoly) -> tuple:
+    """The coefficient tuple of poly, which must lie in Z[q]."""
+    if poly.is_zero:
+        return ()
+    if poly.offset < 0:
+        raise InvariantError(f"polynomial {poly} is not in Z[q]")
+    return (0,) * poly.offset + poly.coeffs
+
+
 class KLTable:
     """Per-system memo table for R- and KL polynomials.
 
-    Entries are immutable once inserted, keyed by (u, v, J, x) per kind;
-    recomputation is deterministic, so concurrent duplicate inserts under
-    the GIL are benign.  Values preloaded from a cache are trusted after
-    a fingerprint match; `cache_hits` counts lookups they serve.
+    Entries are immutable once inserted, keyed by (u, v, J, x) per kind,
+    and hold coefficient tuples; recomputation is deterministic, so
+    concurrent duplicate inserts under the GIL are benign.  Values
+    preloaded from a cache must lie in Z[q]; beyond that they are trusted
+    after a fingerprint match, and `cache_hits` counts lookups they serve.
     """
 
     def __init__(self, sys: CoxeterSystem):
@@ -55,7 +113,7 @@ class KLTable:
 
     def preload(self, kind: str, u, v, J, x, poly: LaurentPoly) -> None:
         key = (tuple(u), tuple(v), frozenset(J), x)
-        self.tables[kind][key] = poly
+        self.tables[kind][key] = _from_laurent(poly)
         self.loaded.add((kind, key))
 
     def new_entries(self):
@@ -63,7 +121,7 @@ class KLTable:
         for kind in ("R", "P"):
             for key, poly in self.tables[kind].items():
                 if (kind, key) not in self.loaded:
-                    yield kind, key, poly
+                    yield kind, key, LaurentPoly(poly)
 
     def _get(self, kind, key):
         poly = self.tables[kind].get(key)
@@ -74,30 +132,32 @@ class KLTable:
     # -- public, validated entry points -----------------------------------
 
     def _check_pair(self, u, v, J, x):
-        J = self.sys.check_subset(J)
+        sys = self.sys
+        J = sys.check_subset(J)
         check_kl_type(x)
+        jmask = sys.subset_masks[J]
         u = tuple(u)
         v = tuple(v)
         for name, w in (("u", u), ("v", v)):
-            if self.sys.canonicalize(w)[0] != w:
+            if sys.canonicalize(w)[0] != w:
                 raise InputError(f"{name} is not a canonical reduced word")
-            if not self.sys.is_min_rep(w, J):
+            if sys._right_descents(w) & jmask:
                 raise PreconditionError(
-                    f"{name} = '{self.sys.word_str(w)}' is not in W^J"
+                    f"{name} = '{sys.word_str(w)}' is not in W^J"
                 )
         return u, v, J
 
     def parabolic_r(self, u, v, J, x: str) -> LaurentPoly:
         u, v, J = self._check_pair(u, v, J, x)
-        return self._r(u, v, J, x)
+        return LaurentPoly(self._r(u, v, J, x))
 
     def parabolic_kl(self, u, v, J, x: str) -> LaurentPoly:
         u, v, J = self._check_pair(u, v, J, x)
-        return self._kl(u, v, J, x)
+        return LaurentPoly(self._kl(u, v, J, x))
 
     def parabolic_kl_duality(self, u, v, J, x: str) -> LaurentPoly:
         u, v, J = self._check_pair(u, v, J, x)
-        return self._kl_dual(u, v, J, x)
+        return LaurentPoly(self._kl_dual(u, v, J, x))
 
     def mu(self, w, v, J, x: str) -> int:
         """Coefficient of q^((l(v)-l(w)-1)/2) in P^{J,x}_{w,v}."""
@@ -106,68 +166,74 @@ class KLTable:
 
     # -- R recursion ------------------------------------------------------
 
-    def _r(self, u, v, J, x) -> LaurentPoly:
+    def _r(self, u, v, J, x) -> tuple:
         if u == v:
-            return ONE
+            return _ONE
         if not bruhat_leq(self.sys, u, v):
-            return ZERO
+            return ()
         key = (u, v, J, x)
         got = self._get("R", key)
         if got is not None:
             return got
         sys = self.sys
-        s = v[0]
         sv = v[1:]
-        su = sys.multiply_gen(u, s, "left")
+        su = sys._left_mul(v[0], u)
         if len(su) < len(u):
             res = self._r(su, sv, J, x)
-        elif sys.is_min_rep(su, J):
-            res = _QM1 * self._r(u, sv, J, x) + Q * self._r(su, sv, J, x)
+        elif not sys._right_descents(su) & sys.subset_masks[J]:
+            # (q - 1) R_{u,sv} + q R_{su,sv}
+            a = self._r(u, sv, J, x)
+            out = _addto(_addto([], a, 1, 1), a, -1)
+            res = _trim(_addto(out, self._r(su, sv, J, x), 1, 1))
         else:
-            res = _R3[x] * self._r(u, sv, J, x)
-        if not (res.is_zero or res.low >= 0):
-            raise InvariantError("R-polynomial left Z[q]")
+            res = _trim(_addto([], self._r(u, sv, J, x), *_R3[x]))
         self.tables["R"][key] = res
         return res
 
     # -- fast path: descent recursion with mu corrections --------------------
 
-    def _kl(self, u, v, J, x) -> LaurentPoly:
+    def _kl(self, u, v, J, x) -> tuple:
         if u == v:
-            return ONE
+            return _ONE
         if not bruhat_leq(self.sys, u, v):
-            return ZERO
+            return ()
         key = (u, v, J, x)
         got = self._get("P", key)
         if got is not None:
             return got
         sys = self.sys
+        jmask = sys.subset_masks[J]
         s = v[0]
         sv = v[1:]
-        su = sys.multiply_gen(u, s, "left")
+        su = sys._left_mul(s, u)
         if len(su) < len(u):
-            res = self._kl(su, sv, J, x) + Q * self._kl(u, sv, J, x)
-        elif sys.is_min_rep(su, J):
-            res = Q * self._kl(su, sv, J, x) + self._kl(u, sv, J, x)
+            out = list(self._kl(su, sv, J, x))
+            _addto(out, self._kl(u, sv, J, x), 1, 1)
+        elif not sys._right_descents(su) & jmask:
+            out = _addto([], self._kl(su, sv, J, x), 1, 1)
+            _addto(out, self._kl(u, sv, J, x))
+        elif x == "q":
+            # (q + 1) P_{u,sv}
+            a = self._kl(u, sv, J, x)
+            out = _addto(list(a), a, 1, 1)
         else:
-            res = _P3[x] * self._kl(u, sv, J, x)
-        for w in cone(self.sys, sv):
-            if w == sv or not sys.is_min_rep(w, J):
+            out = []
+        for w in cone(sys, sv):
+            if w == sv or sys._right_descents(w) & jmask:
                 continue
             if not bruhat_leq(sys, u, w):
                 continue
-            sw = sys.multiply_gen(w, s, "left")
-            if len(sw) > len(w) and not (x == "q" and not sys.is_min_rep(sw, J)):
+            sw = sys._left_mul(s, w)
+            if len(sw) > len(w) and not (x == "q" and sys._right_descents(sw) & jmask):
                 continue
             m = self._mu(w, sv, J, x)
             if m:
                 gap = len(v) - len(w)
                 if gap % 2:
                     raise InvariantError("mu correction at odd length gap")
-                res = res - m * LaurentPoly.q_power(gap // 2) * self._kl(u, w, J, x)
-        if not (res.is_zero or (
-            res.low >= 0 and 2 * res.degree <= len(v) - len(u) - 1
-        )):
+                _addto(out, self._kl(u, w, J, x), -m, gap // 2)
+        res = _trim(out)
+        if res and 2 * (len(res) - 1) > len(v) - len(u) - 1:
             raise InvariantError("degree bound violated")
         self.tables["P"][key] = res
         return res
@@ -176,37 +242,38 @@ class KLTable:
         gap = len(v) - len(w)
         if gap % 2 == 0:
             return 0
-        return self._kl(w, v, J, x).coeff((gap - 1) // 2)
+        p = self._kl(w, v, J, x)
+        k = (gap - 1) // 2
+        return p[k] if k < len(p) else 0
 
     # -- normative path: bar-duality solver ------------------------------------
 
-    def _kl_dual(self, u, v, J, x) -> LaurentPoly:
+    def _kl_dual(self, u, v, J, x) -> tuple:
         if u == v:
-            return ONE
+            return _ONE
         if not bruhat_leq(self.sys, u, v):
-            return ZERO
+            return ()
         key = (u, v, J, x)
         got = self._get("Pdual", key)
         if got is not None:
             return got
         sys = self.sys
+        jmask = sys.subset_masks[J]
         gap = len(v) - len(u)
-        rhs = ZERO
-        for w in cone(self.sys, v):
-            if w == u or not sys.is_min_rep(w, J):
+        # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v})
+        rhs = []
+        for w in cone(sys, v):
+            if w == u or sys._right_descents(w) & jmask:
                 continue
             if not bruhat_leq(sys, u, w):
                 continue
-            term = self._r(u, w, J, x) * self._kl_dual(w, v, J, x).bar()
-            term = term.shift(len(v) - len(w))
-            if (len(w) - len(u)) % 2:
-                term = -term
-            rhs = rhs + term
-        res = rhs.truncate_above((gap - 1) // 2)
-        if rhs != res - res.bar().shift(gap):
+            r = self._r(u, w, J, x)
+            mirrored = _mirror(self._kl_dual(w, v, J, x), len(v) - len(w))
+            _addmul(rhs, mirrored, r, -1 if (len(w) - len(u)) % 2 else 1)
+        rhs = _trim(rhs)
+        res = _truncate(rhs, (gap - 1) // 2)
+        if rhs != _trim(_addto(list(res), _mirror(res, gap), -1)):
             raise InvariantError("duality right-hand side is not self-mirrored")
-        if not (res.is_zero or res.low >= 0):
-            raise InvariantError("KL polynomial left Z[q]")
         self.tables["Pdual"][key] = res
         return res
 
@@ -251,7 +318,8 @@ def bar_squared_check(sys, u, v, J, x: str) -> bool:
     for w in cone(sys, v):
         if not sys.is_min_rep(w, J) or not bruhat_leq(sys, u, w):
             continue
-        term = table._r(w, v, J, x).bar() * table._r(u, w, J, x)
+        r_wv = LaurentPoly(table._r(w, v, J, x))
+        term = r_wv.bar() * LaurentPoly(table._r(u, w, J, x))
         total = total + term.shift(len(v) - len(w))
     total = sign * total
     return total == (ONE if u == v else ZERO)

@@ -1,10 +1,11 @@
 """Integer Laurent polynomials in the single variable q.
 
-All polynomial bookkeeping in this package is exact: coefficients are
-Python ints, and a polynomial is stored as its lowest exponent (the
-offset, which may be negative) together with a dense coefficient tuple
-whose first and last entries are nonzero.  The zero polynomial is the
-empty tuple with offset 0.
+`LaurentPoly` is the public type of every polynomial coxkl returns or
+reads (klpoly computes internally on Z[q] coefficient tuples).
+Coefficients are Python ints, and a polynomial is stored as its lowest
+exponent (the offset, which may be negative) together with a dense
+coefficient tuple whose first and last entries are nonzero.  The zero
+polynomial is the empty tuple with offset 0.
 """
 
 from __future__ import annotations

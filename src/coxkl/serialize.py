@@ -3,9 +3,10 @@
 All JSON documents carry a top-level "format": 1 and are written through
 canonical_dumps, so parsing and re-serializing a document reproduces it
 byte for byte.  Infinite bonds are spelled "inf" in matrices.  The
-polynomial cache is an append-only JSON-lines file; corrupt lines are
-skipped with a warning and records are only reused after the system
-fingerprint matches.
+polynomial cache is an append-only JSON-lines file; records are only
+reused after the system fingerprint matches, and corrupt lines, or
+records that fail the checks of `_check_cache_record`, are skipped with a
+warning.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import sys as _sys
 
+from .bruhat import bruhat_leq
 from .core import INF, CoxeterSystem, InputError
 from .invariance import ClassX, ScanConfig
 from .laurent import LaurentPoly
@@ -146,12 +148,32 @@ def interval_to_dot(ivl) -> str:
 # -- polynomial cache -----------------------------------------------------------
 
 
+def _check_cache_record(sys, kind, u, v, J, poly) -> None:
+    """Raise ValueError unless (u, v, J, poly) is a possible table entry:
+    canonical words, both in W^J, u <= v, a polynomial in Z[q] and, for
+    P with u != v, 2 deg P <= l(v) - l(u) - 1."""
+    for name, w in (("u", u), ("v", v)):
+        if sys.canonicalize(w)[0] != w:
+            raise ValueError(f"{name} is not a canonical reduced word")
+        if not sys.is_min_rep(w, J):
+            raise ValueError(f"{name} is not in W^J")
+    if not bruhat_leq(sys, u, v):
+        raise ValueError("u is not <= v in Bruhat order")
+    if poly.is_zero:
+        return
+    if poly.low < 0:
+        raise ValueError(f"{kind} = {poly} is not in Z[q]")
+    if kind == "P" and u != v and 2 * poly.degree > len(v) - len(u) - 1:
+        raise ValueError(f"P = {poly} breaks the degree bound")
+
+
 def cache_load(path: str, fingerprints: dict) -> dict:
     """Read cache records whose fingerprint is one of ours.
 
     fingerprints maps fingerprint hex -> KLTable.  Returns per-table
     counts of preloaded records.  Unreadable files warn and load nothing;
-    corrupt lines warn and are skipped.
+    corrupt lines, and records that fail `_check_cache_record`, warn and
+    are skipped.
     """
     counts = {fp: 0 for fp in fingerprints}
     try:
@@ -182,6 +204,7 @@ def cache_load(path: str, fingerprints: dict) -> dict:
                 if x not in ("q", "-1") or kind not in ("R", "P"):
                     raise ValueError("bad x or kind")
                 poly = poly_from_jsonable(rec["poly"])
+                _check_cache_record(sys, kind, u, v, J, poly)
             except Exception as exc:
                 print(f"warning: skipping cache line {lineno}: {exc}",
                       file=_sys.stderr)

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from coxkl.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -354,6 +356,56 @@ def test_cache_unreadable_warns_and_proceeds(capsys, tmp_path):
     )
     assert code == 0
     assert "cache unreadable" in err
+
+
+def test_cache_tampered_polynomial_is_not_served(capsys, tmp_path):
+    """A cached P that breaks the degree bound is skipped on load, so the
+    answer is computed afresh."""
+    cache = tmp_path / "cache.jsonl"
+    argv = [
+        "poly", "--system", str(CONFIGS / "b3.json"),
+        "--u", "", "--v", "s2 s1 s3 s2", "--kind", "P", "--cache", str(cache),
+    ]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    target = [r for r in records if (r["kind"], r["u"], r["v"], r["J"], r["x"])
+              == ("P", "", "s2 s1 s3 s2", [], "q")]
+    assert len(target) == 1
+    target[0]["poly"] = {"offset": 0, "coeffs": [7, 5, 3, 1, 9]}
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert envelope(out)["result"]["polynomials"]["recursion"]["display"] == "1 + q"
+    assert "skipping cache line" in err
+
+
+@pytest.mark.parametrize("u, v, J, kind, poly, reason", [
+    ("s2 s1 s2", "s1 s2 s1", [], "P", [1], "u is not a canonical"),
+    ("", "s1", ["s1"], "P", [1], "v is not in W^J"),
+    ("s1 s2", "s2 s1", [], "P", [1], "not <= v"),
+    ("", "s1", [], "R", {"offset": -1, "coeffs": [1, 1]}, "not in Z[q]"),
+    ("", "s1 s2", [], "P", [1, 1], "degree bound"),
+])
+def test_cache_load_checks_records(capsys, tmp_path, u, v, J, kind, poly, reason):
+    from coxkl import validate_system
+    from coxkl.klpoly import KLTable
+    from coxkl.serialize import cache_load, system_fingerprint
+
+    a2 = validate_system([[1, 3], [3, 1]])
+    fp = system_fingerprint(a2)
+    if isinstance(poly, list):
+        poly = {"offset": 0, "coeffs": poly}
+    good = {"format": 1, "fingerprint": fp, "u": "", "v": "s1", "J": [], "x": "q",
+            "kind": "P", "poly": {"offset": 0, "coeffs": [1]}}
+    bad = dict(good, u=u, v=v, J=J, kind=kind, poly=poly)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    table = KLTable(a2)
+    assert cache_load(str(cache), {fp: table}) == {fp: 1}
+    err = capsys.readouterr().err
+    assert "skipping cache line 2" in err and reason in err
+    assert table.loaded == {("P", ((), (0,), frozenset(), "q"))}
 
 
 def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path):

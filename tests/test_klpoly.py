@@ -1,6 +1,7 @@
 """R- and KL polynomials: frozen small values, the bar-squared identity,
-oracle equivalence of the two computation paths, degenerations, and
-invariant checks that hold under python -O."""
+oracle equivalence of the two computation paths, degenerations, Deodhar's
+parabolic-to-ordinary identities, and invariant checks that hold under
+python -O."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import coxkl
 
 from conftest import all_subsets
-from coxkl import PreconditionError
+from coxkl import InvariantError, PreconditionError
 from coxkl.bruhat import bruhat_leq
 from coxkl.klpoly import KLTable, bar_squared_check, get_table
 from coxkl.laurent import ONE, Q, ZERO, LaurentPoly
@@ -282,3 +283,50 @@ def test_invariant_check_survives_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "degree bound violated" in proc.stdout
+
+
+def test_preload_rejects_negative_exponent(a2):
+    t = KLTable(a2)
+    with pytest.raises(InvariantError):
+        t.preload("R", (), (0,), frozenset(), "q", LaurentPoly([1, 1], -1))
+    assert t.tables["R"] == {} and not t.loaded
+
+
+# -- Deodhar's identities: parabolic against ordinary ------------------------------
+
+
+@pytest.mark.parametrize("fixture, expected", [("a3", 234), ("b3", 860)])
+def test_deodhar_identities(fixture, expected, request):
+    """For every J with |J| in {1, 2} and every u <= v in W^J (Deodhar,
+    J. Algebra 111, 1987):
+
+        P^{J,q}_{u,v} = P_{u w_J, v w_J}
+        P^{J,-1}_{u,v} = sum over z in W_J with uz <= v of (-1)^l(z) P_{uz,v}
+
+    The parabolic side comes from the recursion and the ordinary side from
+    the duality solver, each in a table of its own, so every identity
+    crosses the two paths."""
+    sys = request.getfixturevalue(fixture)
+    elems = sys.all_elements()
+    recursion, duality = KLTable(sys), KLTable(sys)
+    E = frozenset()
+    count = 0
+    for J in all_subsets(sys.generators):
+        if len(J) not in (1, 2):
+            continue
+        W_J = [z for z in elems if set(z) <= J]
+        w_J = W_J[-1]  # elems are sorted by length, and W_J is finite
+        for u, v in _pairs(sys, elems, J):
+            count += 1
+            assert recursion.parabolic_kl(u, v, J, "q") == duality.parabolic_kl_duality(
+                sys.product(u, w_J), sys.product(v, w_J), E, "q"
+            )
+            total = ZERO
+            for z in W_J:
+                uz = sys.product(u, z)
+                if bruhat_leq(sys, uz, v):
+                    total = total + (-1) ** len(z) * duality.parabolic_kl_duality(
+                        uz, v, E, "q"
+                    )
+            assert recursion.parabolic_kl(u, v, J, "-1") == total
+    assert count == expected
