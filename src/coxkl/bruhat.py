@@ -249,7 +249,7 @@ def _build_interval(sys, u, v, J, max_len):
     covers.sort()
     marked = None
     if J is not None:
-        jmask = sys.subset_masks[J]
+        jmask = sum(1 << s for s in J)
         marked = [i for i, z in enumerate(ground) if not sys._right_descents(z) & jmask]
     return IntervalPoset(sys, u, v, J, ground, covers, marked)
 

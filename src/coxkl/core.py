@@ -10,11 +10,10 @@ cyclotomic ring otherwise.
 
 Systems are immutable and safe to share; every operation here is a pure
 function of its inputs.  Each system remembers the kernel's answers
-(canonical forms and right-descent masks, per validated word) and the bit
-mask of each validated generator subset, so a fact about a word is
-computed once per system.  The memos hold only these deterministic
-answers: an entry lost or inserted twice by concurrent callers changes
-nothing.
+(canonical forms and right-descent masks, per validated word), so a fact
+about a word is computed once per system.  The memo holds only these
+deterministic answers: an entry lost or inserted twice by concurrent
+callers changes nothing.
 
 Public methods validate their arguments on every call.  The private
 lookups `_right_descents` and `_left_mul` skip that step: they take only
@@ -195,8 +194,6 @@ class CoxeterSystem:
         #: right-descent masks (left descents of w are keyed by reversed w)
         self.canonical_memo: dict = {}
         self.descent_memo: dict = {}
-        #: bit mask of each generator subset that has passed check_subset
-        self.subset_masks: dict = {}
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -247,13 +244,13 @@ class CoxeterSystem:
         for s in J:
             if not (isinstance(s, int) and 0 <= s < self.matrix.n):
                 raise InputError(f"invalid generator index {s!r} in subset")
-        # only after validation: frozenset({1.0}) == frozenset({1})
-        if J not in self.subset_masks:
-            self.subset_masks[J] = sum(1 << s for s in J)
         return J
 
     def subset_mask(self, J: Iterable[int]) -> int:
-        return self.subset_masks[self.check_subset(J)]
+        mask = 0
+        for s in self.check_subset(J):
+            mask |= 1 << s
+        return mask
 
     # -- element arithmetic -------------------------------------------------
 

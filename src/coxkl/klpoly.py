@@ -135,7 +135,7 @@ class KLTable:
         sys = self.sys
         J = sys.check_subset(J)
         check_kl_type(x)
-        jmask = sys.subset_masks[J]
+        jmask = sum(1 << s for s in J)
         u = tuple(u)
         v = tuple(v)
         for name, w in (("u", u), ("v", v)):
@@ -176,11 +176,12 @@ class KLTable:
         if got is not None:
             return got
         sys = self.sys
+        jmask = sum(1 << s for s in J)
         sv = v[1:]
         su = sys._left_mul(v[0], u)
         if len(su) < len(u):
             res = self._r(su, sv, J, x)
-        elif not sys._right_descents(su) & sys.subset_masks[J]:
+        elif not sys._right_descents(su) & jmask:
             # (q - 1) R_{u,sv} + q R_{su,sv}
             a = self._r(u, sv, J, x)
             out = _addto(_addto([], a, 1, 1), a, -1)
@@ -202,7 +203,7 @@ class KLTable:
         if got is not None:
             return got
         sys = self.sys
-        jmask = sys.subset_masks[J]
+        jmask = sum(1 << s for s in J)
         s = v[0]
         sv = v[1:]
         su = sys._left_mul(s, u)
@@ -258,7 +259,7 @@ class KLTable:
         if got is not None:
             return got
         sys = self.sys
-        jmask = sys.subset_masks[J]
+        jmask = sum(1 << s for s in J)
         gap = len(v) - len(u)
         # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v})
         rhs = []
