@@ -26,7 +26,9 @@ def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
     res = cache.get((u, v))
     if res is not None:
         return res
-    uu, vv = u, v
+    # validated once here; the walk below only makes words from these
+    uu = sys._check_word(u)
+    vv = sys._check_word(v)
     mask = None
     while True:
         if not uu:
@@ -38,9 +40,9 @@ def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
         s = vv[0]
         vv = vv[1:]
         if mask is None:
-            mask = sys.descent_mask(uu, "left")
+            mask = sys._right_descents(uu[::-1])
         if mask >> s & 1:
-            uu = sys.multiply_gen(uu, s, "left")
+            uu = sys._left_mul(s, uu)
             mask = None
     cache[(u, v)] = res
     return res
@@ -228,9 +230,9 @@ def _build_interval(sys, u, v, J, max_len):
             f"top element has length {len(v)} > cutoff {max_len}"
         )
     if J is not None:
-        J = sys.check_subset(J)
+        jmask = sum(1 << s for s in J)
         for name, w in (("u", u), ("v", v)):
-            if not sys.is_min_rep(w, J):
+            if sys._right_descents(w) & jmask:
                 raise PreconditionError(f"{name} is not in W^J")
     if not bruhat_leq(sys, u, v):
         raise PreconditionError("u is not <= v in Bruhat order")
@@ -249,7 +251,6 @@ def _build_interval(sys, u, v, J, max_len):
     covers.sort()
     marked = None
     if J is not None:
-        jmask = sum(1 << s for s in J)
         marked = [i for i, z in enumerate(ground) if not sys._right_descents(z) & jmask]
     return IntervalPoset(sys, u, v, J, ground, covers, marked)
 

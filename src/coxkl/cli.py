@@ -2,10 +2,11 @@
 
 Subcommands: poly, interval, extend, verify-reduction, scan.  Every
 command prints a JSON envelope {format, command, inputs, result, timing}
-to stdout.  Exit codes: 0 success, 1 mathematical disagreement found
-(including a failed internal invariant), 2 malformed input or
-configuration (an unwritable output path included, refused before any
-work), 3 precondition violation.
+to stdout; scan adds "stats" (per-phase wall seconds and work counts),
+which no report file carries.  Exit codes: 0 success, 1 mathematical
+disagreement found (including a failed internal invariant), 2 malformed
+input or configuration (an unwritable output path included, refused
+before any work), 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def _check_output(path: str) -> None:
         raise InputError(f"cannot write output file {path!r}")
 
 
-def _emit(command: str, inputs: dict, result: dict, started: float) -> None:
+def _emit(command: str, inputs: dict, result: dict, started: float,
+          stats: dict | None = None) -> None:
     envelope = {
         "format": 1,
         "command": command,
@@ -93,6 +95,8 @@ def _emit(command: str, inputs: dict, result: dict, started: float) -> None:
         "result": result,
         "timing": round(time.perf_counter() - started, 6),
     }
+    if stats is not None:
+        envelope["stats"] = stats
     _sys.stdout.write(canonical_dumps(envelope))
 
 
@@ -291,7 +295,7 @@ def cmd_scan(args) -> int:
     }
     if cache_counts is not None:
         result["cache"] = {"preloaded": sum(cache_counts.values()), "stored": stored}
-    _emit("scan", {"config": args.config}, result, started)
+    _emit("scan", {"config": args.config}, result, started, report.stats())
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
 
 

@@ -17,8 +17,8 @@ callers changes nothing.
 
 Public methods validate their arguments on every call.  The private
 lookups `_right_descents` and `_left_mul` skip that step: they take only
-canonical words that coxkl itself produced (out of `canonicalize`, a
-cone, or an earlier lookup), which have already passed the check.
+words that coxkl itself produced (out of `canonicalize`, a cone, or an
+earlier lookup) or has already passed through `_check_word`.
 """
 
 from __future__ import annotations
@@ -235,14 +235,15 @@ class CoxeterSystem:
         word = tuple(word)
         n = self.matrix.n
         for s in word:
-            if not (isinstance(s, int) and 0 <= s < n):
+            # bool is an int subclass; True must not pass for generator 1
+            if not (type(s) is int and 0 <= s < n):
                 raise InputError(f"invalid generator index {s!r}")
         return word
 
     def check_subset(self, J: Iterable[int]) -> frozenset:
         J = frozenset(J)
         for s in J:
-            if not (isinstance(s, int) and 0 <= s < self.matrix.n):
+            if not (type(s) is int and 0 <= s < self.matrix.n):
                 raise InputError(f"invalid generator index {s!r} in subset")
         return J
 

@@ -11,6 +11,7 @@ iteration in canonical orders.
 
 from __future__ import annotations
 
+import time
 from typing import Iterator, NamedTuple, Optional
 
 from .bruhat import IntervalPoset, bruhat_leq, parabolic_interval
@@ -23,6 +24,7 @@ from .core import (
     PreconditionError,
 )
 from .klpoly import get_table
+from .laurent import LaurentPoly
 
 DEFAULT_SIZE_CAP = 40
 
@@ -67,7 +69,9 @@ class IsoWitness(NamedTuple):
 
     mapping[i] is the target index of source element i.  verify() checks
     the claim from scratch: bijective, rank preserving, order preserved
-    and reflected, and marked mapped onto marked when required.
+    and reflected, and marked mapped onto marked when required.  Order is
+    compared one element at a time: the image of its up-set under the
+    mapping must be the up-set of its image.
     """
 
     source: IntervalPoset
@@ -76,21 +80,27 @@ class IsoWitness(NamedTuple):
     respects_marking: bool
 
     def verify(self) -> bool:
-        src, tgt = self.source, self.target
+        src, tgt, mapping = self.source, self.target, self.mapping
         k = src.size
-        if tgt.size != k or len(self.mapping) != k:
+        if tgt.size != k or len(mapping) != k:
             return False
-        if sorted(self.mapping) != list(range(k)):
+        if sorted(mapping) != list(range(k)):
             return False
+        src_up, tgt_up = src.up_bits(), tgt.up_bits()
         for i in range(k):
-            if src.ranks[i] != tgt.ranks[self.mapping[i]]:
+            fi = mapping[i]
+            if src.ranks[i] != tgt.ranks[fi]:
                 return False
-        for i in range(k):
-            for j in range(k):
-                if src.leq_idx(i, j) != tgt.leq_idx(self.mapping[i], self.mapping[j]):
-                    return False
+            image = 0
+            bits = src_up[i]
+            while bits:
+                low = bits & -bits
+                image |= 1 << mapping[low.bit_length() - 1]
+                bits ^= low
+            if image != tgt_up[fi]:
+                return False
         if self.respects_marking:
-            image = {self.mapping[i] for i in range(k) if src.is_marked(i)}
+            image = {mapping[i] for i in range(k) if src.is_marked(i)}
             marked = {i for i in range(k) if tgt.is_marked(i)}
             if image != marked:
                 return False
@@ -246,6 +256,9 @@ class ScanReport:
         self.skipped_systems: list = []
         self.counterexamples: list = []
         self.rows: list = []  # per checked pair, for the CSV
+        self.phase_seconds = dict.fromkeys(
+            ("enumerate", "buckets", "matching", "controls"), 0.0
+        )
 
     @property
     def ok(self) -> bool:
@@ -268,6 +281,17 @@ class ScanReport:
                 "counterexamples": len(self.counterexamples),
             },
             "counterexamples": self.counterexamples,
+        }
+
+    def stats(self) -> dict:
+        """Wall seconds per phase and work counts.  Timings vary from run
+        to run, so they belong in the stdout envelope, never in the
+        report files."""
+        return {
+            "phase_seconds": {k: round(t, 6) for k, t in self.phase_seconds.items()},
+            "cases": self.cases,
+            "pairs_checked": self.pairs_checked,
+            "controls_checked": self.controls_checked,
         }
 
     CSV_HEADER = (
@@ -303,18 +327,21 @@ def _combinations(pool, size):
 
 
 def _poly_equal_check(report, case_a, case_b, config, control=False):
-    """Compare the configured polynomials of two matched cases."""
+    """Compare the configured polynomials of two matched cases.
+
+    The case words were checked when the cases were made (canonical, in
+    W^J, u <= v) and the config checked the types, so this compares the
+    tables' coefficient tuples without the entry points' validation.
+    """
     ta, tb = get_table(case_a.system), get_table(case_b.system)
-    kinds = [("P", True)] + ([("R", True)] if config.include_r else [])
+    kinds = [("P", ta._kl, tb._kl)]
+    if config.include_r:
+        kinds.append(("R", ta._r, tb._r))
     all_equal = True
-    for kind, _ in kinds:
+    for kind, poly_a, poly_b in kinds:
         for x in config.types:
-            if kind == "P":
-                pa = ta.parabolic_kl(case_a.u, case_a.v, case_a.J, x)
-                pb = tb.parabolic_kl(case_b.u, case_b.v, case_b.J, x)
-            else:
-                pa = ta.parabolic_r(case_a.u, case_a.v, case_a.J, x)
-                pb = tb.parabolic_r(case_b.u, case_b.v, case_b.J, x)
+            pa = poly_a(case_a.u, case_a.v, case_a.J, x)
+            pb = poly_b(case_b.u, case_b.v, case_b.J, x)
             report.equalities_verified += 1
             if pa != pb:
                 all_equal = False
@@ -325,8 +352,8 @@ def _poly_equal_check(report, case_a, case_b, config, control=False):
                         "type": x,
                         "case_a": case_a.label(),
                         "case_b": case_b.label(),
-                        "poly_a": str(pa),
-                        "poly_b": str(pb),
+                        "poly_a": str(LaurentPoly(pa)),
+                        "poly_b": str(LaurentPoly(pb)),
                     }
                 )
     return all_equal
@@ -378,18 +405,15 @@ def _run_controls(report, cases, config):
         if ext is None:
             ext = extend_system(case.system, case.J, class_x=config.class_x)
             extensions[key] = ext
-        lifted_sys = ext.extended
+        lu, lv = lift(ext, case.u), lift(ext, case.v)
         lifted = ScanCase(
             case.system_name + "~ext",
-            lifted_sys,
+            ext.extended,
             ext.maximal_quotient,
-            lift(ext, case.u),
-            lift(ext, case.v),
+            lu,
+            lv,
             parabolic_interval(
-                lifted_sys,
-                lift(ext, case.u),
-                lift(ext, case.v),
-                ext.maximal_quotient,
+                ext.extended, lu, lv, ext.maximal_quotient,
                 max_len=config.max_length + 1,
             ),
         )
@@ -413,22 +437,8 @@ def _run_controls(report, cases, config):
             return
 
 
-def scan(config: ScanConfig) -> ScanReport:
-    """Enumerate cases, bucket by invariants, match within buckets, and
-    assert polynomial equality on every match.
-
-    Matching within a bucket goes through isomorphism-class
-    representatives: each case is compared against the representatives
-    found so far, so equality of all members of a class follows from the
-    per-member comparisons against its representative.  A counterexample
-    stops the scan immediately with a reproduction record.
-    """
-    report = ScanReport(config_echo=_config_echo(config))
-    cases = _enumerate_cases(report, config)
-    report.cases = len(cases)
-    buckets: dict = {}
-    for case in cases:
-        buckets.setdefault(case.interval.fingerprint(), []).append(case)
+def _match_buckets(report, buckets, config) -> bool:
+    """Sort each bucket into isomorphism classes; False on a counterexample."""
     for fp in buckets:
         bucket = buckets[fp]
         report.candidate_pairs += len(bucket) * (len(bucket) - 1) // 2
@@ -446,7 +456,7 @@ def scan(config: ScanConfig) -> ScanReport:
                     equal = _poly_equal_check(report, case, rep, config)
                     _row(report, case, rep, "scan", True, equal)
                     if not equal:
-                        return report
+                        return False
                     cls.append(case)
                     placed = True
                     break
@@ -455,8 +465,38 @@ def scan(config: ScanConfig) -> ScanReport:
                 classes.append([case])
         for cls in classes:
             report.implied_pairs += len(cls) * (len(cls) - 1) // 2
-    if config.lift_controls:
+    return True
+
+
+def scan(config: ScanConfig) -> ScanReport:
+    """Enumerate cases, bucket by invariants, match within buckets, and
+    assert polynomial equality on every match.
+
+    Matching within a bucket goes through isomorphism-class
+    representatives: each case is compared against the representatives
+    found so far, so equality of all members of a class follows from the
+    per-member comparisons against its representative.  A counterexample
+    stops the scan immediately with a reproduction record.
+    """
+    report = ScanReport(config_echo=_config_echo(config))
+    seconds = report.phase_seconds
+    clock = time.perf_counter
+    t = clock()
+    cases = _enumerate_cases(report, config)
+    report.cases = len(cases)
+    seconds["enumerate"] = clock() - t
+    t = clock()
+    buckets: dict = {}
+    for case in cases:
+        buckets.setdefault(case.interval.fingerprint(), []).append(case)
+    seconds["buckets"] = clock() - t
+    t = clock()
+    matched = _match_buckets(report, buckets, config)
+    seconds["matching"] = clock() - t
+    if matched and config.lift_controls:
+        t = clock()
         _run_controls(report, cases, config)
+        seconds["controls"] = clock() - t
     return report
 
 

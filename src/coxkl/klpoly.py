@@ -19,11 +19,14 @@ coefficient tuples with offset 0: p[i] is the coefficient of q^i, and
 the tuple has no trailing zero (the zero polynomial is ()).  The `_`
 helpers below do that arithmetic; `LaurentPoly` is the public type, made
 at the entry points and accepted by `KLTable.preload`.  The recursions
-run on canonical words that have passed `_check_pair`, through the
-system's unvalidated lookups.
+run on canonical words that have passed `_check_pair` (or, in the scan,
+the checks made when its cases were built), through the system's
+unvalidated lookups.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .bruhat import bruhat_leq, cone
 from .core import CoxeterSystem, InputError, InvariantError, PreconditionError
@@ -101,13 +104,24 @@ class KLTable:
     concurrent duplicate inserts under the GIL are benign.  Values
     preloaded from a cache must lie in Z[q]; beyond that they are trusted
     after a fingerprint match, and `cache_hits` counts lookups they serve.
+
+    The table refers to its system weakly: the system's `caches` hold the
+    table, so a strong reference back would be a cycle that only the
+    garbage collector frees.  The recursions dereference it once per call.
     """
 
     def __init__(self, sys: CoxeterSystem):
-        self.sys = sys
+        self._sys = weakref.ref(sys)
         self.tables: dict[str, dict] = {"R": {}, "P": {}, "Pdual": {}}
         self.loaded: set = set()
         self.cache_hits = 0
+
+    @property
+    def sys(self) -> CoxeterSystem:
+        sys = self._sys()
+        if sys is None:
+            raise PreconditionError("the table's Coxeter system no longer exists")
+        return sys
 
     # -- cache plumbing -------------------------------------------------
 
@@ -169,13 +183,13 @@ class KLTable:
     def _r(self, u, v, J, x) -> tuple:
         if u == v:
             return _ONE
-        if not bruhat_leq(self.sys, u, v):
+        sys = self._sys()
+        if not bruhat_leq(sys, u, v):
             return ()
         key = (u, v, J, x)
         got = self._get("R", key)
         if got is not None:
             return got
-        sys = self.sys
         jmask = sum(1 << s for s in J)
         sv = v[1:]
         su = sys._left_mul(v[0], u)
@@ -196,13 +210,13 @@ class KLTable:
     def _kl(self, u, v, J, x) -> tuple:
         if u == v:
             return _ONE
-        if not bruhat_leq(self.sys, u, v):
+        sys = self._sys()
+        if not bruhat_leq(sys, u, v):
             return ()
         key = (u, v, J, x)
         got = self._get("P", key)
         if got is not None:
             return got
-        sys = self.sys
         jmask = sum(1 << s for s in J)
         s = v[0]
         sv = v[1:]
@@ -220,7 +234,8 @@ class KLTable:
         else:
             out = []
         for w in cone(sys, sv):
-            if w == sv or sys._right_descents(w) & jmask:
+            # mu(w, sv) is 0 unless l(sv) - l(w) is odd (w == sv included)
+            if not (len(sv) - len(w)) % 2 or sys._right_descents(w) & jmask:
                 continue
             if not bruhat_leq(sys, u, w):
                 continue
@@ -252,13 +267,13 @@ class KLTable:
     def _kl_dual(self, u, v, J, x) -> tuple:
         if u == v:
             return _ONE
-        if not bruhat_leq(self.sys, u, v):
+        sys = self._sys()
+        if not bruhat_leq(sys, u, v):
             return ()
         key = (u, v, J, x)
         got = self._get("Pdual", key)
         if got is not None:
             return got
-        sys = self.sys
         jmask = sum(1 << s for s in J)
         gap = len(v) - len(u)
         # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v})

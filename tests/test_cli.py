@@ -1,5 +1,6 @@
 """Command-line contract: envelopes, exit codes, files, cache behavior."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,7 +20,10 @@ def run(capsys, *argv):
 def envelope(out):
     obj = json.loads(out)
     assert obj["format"] == 1
-    assert set(obj) == {"format", "command", "inputs", "result", "timing"}
+    keys = {"format", "command", "inputs", "result", "timing"}
+    if obj["command"] == "scan":
+        keys.add("stats")
+    assert set(obj) == keys
     return obj
 
 
@@ -296,6 +300,58 @@ def test_scan_determinism(capsys, tmp_path):
         assert code == 0
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+# sha256 of the report files; a change that alters them must say why here
+REPORT_DIGESTS = {
+    "a3-maximal": (
+        "46b5b83105ed45a0abaf8447cf199270b1336e0db971564cfc1f52206be61584",
+        "e48f694303af7ad42c4f59d219fb31ce317382b798cdc57f70a084df61fe7d80",
+    ),
+    "scan_a3b3_all-len3": (
+        "e1f365d462c6e468e632cfc4e4e1dbe36b79c547f0912f632ea940e90aebe934",
+        "8b53a41d61176edc96d9de1982a2e772bdbd5c9551e3ab4be0a573ca001f77ea",
+    ),
+}
+
+
+def test_scan_report_bytes_are_pinned(capsys, tmp_path):
+    a3b3 = json.loads((CONFIGS / "scan_a3b3_all.json").read_text())
+    a3b3["max_length"] = 3
+    assert a3b3["lift_controls"] is True
+    (tmp_path / "a3b3.json").write_text(json.dumps(a3b3))
+    configs = {
+        "a3-maximal": CONFIGS / "a3-maximal.json",
+        "scan_a3b3_all-len3": tmp_path / "a3b3.json",
+    }
+    for name, config in configs.items():
+        code, _, _ = run(capsys, "scan", "--config", str(config),
+                         "--out", str(tmp_path / name))
+        assert code == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / (name + ext)).read_bytes()).hexdigest()
+            for ext in (".json", ".csv")
+        )
+        assert digests == REPORT_DIGESTS[name], name
+
+
+def test_scan_stats_in_envelope_only(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "scan", "--config", str(CONFIGS / "a3-maximal.json"),
+        "--out", str(tmp_path / "r"),
+    )
+    assert code == 0
+    obj = envelope(out)
+    stats, summary = obj["stats"], obj["result"]["summary"]
+    assert set(stats) == {"phase_seconds", "cases", "pairs_checked",
+                          "controls_checked"}
+    assert set(stats["phase_seconds"]) == {"enumerate", "buckets", "matching",
+                                           "controls"}
+    assert all(t >= 0 for t in stats["phase_seconds"].values())
+    assert stats["phase_seconds"]["controls"] > 0
+    for key in ("cases", "pairs_checked", "controls_checked"):
+        assert stats[key] == summary[key]
+    assert "stats" not in (tmp_path / "r.json").read_text()
 
 
 # -- cache ----------------------------------------------------------------------

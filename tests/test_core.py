@@ -59,6 +59,14 @@ def test_names_unique():
         validate_system([[1, 3], [3, 1]], names=["s", "s"])
 
 
+def test_bool_generator_indices_rejected(a2):
+    # bool is an int subclass, so True would otherwise pass as generator 1
+    with pytest.raises(InputError):
+        a2.canonicalize((True, False))
+    with pytest.raises(InputError):
+        a2.check_subset([True])
+
+
 # -- canonicalization -----------------------------------------------------------
 
 

@@ -3,10 +3,12 @@ oracle equivalence of the two computation paths, degenerations, Deodhar's
 parabolic-to-ordinary identities, and invariant checks that hold under
 python -O."""
 
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import pytest
 
@@ -249,6 +251,23 @@ def test_preload_counts_hits(a2):
     assert t.parabolic_kl((), (0,), J, "q") == LaurentPoly([7])
     assert t.cache_hits == 1
     assert list(t.new_entries()) == []
+
+
+def test_dropped_system_is_freed_without_gc():
+    """The system holds its table; the table must not hold the system, or
+    the pair would wait for a collector pass to be freed."""
+    gc.disable()
+    try:
+        system = coxkl.validate_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+        table = get_table(system)
+        assert table.parabolic_kl((), (0, 1, 0), frozenset(), "q") == ONE
+        alive = weakref.ref(system)
+        del system
+        assert alive() is None
+        with pytest.raises(PreconditionError):
+            table.parabolic_kl((), (0,), frozenset(), "q")
+    finally:
+        gc.enable()
 
 
 def test_invalid_type_rejected(a2):

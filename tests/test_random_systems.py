@@ -1,0 +1,140 @@
+"""Property tests over random rank-3 systems and random bijections.
+
+Bonds are drawn from {2, 3, 4, 5, 6, 7, inf}.  Every system runs on the
+general backend, and a crystallographic one on the integer backend too;
+both backends must give the same polynomials.  Witness verification is
+compared with a pairwise check on the transitive closure of the covers,
+not on the interval's up-set bitmasks.
+"""
+
+import functools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxkl import INF, validate_system
+from coxkl.bruhat import IntervalPoset, bruhat_leq, parabolic_interval
+from coxkl.extension import extend_system, lift
+from coxkl.invariance import IsoWitness, find_isomorphisms
+from coxkl.klpoly import KLTable
+
+BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INF])
+
+
+@settings(max_examples=25, deadline=None)
+@given(BONDS, BONDS, BONDS, st.frozensets(st.integers(0, 2)))
+def test_recursion_equals_duality_on_random_rank3(a, b, c, J):
+    matrix = [[1, a, b], [a, 1, c], [b, c, 1]]
+    backends = ["general"]
+    if validate_system(matrix).backend == "crystallographic":
+        backends.append("crystallographic")
+    results = []
+    for backend in backends:
+        sys = validate_system(matrix, backend=backend)
+        # separate tables: the two paths share no memo
+        recursion, duality = KLTable(sys), KLTable(sys)
+        reps = [w for w in sys.ball(4) if sys.is_min_rep(w, J)]
+        polys = {}
+        for v in reps:
+            for u in reps:
+                if len(u) > len(v) or not bruhat_leq(sys, u, v):
+                    continue
+                for x in ("q", "-1"):
+                    p = recursion.parabolic_kl(u, v, J, x)
+                    assert p == duality.parabolic_kl_duality(u, v, J, x), (u, v, x)
+                    polys[u, v, x] = p
+        results.append(polys)
+    assert results[-1] == results[0]
+
+
+def _without_cover(ivl, cover):
+    """The same ground, ranks and marking, one cover fewer: a poset with
+    fewer relations, onto which no isomorphism of ivl maps."""
+    covers = [c for c in ivl.covers if c != cover]
+    return IntervalPoset(ivl.system, ivl.bottom, ivl.top, ivl.J, ivl.ground,
+                         covers, ivl.marked)
+
+
+@functools.cache
+def _interval_pairs():
+    """Pairs of marked posets of equal size, with the rank-preserving
+    isomorphisms between the intervals they come from: each [e, v]^J with
+    its lift to the maximal quotient, and the same pair with a cover taken
+    out of the source, so that every one of those maps preserves the order
+    but does not reflect it."""
+    pairs = []
+    for matrix, J in (
+        ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], frozenset()),
+        ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], frozenset({1})),
+        ([[1, 4, 2], [4, 1, 3], [2, 3, 1]], frozenset({0})),
+    ):
+        sys = validate_system(matrix)
+        ext = extend_system(sys, J)
+        tops = [w for w in sys.ball(4) if len(w) >= 3 and sys.is_min_rep(w, J)]
+        for v in tops[:3]:
+            src = parabolic_interval(sys, (), v, J)
+            tgt = parabolic_interval(
+                ext.extended, lift(ext, ()), lift(ext, v), ext.maximal_quotient
+            )
+            isos = [w.mapping for w in find_isomorphisms(src, tgt)]
+            pairs.append((src, tgt, isos))
+            for cover in (src.covers[0], src.covers[-1]):
+                pairs.append((_without_cover(src, cover), tgt, isos))
+    return pairs
+
+
+def _order(ivl):
+    """leq[i][j] for the transitive closure of the covers (Floyd-Warshall)."""
+    k = ivl.size
+    leq = [[i == j for j in range(k)] for i in range(k)]
+    for i, j in ivl.covers:
+        leq[i][j] = True
+    for m in range(k):
+        for i in range(k):
+            if leq[i][m]:
+                for j in range(k):
+                    if leq[m][j]:
+                        leq[i][j] = True
+    return leq
+
+
+def _pairwise_verify(src, tgt, mapping, respects_marking):
+    k = src.size
+    if tgt.size != k or sorted(mapping) != list(range(k)):
+        return False
+    if any(src.ranks[i] != tgt.ranks[mapping[i]] for i in range(k)):
+        return False
+    src_leq, tgt_leq = _order(src), _order(tgt)
+    for i in range(k):
+        for j in range(k):
+            if src_leq[i][j] != tgt_leq[mapping[i]][mapping[j]]:
+                return False
+    if respects_marking:
+        image = {mapping[i] for i in range(k) if src.is_marked(i)}
+        return image == {j for j in range(k) if tgt.is_marked(j)}
+    return True
+
+
+@st.composite
+def _claims(draw):
+    src, tgt, isos = draw(st.sampled_from(_interval_pairs()))
+    k = src.size
+    kind = draw(st.sampled_from(["iso", "swapped", "permutation", "any"]))
+    if kind in ("iso", "swapped"):
+        mapping = list(draw(st.sampled_from(isos)))
+        if kind == "swapped":
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            mapping[i], mapping[j] = mapping[j], mapping[i]
+    elif kind == "permutation":
+        mapping = draw(st.permutations(range(k)))
+    else:
+        mapping = draw(st.lists(st.integers(0, k - 1), min_size=k - 1, max_size=k + 1))
+    return src, tgt, tuple(mapping), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_claims())
+def test_bitmask_verify_matches_pairwise(claim):
+    src, tgt, mapping, respects_marking = claim
+    witness = IsoWitness(src, tgt, mapping, respects_marking)
+    assert witness.verify() == _pairwise_verify(src, tgt, mapping, respects_marking)
