@@ -117,9 +117,10 @@ def poly_to_jsonable(p: LaurentPoly) -> dict:
 def poly_from_jsonable(obj) -> LaurentPoly:
     if (
         not isinstance(obj, dict)
-        or not isinstance(obj.get("offset"), int)
+        # bool is an int subclass; true must not pass for 1
+        or type(obj.get("offset")) is not int
         or not isinstance(obj.get("coeffs"), list)
-        or not all(isinstance(c, int) for c in obj["coeffs"])
+        or not all(type(c) is int for c in obj["coeffs"])
     ):
         raise InputError("polynomial must be {offset: int, coeffs: [int]}")
     return LaurentPoly(obj["coeffs"], obj["offset"])
@@ -280,6 +281,13 @@ def scan_config_from_jsonable(obj: dict) -> ScanConfig:
             raise InputError(f"{key} must be a nonnegative integer")
         return v
 
+    def _bool(key, default):
+        v = obj.get(key, default)
+        # bool("false") is True: only a JSON boolean is accepted
+        if not isinstance(v, bool):
+            raise InputError(f"{key} must be true or false")
+        return v
+
     return ScanConfig(
         entries=entries,
         quotients=obj.get("quotients", "all"),
@@ -287,9 +295,9 @@ def scan_config_from_jsonable(obj: dict) -> ScanConfig:
         max_rank_gap=_int("max_rank_gap", 4),
         max_interval_size=_int("max_interval_size", 40),
         types=tuple(types),
-        include_r=bool(obj.get("include_r_polynomials", True)),
+        include_r=_bool("include_r_polynomials", True),
         class_x=class_x,
-        lift_controls=bool(obj.get("lift_controls", True)),
+        lift_controls=_bool("lift_controls", True),
     )
 
 

@@ -276,6 +276,21 @@ def test_scan_bad_config_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lift_controls", "false"),
+    ("lift_controls", 0),
+    ("include_r_polynomials", "no"),
+    ("include_r_polynomials", None),
+])
+def test_scan_non_boolean_flag_exits_2(capsys, tmp_path, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": 1, "systems": [], key: value}))
+    code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
+                         str(tmp_path / "r"))
+    assert code == 2
+    assert out == "" and f"{key} must be true or false" in err
+
+
 def test_scan_unwritable_out_exits_2_before_scanning(capsys, tmp_path, monkeypatch):
     import coxkl.cli
 
@@ -442,6 +457,9 @@ def test_cache_tampered_polynomial_is_not_served(capsys, tmp_path):
     ("s1 s2", "s2 s1", [], "P", [1], "not <= v"),
     ("", "s1", [], "R", {"offset": -1, "coeffs": [1, 1]}, "not in Z[q]"),
     ("", "s1 s2", [], "P", [1, 1], "degree bound"),
+    ("", "s1", [], "P", {"offset": True, "coeffs": [True, 2]}, "polynomial must be"),
+    ("", "s1", [], "P", {"offset": 0, "coeffs": [True]}, "polynomial must be"),
+    ("", "s1", [], "P", {"offset": False, "coeffs": [1]}, "polynomial must be"),
 ])
 def test_cache_load_checks_records(capsys, tmp_path, u, v, J, kind, poly, reason):
     from coxkl import validate_system

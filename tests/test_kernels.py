@@ -1,6 +1,14 @@
-"""The per-system kernel memo: same answers as a fresh kernel, no bypass
-of word validation, no entries shared between systems."""
+"""The word kernels and the per-system memo.
 
+`PyIntKernel` (matrices over the integers) and `RingKernel` (one point
+per element over a cyclotomic ring) share no code, so each checks the
+other on crystallographic matrices.  Poincare polynomials check both
+against numbers that come from neither.  The memo gives the same
+answers as a fresh kernel, does not bypass word validation, and shares
+no entries between systems.
+"""
+
+import collections
 import random
 
 import pytest
@@ -25,21 +33,69 @@ def _fresh_kernel(sys):
     return RingKernel(sys.ring, sys.cartan)
 
 
+def _random_words(n):
+    rng = random.Random(12345)
+    return [tuple(rng.randrange(n) for _ in range(rng.randrange(0, 14)))
+            for _ in range(300)]
+
+
 @pytest.mark.parametrize("name", sorted(MATRICES))
 def test_memo_matches_fresh_kernel_on_random_words(name):
     sys = validate_system(MATRICES[name])
     assert sys.backend == ("general" if name == "H3" else "crystallographic")
     fresh = _fresh_kernel(sys)
-    rng = random.Random(12345)
-    n = sys.n
-    words = [tuple(rng.randrange(n) for _ in range(rng.randrange(0, 14)))
-             for _ in range(300)]
+    words = _random_words(sys.n)
     for _ in range(2):  # the second pass is served from the memo
         for word in words:
             assert sys.canonicalize(word) == fresh.canonicalize(word)
             assert sys.descent_mask(word) == fresh.right_descent_mask(word)
             assert sys.descent_mask(word, "left") == fresh.right_descent_mask(word[::-1])
     assert set(sys.canonical_memo) == set(words)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "affineA2", "universal3"])
+def test_ring_kernel_matches_integer_kernel(name):
+    integer = validate_system(MATRICES[name])
+    general = validate_system(MATRICES[name], backend="general")
+    oracle = PyIntKernel(integer.cartan)
+    kernel = general.kernel
+    assert type(kernel) is RingKernel
+    words = _random_words(integer.n)
+    if name == "universal3":
+        words.append(tuple([0, 1, 2] * 20))
+    for _ in range(2):  # the second pass reads the kernel's own tables
+        for word in words:
+            assert kernel.canonicalize(word) == oracle.canonicalize(word)
+            assert kernel.right_descent_mask(word) == oracle.right_descent_mask(word)
+
+
+def _poincare(degrees):
+    """Coefficients of prod_d [d]_q = prod_d (1 + q + ... + q^(d-1))."""
+    coeffs = [1]
+    for d in degrees:
+        out = [0] * (len(coeffs) + d - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(d):
+                out[i + j] += c
+        coeffs = out
+    return coeffs
+
+
+@pytest.mark.parametrize("matrix, backends, degrees", [
+    (MATRICES["H3"], ["general"], (2, 6, 10)),
+    ([[1, 5], [5, 1]], ["general"], (2, 5)),
+    ([[1, 7], [7, 1]], ["general"], (2, 7)),
+    (MATRICES["A3"], ["crystallographic", "general"], (2, 3, 4)),
+    (MATRICES["B3"], ["crystallographic", "general"], (2, 4, 6)),
+    (MATRICES["G2"], ["crystallographic", "general"], (2, 6)),
+])
+def test_length_counts_are_the_poincare_polynomial(matrix, backends, degrees):
+    expected = _poincare(degrees)
+    for backend in backends:
+        sys = validate_system(matrix, backend=backend)
+        counts = collections.Counter(len(w) for w in sys.all_elements())
+        assert [counts[k] for k in range(len(expected))] == expected
+        assert sum(counts.values()) == sum(expected)
 
 
 def test_long_words_in_the_universal_group():

@@ -1,4 +1,4 @@
-"""Property tests over random rank-3 systems and random bijections.
+"""Property tests over random rank-3 and rank-4 systems and random bijections.
 
 Bonds are drawn from {2, 3, 4, 5, 6, 7, inf}.  Every system runs on the
 general backend, and a crystallographic one on the integer backend too;
@@ -21,10 +21,7 @@ from coxkl.klpoly import KLTable
 BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INF])
 
 
-@settings(max_examples=25, deadline=None)
-@given(BONDS, BONDS, BONDS, st.frozensets(st.integers(0, 2)))
-def test_recursion_equals_duality_on_random_rank3(a, b, c, J):
-    matrix = [[1, a, b], [a, 1, c], [b, c, 1]]
+def _check_recursion_equals_duality(matrix, J, radius):
     backends = ["general"]
     if validate_system(matrix).backend == "crystallographic":
         backends.append("crystallographic")
@@ -33,7 +30,7 @@ def test_recursion_equals_duality_on_random_rank3(a, b, c, J):
         sys = validate_system(matrix, backend=backend)
         # separate tables: the two paths share no memo
         recursion, duality = KLTable(sys), KLTable(sys)
-        reps = [w for w in sys.ball(4) if sys.is_min_rep(w, J)]
+        reps = [w for w in sys.ball(radius) if sys.is_min_rep(w, J)]
         polys = {}
         for v in reps:
             for u in reps:
@@ -45,6 +42,20 @@ def test_recursion_equals_duality_on_random_rank3(a, b, c, J):
                     polys[u, v, x] = p
         results.append(polys)
     assert results[-1] == results[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(BONDS, BONDS, BONDS, st.frozensets(st.integers(0, 2)))
+def test_recursion_equals_duality_on_random_rank3(a, b, c, J):
+    _check_recursion_equals_duality([[1, a, b], [a, 1, c], [b, c, 1]], J, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(BONDS, min_size=6, max_size=6), st.frozensets(st.integers(0, 3)))
+def test_recursion_equals_duality_on_random_rank4(bonds, J):
+    a, b, c, d, e, f = bonds
+    matrix = [[1, a, b, c], [a, 1, d, e], [b, d, 1, f], [c, e, f, 1]]
+    _check_recursion_equals_duality(matrix, J, 3)
 
 
 def _without_cover(ivl, cover):
