@@ -23,7 +23,7 @@ from .core import INF, CoxeterSystem, InputError, InvariantError, PreconditionEr
 from .extension import extend_system, verify_reduction_sweep
 from .invariance import ClassX, scan as run_scan
 from .klpoly import get_table
-from .serialize import canonical_dumps, poly_to_jsonable, system_fingerprint
+from .serialize import canonical_dumps, poly_to_jsonable
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -100,20 +100,6 @@ def _emit(command: str, inputs: dict, result: dict, started: float,
     _sys.stdout.write(canonical_dumps(envelope))
 
 
-def _load_cache(args, table) -> dict | None:
-    if not getattr(args, "cache", None):
-        return None
-    fp = system_fingerprint(table.sys)
-    counts = serialize.cache_load(args.cache, {fp: table})
-    return {"preloaded": counts[fp]}
-
-
-def _store_cache(args, table) -> int:
-    if not getattr(args, "cache", None):
-        return 0
-    return serialize.cache_append(args.cache, system_fingerprint(table.sys), table)
-
-
 # -- poly ------------------------------------------------------------------
 
 
@@ -124,7 +110,6 @@ def cmd_poly(args) -> int:
     u = sys.element(args.u)
     v = sys.element(args.v)
     table = get_table(sys)
-    cache_info = _load_cache(args, table)
     x = args.type
     methods = ("recursion", "duality") if args.method == "both" else (args.method,)
     polys = {}
@@ -148,10 +133,6 @@ def cmd_poly(args) -> int:
     }
     if args.method == "both" and args.kind == "P":
         result["agree"] = agree
-    if cache_info is not None:
-        cache_info["hits"] = table.cache_hits
-        cache_info["stored"] = _store_cache(args, table)
-        result["cache"] = cache_info
     _emit("poly", {"system": name}, result, started)
     return EXIT_OK if agree else EXIT_DISAGREEMENT
 
@@ -232,8 +213,6 @@ def cmd_verify_reduction(args) -> int:
     policy = _parse_policy(sys, args.policy)
     class_x = _parse_class_x(args.class_x) if args.class_x else None
     ext = extend_system(sys, J, policy=policy, class_x=class_x)
-    base_table = get_table(sys)
-    cache_info = _load_cache(args, base_table)
     report = verify_reduction_sweep(ext, args.max_length)
     records = [
         {
@@ -253,10 +232,6 @@ def cmd_verify_reduction(args) -> int:
         "summary": report.summary(),
         "records": records,
     }
-    if cache_info is not None:
-        cache_info["hits"] = base_table.cache_hits
-        cache_info["stored"] = _store_cache(args, base_table)
-        result["cache"] = cache_info
     _emit("verify-reduction", {"system": name}, result, started)
     return EXIT_OK if report.all_equal else EXIT_DISAGREEMENT
 
@@ -271,30 +246,16 @@ def cmd_scan(args) -> int:
     _check_output(json_path)
     _check_output(csv_path)
     config = serialize.load_scan_config(args.config)
-    cache_counts = None
-    if args.cache:
-        tables = {}
-        for _name, system, _spec in config.entries:
-            tables[system_fingerprint(system)] = get_table(system)
-        cache_counts = serialize.cache_load(args.cache, tables)
     report = run_scan(config)
     with open(json_path, "w") as fh:
         fh.write(canonical_dumps(report.to_jsonable()))
     with open(csv_path, "w") as fh:
         fh.write(report.csv_text())
-    stored = 0
-    if args.cache:
-        for _name, system, _spec in config.entries:
-            stored += serialize.cache_append(
-                args.cache, system_fingerprint(system), get_table(system)
-            )
     result = {
         "report": json_path,
         "csv": csv_path,
         "summary": report.to_jsonable()["summary"],
     }
-    if cache_counts is not None:
-        result["cache"] = {"preloaded": sum(cache_counts.values()), "stored": stored}
     _emit("scan", {"config": args.config}, result, started, report.stats())
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
 
@@ -321,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="P", choices=["P", "R"])
     p.add_argument("--method", default="recursion",
                    choices=["recursion", "duality", "both"])
-    p.add_argument("--cache", default=None, help="JSON-lines polynomial cache")
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("interval", help="build a Bruhat interval")
@@ -348,13 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="")
     p.add_argument("--class-x", dest="class_x", default=None)
     p.add_argument("--max-length", dest="max_length", type=int, required=True)
-    p.add_argument("--cache", default=None)
     p.set_defaults(func=cmd_verify_reduction)
 
     p = sub.add_parser("scan", help="run an invariance scan from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output prefix for .json/.csv")
-    p.add_argument("--cache", default=None)
     p.set_defaults(func=cmd_scan)
 
     return parser

@@ -55,8 +55,7 @@ class PreconditionError(CoxKLError):
 
 
 class InvariantError(CoxKLError):
-    """A mathematical invariant failed: an implementation bug, or a
-    preloaded value that contradicts the computation reading it."""
+    """A mathematical invariant failed: an implementation bug."""
 
 
 def _check_entry(v):
@@ -331,6 +330,8 @@ class CoxeterSystem:
 
     def ball(self, radius: int) -> list[Word]:
         """All elements of length <= radius, sorted by (length, word)."""
+        if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
+            raise InputError(f"radius must be a nonnegative integer, not {radius!r}")
         seen = {()}
         frontier = [()]
         for _ in range(radius):

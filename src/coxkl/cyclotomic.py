@@ -124,9 +124,6 @@ class CyclotomicRing:
                     conv[k - d + j] -= t * p
         return tuple(conv[:d])
 
-    def scale(self, a, c: int):
-        return tuple(c * x for x in a)
-
     def is_zero(self, a) -> bool:
         return not any(a)
 

@@ -18,10 +18,9 @@ R and P always lie in Z[q], so the layer computes and stores them as
 coefficient tuples with offset 0: p[i] is the coefficient of q^i, and
 the tuple has no trailing zero (the zero polynomial is ()).  The `_`
 helpers below do that arithmetic; `LaurentPoly` is the public type, made
-at the entry points and accepted by `KLTable.preload`.  The recursions
-run on canonical words that have passed `_check_pair` (or, in the scan,
-the checks made when its cases were built), through the system's
-unvalidated lookups.
+at the entry points.  The recursions run on canonical words that have
+passed `_check_pair` (or, in the scan, the checks made when its cases
+were built), through the system's unvalidated lookups.
 """
 
 from __future__ import annotations
@@ -87,23 +86,13 @@ def _truncate(p: tuple, k: int) -> tuple:
     return _trim(list(p[: k + 1]))
 
 
-def _from_laurent(poly: LaurentPoly) -> tuple:
-    """The coefficient tuple of poly, which must lie in Z[q]."""
-    if poly.is_zero:
-        return ()
-    if poly.offset < 0:
-        raise InvariantError(f"polynomial {poly} is not in Z[q]")
-    return (0,) * poly.offset + poly.coeffs
-
-
 class KLTable:
     """Per-system memo table for R- and KL polynomials.
 
     Entries are immutable once inserted, keyed by (u, v, J, x) per kind,
     and hold coefficient tuples; recomputation is deterministic, so
-    concurrent duplicate inserts under the GIL are benign.  Values
-    preloaded from a cache must lie in Z[q]; beyond that they are trusted
-    after a fingerprint match, and `cache_hits` counts lookups they serve.
+    concurrent duplicate inserts under the GIL are benign.  Every entry
+    is computed by one of the two paths.
 
     The table refers to its system weakly: the system's `caches` hold the
     table, so a strong reference back would be a cycle that only the
@@ -113,8 +102,6 @@ class KLTable:
     def __init__(self, sys: CoxeterSystem):
         self._sys = weakref.ref(sys)
         self.tables: dict[str, dict] = {"R": {}, "P": {}, "Pdual": {}}
-        self.loaded: set = set()
-        self.cache_hits = 0
 
     @property
     def sys(self) -> CoxeterSystem:
@@ -122,26 +109,6 @@ class KLTable:
         if sys is None:
             raise PreconditionError("the table's Coxeter system no longer exists")
         return sys
-
-    # -- cache plumbing -------------------------------------------------
-
-    def preload(self, kind: str, u, v, J, x, poly: LaurentPoly) -> None:
-        key = (tuple(u), tuple(v), frozenset(J), x)
-        self.tables[kind][key] = _from_laurent(poly)
-        self.loaded.add((kind, key))
-
-    def new_entries(self):
-        """Entries computed in this session (not preloaded)."""
-        for kind in ("R", "P"):
-            for key, poly in self.tables[kind].items():
-                if (kind, key) not in self.loaded:
-                    yield kind, key, LaurentPoly(poly)
-
-    def _get(self, kind, key):
-        poly = self.tables[kind].get(key)
-        if poly is not None and (kind, key) in self.loaded:
-            self.cache_hits += 1
-        return poly
 
     # -- public, validated entry points -----------------------------------
 
@@ -187,7 +154,7 @@ class KLTable:
         if not bruhat_leq(sys, u, v):
             return ()
         key = (u, v, J, x)
-        got = self._get("R", key)
+        got = self.tables["R"].get(key)
         if got is not None:
             return got
         jmask = sum(1 << s for s in J)
@@ -214,7 +181,7 @@ class KLTable:
         if not bruhat_leq(sys, u, v):
             return ()
         key = (u, v, J, x)
-        got = self._get("P", key)
+        got = self.tables["P"].get(key)
         if got is not None:
             return got
         jmask = sum(1 << s for s in J)
@@ -271,7 +238,7 @@ class KLTable:
         if not bruhat_leq(sys, u, v):
             return ()
         key = (u, v, J, x)
-        got = self._get("Pdual", key)
+        got = self.tables["Pdual"].get(key)
         if got is not None:
             return got
         jmask = sum(1 << s for s in J)

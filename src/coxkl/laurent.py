@@ -50,14 +50,6 @@ class LaurentPoly:
     def q_power(cls, k: int) -> "LaurentPoly":
         return cls((1,), k)
 
-    @classmethod
-    def from_dict(cls, d: dict[int, int]) -> "LaurentPoly":
-        if not d:
-            return cls()
-        lo = min(d)
-        hi = max(d)
-        return cls([d.get(k, 0) for k in range(lo, hi + 1)], lo)
-
     # -- queries -------------------------------------------------------
 
     @property

@@ -1,4 +1,4 @@
-"""Command-line contract: envelopes, exit codes, files, cache behavior."""
+"""Command-line contract: envelopes, exit codes, files."""
 
 import hashlib
 import json
@@ -369,125 +369,58 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path):
     assert "stats" not in (tmp_path / "r.json").read_text()
 
 
-# -- cache ----------------------------------------------------------------------
+# -- input checks and fault injection ---------------------------------------------
 
 
-def test_cache_round_trip(capsys, tmp_path):
-    cache = tmp_path / "cache.jsonl"
-    argv = [
-        "poly", "--system", str(CONFIGS / "b3.json"), "--quotient", "s1",
-        "--u", "", "--v", "s2 s1 s3 s2", "--cache", str(cache),
-    ]
-    code, out1, _ = run(capsys, *argv)
-    assert code == 0
-    res1 = envelope(out1)["result"]
-    assert res1["cache"]["preloaded"] == 0
-    assert res1["cache"]["stored"] > 0
-    code, out2, _ = run(capsys, *argv)
-    res2 = envelope(out2)["result"]
-    assert res2["cache"]["preloaded"] > 0
-    assert res2["cache"]["hits"] >= 1
-    assert res1["polynomials"] == res2["polynomials"]
-
-
-def test_cache_wrong_system_no_hits(capsys, tmp_path):
-    cache = tmp_path / "cache.jsonl"
-    code, _, _ = run(
-        capsys, "poly", "--system", str(CONFIGS / "b3.json"), "--quotient", "s3",
-        "--u", "", "--v", "s2 s1", "--cache", str(cache),
-    )
-    assert code == 0
-    code, out, _ = run(
-        capsys, "poly", "--system", str(CONFIGS / "a3.json"), "--quotient", "s3",
-        "--u", "", "--v", "s2 s1", "--cache", str(cache),
-    )
-    assert code == 0
-    assert envelope(out)["result"]["cache"]["preloaded"] == 0
-
-
-def test_cache_truncated_line_skipped(capsys, tmp_path):
-    cache = tmp_path / "cache.jsonl"
-    argv = [
-        "poly", "--system", str(CONFIGS / "a2.json"),
-        "--u", "", "--v", "s1 s2", "--cache", str(cache),
-    ]
-    code, _, _ = run(capsys, *argv)
-    assert code == 0
-    with open(cache, "a") as fh:
-        fh.write('{"format": 1, "fingerprint": "truncat')  # no newline, cut off
-    code, out, err = run(capsys, *argv)
-    assert code == 0
-    assert "skipping cache line" in err
-
-
-def test_cache_unreadable_warns_and_proceeds(capsys, tmp_path):
-    code, out, err = run(
-        capsys, "poly", "--system", str(CONFIGS / "a2.json"),
-        "--u", "", "--v", "s1", "--cache", str(tmp_path / "missing" / "x.jsonl"),
-    )
-    assert code == 0
-    assert "cache unreadable" in err
-
-
-def test_cache_tampered_polynomial_is_not_served(capsys, tmp_path):
-    """A cached P that breaks the degree bound is skipped on load, so the
-    answer is computed afresh."""
-    cache = tmp_path / "cache.jsonl"
-    argv = [
-        "poly", "--system", str(CONFIGS / "b3.json"),
-        "--u", "", "--v", "s2 s1 s3 s2", "--kind", "P", "--cache", str(cache),
-    ]
-    code, _, _ = run(capsys, *argv)
-    assert code == 0
-    records = [json.loads(line) for line in cache.read_text().splitlines()]
-    target = [r for r in records if (r["kind"], r["u"], r["v"], r["J"], r["x"])
-              == ("P", "", "s2 s1 s3 s2", [], "q")]
-    assert len(target) == 1
-    target[0]["poly"] = {"offset": 0, "coeffs": [7, 5, 3, 1, 9]}
-    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
-    code, out, err = run(capsys, *argv)
-    assert code == 0
-    assert envelope(out)["result"]["polynomials"]["recursion"]["display"] == "1 + q"
-    assert "skipping cache line" in err
-
-
-@pytest.mark.parametrize("u, v, J, kind, poly, reason", [
-    ("s2 s1 s2", "s1 s2 s1", [], "P", [1], "u is not a canonical"),
-    ("", "s1", ["s1"], "P", [1], "v is not in W^J"),
-    ("s1 s2", "s2 s1", [], "P", [1], "not <= v"),
-    ("", "s1", [], "R", {"offset": -1, "coeffs": [1, 1]}, "not in Z[q]"),
-    ("", "s1 s2", [], "P", [1, 1], "degree bound"),
-    ("", "s1", [], "P", {"offset": True, "coeffs": [True, 2]}, "polynomial must be"),
-    ("", "s1", [], "P", {"offset": 0, "coeffs": [True]}, "polynomial must be"),
-    ("", "s1", [], "P", {"offset": False, "coeffs": [1]}, "polynomial must be"),
+@pytest.mark.parametrize("argv", [
+    ["poly", "--system", str(CONFIGS / "a2.json"), "--v", "s1"],
+    ["verify-reduction", "--system", str(CONFIGS / "a2.json"), "--quotient", "s2",
+     "--max-length", "2"],
+    ["scan", "--config", str(CONFIGS / "a3-maximal.json"), "--out", "unused"],
 ])
-def test_cache_load_checks_records(capsys, tmp_path, u, v, J, kind, poly, reason):
-    from coxkl import validate_system
-    from coxkl.klpoly import KLTable
-    from coxkl.serialize import cache_load, system_fingerprint
-
-    a2 = validate_system([[1, 3], [3, 1]])
-    fp = system_fingerprint(a2)
-    if isinstance(poly, list):
-        poly = {"offset": 0, "coeffs": poly}
-    good = {"format": 1, "fingerprint": fp, "u": "", "v": "s1", "J": [], "x": "q",
-            "kind": "P", "poly": {"offset": 0, "coeffs": [1]}}
-    bad = dict(good, u=u, v=v, J=J, kind=kind, poly=poly)
-    cache = tmp_path / "cache.jsonl"
-    cache.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-    table = KLTable(a2)
-    assert cache_load(str(cache), {fp: table}) == {fp: 1}
-    err = capsys.readouterr().err
-    assert "skipping cache line 2" in err and reason in err
-    assert table.loaded == {("P", ((), (0,), frozenset(), "q"))}
+def test_cache_option_is_rejected(capsys, argv):
+    """No command reads polynomials from a file, so the old cache option
+    is an unknown argument."""
+    code, out, err = run(capsys, *argv, "--cache", "x")
+    assert code == 2
+    assert out == "" and "unrecognized arguments" in err
 
 
-def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path):
-    """Deliberately poison one cached polynomial; the scan must notice the
+@pytest.mark.parametrize("class_x", [[[3]], [{}], [3, ["inf"]], [True], [3.0]])
+def test_scan_bad_class_x_entry_exits_2(capsys, tmp_path, class_x):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": 1, "systems": [], "class_x": class_x}))
+    code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
+                         str(tmp_path / "r"))
+    assert code == 2
+    assert out == "" and "class_x entry must be an int or 'inf'" in err
+
+
+def test_verify_reduction_negative_max_length_exits_2(capsys):
+    code, out, err = run(
+        capsys, "verify-reduction", "--system", str(CONFIGS / "a2.json"),
+        "--quotient", "s2", "--max-length", "-3",
+    )
+    assert code == 2
+    assert out == "" and "radius must be a nonnegative integer" in err
+
+
+def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path, monkeypatch):
+    """Deliberately poison one memoized polynomial; the scan must notice the
     disagreement, dump the offending pair, and exit 1."""
-    from coxkl import validate_system
-    from coxkl.serialize import system_fingerprint
+    from coxkl import serialize
+    from coxkl.klpoly import get_table
 
+    load_scan_config = serialize.load_scan_config
+
+    def poisoned(path):
+        config = load_scan_config(path)
+        for _name, system, _spec in config.entries:
+            # wrong: P(e, s1) is 1
+            get_table(system).tables["P"][((), (0,), frozenset(), "q")] = (7,)
+        return config
+
+    monkeypatch.setattr(serialize, "load_scan_config", poisoned)
     cfg_obj = {
         "format": 1,
         "systems": [json.loads((CONFIGS / "a3.json").read_text())],
@@ -498,24 +431,8 @@ def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path):
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_obj))
-    sys = validate_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]],
-                          names=["s1", "s2", "s3"])
-    fp = system_fingerprint(sys)
-    poisoned = {
-        "format": 1,
-        "fingerprint": fp,
-        "u": "",
-        "v": "s1",
-        "J": [],
-        "x": "q",
-        "kind": "P",
-        "poly": {"offset": 0, "coeffs": [7]},  # wrong: should be 1
-    }
-    cache = tmp_path / "cache.jsonl"
-    cache.write_text(json.dumps(poisoned) + "\n")
     code, out, _ = run(
         capsys, "scan", "--config", str(cfg), "--out", str(tmp_path / "rep"),
-        "--cache", str(cache),
     )
     assert code == 1
     report = json.loads((tmp_path / "rep.json").read_text())

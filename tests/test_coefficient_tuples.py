@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkl import InvariantError
-from coxkl.klpoly import _addmul, _addto, _from_laurent, _mirror, _trim, _truncate
+from coxkl.klpoly import _addmul, _addto, _mirror, _trim, _truncate
 from coxkl.laurent import LaurentPoly
 
 _zq = st.lists(st.integers(-9, 9), max_size=8).map(lambda c: _trim(list(c)))
@@ -54,9 +54,9 @@ def test_tuple_truncate(p, k):
 @settings(deadline=None)
 @given(_zq, _exponent)
 def test_tuple_laurent_round_trip(p, offset):
-    assert _from_laurent(LaurentPoly(p)) == p
-    shifted = LaurentPoly(p).shift(offset)
-    assert LaurentPoly(_from_laurent(shifted)) == shifted
-    if p:
-        with pytest.raises(InvariantError):
-            _from_laurent(LaurentPoly(p).shift(-len(p)))
+    """The entry points turn a tuple into LaurentPoly(p); the offset and
+    dense coefficients must give back p, leading zeros included."""
+    poly = LaurentPoly(p)
+    assert (0,) * poly.offset + poly.coeffs == p
+    assert poly.offset >= 0
+    assert LaurentPoly((0,) * offset + p) == poly.shift(offset)

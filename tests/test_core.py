@@ -275,6 +275,15 @@ def test_ball_of_infinite_group(affine_a2):
     assert all(len(w) <= 8 for w in ball)
 
 
+@pytest.mark.parametrize("radius", [-1, -3, True, 2.0, "3", None])
+def test_ball_rejects_bad_radius(a2, radius):
+    """No element has negative length, so a negative radius has no ball;
+    it must not silently return [e]."""
+    with pytest.raises(InputError, match="radius must be a nonnegative integer"):
+        a2.ball(radius)
+    assert a2.ball(0) == [()]
+
+
 def test_parse_and_display(a3):
     assert a3.parse_word("s1 s3") == (0, 2)
     assert a3.parse_word("") == ()

@@ -18,7 +18,7 @@ from conftest import all_subsets
 from coxkl import InvariantError, PreconditionError
 from coxkl.bruhat import bruhat_leq
 from coxkl.klpoly import KLTable, bar_squared_check, get_table
-from coxkl.laurent import ONE, Q, ZERO, LaurentPoly
+from coxkl.laurent import ONE, Q, ZERO
 
 
 def _pairs(sys, elems, J):
@@ -244,15 +244,6 @@ def test_recomputation_is_deterministic(a3):
         assert t2.parabolic_kl(u, v, J, x) == expected
 
 
-def test_preload_counts_hits(a2):
-    t = KLTable(a2)
-    J = frozenset()
-    t.preload("P", (), (0,), J, "q", LaurentPoly([7]))
-    assert t.parabolic_kl((), (0,), J, "q") == LaurentPoly([7])
-    assert t.cache_hits == 1
-    assert list(t.new_entries()) == []
-
-
 def test_dropped_system_is_freed_without_gc():
     """The system holds its table; the table must not hold the system, or
     the pair would wait for a collector pass to be freed."""
@@ -277,18 +268,17 @@ def test_invalid_type_rejected(a2):
 
 
 def test_invariant_check_survives_python_O():
-    """A preloaded P entry that breaks the degree bound is read by the
+    """A memoized P entry that breaks the degree bound is read by the
     recursion for (e, s1 s2); the check must fire with asserts stripped."""
     script = textwrap.dedent("""
         import sys
         from coxkl import InvariantError, validate_system
         from coxkl.klpoly import get_table
-        from coxkl.laurent import LaurentPoly
 
         assert sys.flags.optimize
         a2 = validate_system([[1, 3], [3, 1]])
         t = get_table(a2)
-        t.preload("P", (), (1,), frozenset(), "q", LaurentPoly.q_power(3))
+        t.tables["P"][((), (1,), frozenset(), "q")] = (0, 0, 0, 1)
         try:
             t.parabolic_kl((), (0, 1), frozenset(), "q")
         except InvariantError as exc:
@@ -304,11 +294,13 @@ def test_invariant_check_survives_python_O():
     assert "degree bound violated" in proc.stdout
 
 
-def test_preload_rejects_negative_exponent(a2):
+def test_duality_rejects_memoized_entry_above_its_degree(a2):
+    """The duality solver mirrors P^dual(s2, s1 s2) in degree 1; a memoized
+    q^2 there would leave Z[q] and must raise, not be truncated."""
     t = KLTable(a2)
-    with pytest.raises(InvariantError):
-        t.preload("R", (), (0,), frozenset(), "q", LaurentPoly([1, 1], -1))
-    assert t.tables["R"] == {} and not t.loaded
+    t.tables["Pdual"][((1,), (0, 1), frozenset(), "q")] = (0, 0, 1)
+    with pytest.raises(InvariantError, match="mirrored polynomial left Z"):
+        t.parabolic_kl_duality((), (0, 1), frozenset(), "q")
 
 
 # -- Deodhar's identities: parabolic against ordinary ------------------------------
