@@ -2,16 +2,21 @@
 
 Comparisons use the lifting recursion on the least left descent of the
 larger element (which is the first letter of its canonical word).
-Intervals are built by enumerating subwords of the top element's reduced
-word with canonical-form dedup: scanning the word left to right and
-closing under "keep or multiply" yields exactly the lower cone, because
-the subword property makes every subword product a member of it.  Cones
-are memoized per system and shared across prefixes.
+Every walk below an element goes through one structure, the lower cone
+inside a quotient, {u in W^J : u <= v}.  It is built from the left
+letter of v: with v = s v' (v' is again canonical and in W^J), the cone
+of v is the cone of v' together with every s z, z in that cone, that is
+longer than z and in W^J.  This is the lifting property (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.2.7); building from the last
+letter would be wrong for J nonempty, because prefixes of W^J elements
+can leave W^J.  Cones are memoized per system, per (suffix, J).
+Interval covers come from the subword property: the elements covered by
+z are the reduced one-letter deletions of its canonical word.
 """
 
 from __future__ import annotations
 
-from .core import CoxeterSystem, InputError, PreconditionError
+from .core import CoxeterSystem, PreconditionError
 
 
 def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
@@ -48,35 +53,34 @@ def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
     return res
 
 
-def cone(sys: CoxeterSystem, v) -> tuple:
-    """The lower cone [e, v], sorted by (length, word).
+def cone(sys: CoxeterSystem, v, J=frozenset()) -> tuple:
+    """The lower cone {u in W^J : u <= v}, sorted by (length, word).
 
-    v must be a canonical word: the construction scans its letters and
-    relies on every prefix being reduced.
+    v must be a canonical word in W^J, for J a frozenset of generators;
+    the default J = {} gives the whole interval [e, v].  The cones of all
+    suffixes of v are memoized on the way.
     """
     v = tuple(v)
     cache = sys.caches.setdefault("cone", {})
-    got = cache.get(v)
+    # the longest suffix whose cone is known; the empty word's is {e}
+    i = 0
+    got = cache.get((v, J))
+    while got is None and i < len(v):
+        i += 1
+        got = cache.get((v[i:], J))
     if got is None:
-        if not v:
-            got = ((),)
-        else:
-            prev = cone(sys, v[:-1])
-            s = v[-1]
-            elems = set(prev)
-            elems.update(sys.multiply_gen(z, s, "right") for z in prev)
-            got = tuple(sorted(elems, key=lambda w: (len(w), w)))
-        cache[v] = got
-    return got
-
-
-def cone_set(sys: CoxeterSystem, v) -> frozenset:
-    cache = sys.caches.setdefault("cone_set", {})
-    v = tuple(v)
-    got = cache.get(v)
-    if got is None:
-        got = frozenset(cone(sys, v))
-        cache[v] = got
+        got = ((),)
+    jmask = sum(1 << s for s in J)
+    while i:
+        i -= 1
+        s = v[i]
+        elems = set(got)
+        for z in got:
+            sz = sys._left_mul(s, z)
+            if len(sz) > len(z) and not (jmask and sys._right_descents(sz) & jmask):
+                elems.add(sz)
+        got = tuple(sorted(elems, key=lambda w: (len(w), w)))
+        cache[(v[i:], J)] = got
     return got
 
 
@@ -84,7 +88,7 @@ def subword_leq_oracle(sys: CoxeterSystem, u, v) -> bool:
     """Decide u <= v by raw enumeration of all 2^l subwords of v.
 
     Deliberately brute force; kept as an independent cross-check of
-    bruhat_leq and of the cone construction.
+    bruhat_leq and of cone.
     """
     u = tuple(u)
     v = tuple(v)
@@ -215,39 +219,31 @@ class IntervalPoset:
         )
 
 
-def _require_canonical(sys, w, name):
-    w = tuple(w)
-    if sys.canonicalize(w)[0] != w:
-        raise InputError(f"{name} is not a canonical reduced word")
-    return w
-
-
 def _build_interval(sys, u, v, J, max_len):
-    u = _require_canonical(sys, u, "u")
-    v = _require_canonical(sys, v, "v")
+    jmask = 0 if J is None else sum(1 << s for s in J)
+    u = sys._check_rep(u, jmask, "u")
+    v = sys._check_rep(v, jmask, "v")
     if len(v) > max_len:
         raise PreconditionError(
             f"top element has length {len(v)} > cutoff {max_len}"
         )
-    if J is not None:
-        jmask = sum(1 << s for s in J)
-        for name, w in (("u", u), ("v", v)):
-            if sys._right_descents(w) & jmask:
-                raise PreconditionError(f"{name} is not in W^J")
     if not bruhat_leq(sys, u, v):
         raise PreconditionError("u is not <= v in Bruhat order")
     ground = [z for z in cone(sys, v) if bruhat_leq(sys, u, z)]
-    by_rank: dict[int, list[int]] = {}
-    for i, z in enumerate(ground):
-        by_rank.setdefault(len(z) - len(u), []).append(i)
+    index = {z: i for i, z in enumerate(ground)}
     covers = []
-    for r in sorted(by_rank):
-        uppers = by_rank.get(r + 1, ())
-        for j in uppers:
-            above = cone_set(sys, ground[j])
-            for i in by_rank[r]:
-                if ground[i] in above:
-                    covers.append((i, j))
+    for j, z in enumerate(ground):
+        if len(z) - len(u) < 2:
+            # ground[0] = u, and it is covered by every element of rank 1
+            if len(z) > len(u):
+                covers.append((0, j))
+            continue
+        # z covers exactly the reduced one-letter deletions of its word
+        for k in range(len(z)):
+            y, reduced = sys._canonical(z[:k] + z[k + 1:])
+            i = index.get(y) if reduced else None
+            if i is not None:
+                covers.append((i, j))
     covers.sort()
     marked = None
     if J is not None:

@@ -105,6 +105,8 @@ def _emit(command: str, inputs: dict, result: dict, started: float,
 
 def cmd_poly(args) -> int:
     started = time.perf_counter()
+    if args.kind == "R" and args.method != "recursion":
+        raise InputError("R-polynomials have one method: --method recursion")
     name, sys, _spec = serialize.load_system(args.system)
     J = _parse_quotient(sys, args.quotient)
     u = sys.element(args.u)
@@ -131,7 +133,7 @@ def cmd_poly(args) -> int:
         "kind": args.kind,
         "polynomials": {m: poly_to_jsonable(p) for m, p in polys.items()},
     }
-    if args.method == "both" and args.kind == "P":
+    if args.method == "both":
         result["agree"] = agree
     _emit("poly", {"system": name}, result, started)
     return EXIT_OK if agree else EXIT_DISAGREEMENT

@@ -246,6 +246,17 @@ class CoxeterSystem:
                 raise InputError(f"invalid generator index {s!r} in subset")
         return J
 
+    def _check_rep(self, w, jmask: int, name: str) -> Word:
+        """w as a tuple, after checking that it is a canonical word (else
+        InputError) in W^J, for J given as a bit mask (else
+        PreconditionError)."""
+        w = tuple(w)
+        if self.canonicalize(w)[0] != w:
+            raise InputError(f"{name} is not a canonical reduced word")
+        if self._right_descents(w) & jmask:
+            raise PreconditionError(f"{name} = '{self.word_str(w)}' is not in W^J")
+        return w
+
     def subset_mask(self, J: Iterable[int]) -> int:
         mask = 0
         for s in self.check_subset(J):
@@ -332,38 +343,32 @@ class CoxeterSystem:
         """All elements of length <= radius, sorted by (length, word)."""
         if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
             raise InputError(f"radius must be a nonnegative integer, not {radius!r}")
-        seen = {()}
-        frontier = [()]
-        for _ in range(radius):
-            new = set()
-            for w in frontier:
-                for s in self.generators:
-                    ws = self.multiply_gen(w, s, "right")
-                    if len(ws) > len(w) and ws not in seen:
-                        new.add(ws)
-            seen.update(new)
-            frontier = sorted(new)
-            if not frontier:
-                break
-        return sorted(seen, key=lambda w: (len(w), w))
+        return self._bfs(radius, None)
 
     def all_elements(self, cap: int = 200000) -> list[Word]:
         """BFS closure of the whole group; raises if it exceeds `cap`."""
+        return self._bfs(None, cap)
+
+    def _bfs(self, radius, cap) -> list[Word]:
+        """Elements of length <= radius (None: no bound), layer by layer,
+        sorted by (length, word); PreconditionError past cap elements."""
         seen = {()}
-        frontier = [()]
-        while frontier:
+        frontier = {()}
+        depth = 0
+        while frontier and depth != radius:
             new = set()
             for w in frontier:
                 for s in self.generators:
                     ws = self.multiply_gen(w, s, "right")
-                    if ws not in seen:
+                    if len(ws) > len(w):
                         new.add(ws)
-            seen.update(new)
-            if len(seen) > cap:
+            seen |= new
+            frontier = new
+            if cap is not None and len(seen) > cap:
                 raise PreconditionError(
                     f"group has more than {cap} elements (infinite?)"
                 )
-            frontier = sorted(new)
+            depth += 1
         return sorted(seen, key=lambda w: (len(w), w))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bruhat import bruhat_leq, parabolic_interval
+from .bruhat import bruhat_leq, cone, parabolic_interval
 from .core import INF, CoxeterSystem, InputError, InvariantError, PreconditionError
 from .invariance import IsoWitness
 from .klpoly import KL_TYPES, get_table
@@ -57,7 +57,8 @@ def extend_system(sys: CoxeterSystem, J, policy=None, class_x=None) -> ExtendedS
         class_values = frozenset(getattr(class_x, "values", class_x))
     policy = dict(policy or {})
     for s in policy:
-        if not (isinstance(s, int) and 0 <= s < n):
+        # bool is an int subclass; True must not pass for generator 1
+        if not (type(s) is int and 0 <= s < n):
             raise InputError(f"policy key {s!r} is not a generator")
         if s in J:
             raise InputError(
@@ -194,14 +195,14 @@ def verify_reduction_sweep(ext: ExtendedSystem, max_length: int,
                            check_lifted_intervals: bool = True) -> ReductionReport:
     """verify_reduction over every pair u <= v in W^J with l(v) <= max_length."""
     sys = ext.base
-    reps = [w for w in sys.ball(max_length) if sys.is_min_rep(w, ext.J)]
     report = ReductionReport()
-    for v in reps:
-        for u in reps:
-            if len(u) <= len(v) and bruhat_leq(sys, u, v):
-                verify_reduction(ext, u, v, report)
-                if check_lifted_intervals:
-                    lift_interval(ext, u, v)
+    for v in sys.ball(max_length):
+        if not sys.is_min_rep(v, ext.J):
+            continue
+        for u in cone(sys, v, ext.J):
+            verify_reduction(ext, u, v, report)
+            if check_lifted_intervals:
+                lift_interval(ext, u, v)
     return report
 
 

@@ -12,9 +12,10 @@ iteration in canonical orders.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
 
-from .bruhat import IntervalPoset, bruhat_leq, parabolic_interval
+from .bruhat import IntervalPoset, cone, parabolic_interval
 from .core import (
     INF,
     CoxeterMatrix,
@@ -312,18 +313,9 @@ def _quotient_list(sys: CoxeterSystem, mode: str):
         return [frozenset(g for g in gens if g != s) for s in gens]
     subsets = []
     for size in range(len(gens) + 1):
-        level = [
-            frozenset(c)
-            for c in _combinations(gens, size)
-        ]
+        level = [frozenset(c) for c in combinations(gens, size)]
         subsets.extend(sorted(level, key=lambda J: tuple(sorted(J))))
     return subsets
-
-
-def _combinations(pool, size):
-    from itertools import combinations
-
-    return combinations(pool, size)
 
 
 def _poly_equal_check(report, case_a, case_b, config, control=False):
@@ -380,12 +372,9 @@ def _enumerate_cases(report, config):
             continue
         elems = sys.ball(config.max_length)
         for J in _quotient_list(sys, config.quotients):
-            reps = [w for w in elems if sys.is_min_rep(w, J)]
-            for v in reps:
-                for u in reps:
-                    if len(v) - len(u) > config.max_rank_gap or len(u) > len(v):
-                        continue
-                    if not bruhat_leq(sys, u, v):
+            for v in (w for w in elems if sys.is_min_rep(w, J)):
+                for u in cone(sys, v, J):
+                    if len(v) - len(u) > config.max_rank_gap:
                         continue
                     ivl = parabolic_interval(sys, u, v, J, max_len=config.max_length)
                     if ivl.size > config.max_interval_size:

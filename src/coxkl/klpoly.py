@@ -117,16 +117,7 @@ class KLTable:
         J = sys.check_subset(J)
         check_kl_type(x)
         jmask = sum(1 << s for s in J)
-        u = tuple(u)
-        v = tuple(v)
-        for name, w in (("u", u), ("v", v)):
-            if sys.canonicalize(w)[0] != w:
-                raise InputError(f"{name} is not a canonical reduced word")
-            if sys._right_descents(w) & jmask:
-                raise PreconditionError(
-                    f"{name} = '{sys.word_str(w)}' is not in W^J"
-                )
-        return u, v, J
+        return sys._check_rep(u, jmask, "u"), sys._check_rep(v, jmask, "v"), J
 
     def parabolic_r(self, u, v, J, x: str) -> LaurentPoly:
         u, v, J = self._check_pair(u, v, J, x)
@@ -200,9 +191,9 @@ class KLTable:
             out = _addto(list(a), a, 1, 1)
         else:
             out = []
-        for w in cone(sys, sv):
+        for w in cone(sys, sv, J):
             # mu(w, sv) is 0 unless l(sv) - l(w) is odd (w == sv included)
-            if not (len(sv) - len(w)) % 2 or sys._right_descents(w) & jmask:
+            if not (len(sv) - len(w)) % 2:
                 continue
             if not bruhat_leq(sys, u, w):
                 continue
@@ -241,12 +232,11 @@ class KLTable:
         got = self.tables["Pdual"].get(key)
         if got is not None:
             return got
-        jmask = sum(1 << s for s in J)
         gap = len(v) - len(u)
         # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v})
         rhs = []
-        for w in cone(sys, v):
-            if w == u or sys._right_descents(w) & jmask:
+        for w in cone(sys, v, J):
+            if w == u:
                 continue
             if not bruhat_leq(sys, u, w):
                 continue
@@ -298,8 +288,8 @@ def bar_squared_check(sys, u, v, J, x: str) -> bool:
         return True
     total = ZERO
     sign = -1 if (len(v) - len(u)) % 2 else 1
-    for w in cone(sys, v):
-        if not sys.is_min_rep(w, J) or not bruhat_leq(sys, u, w):
+    for w in cone(sys, v, J):
+        if not bruhat_leq(sys, u, w):
             continue
         r_wv = LaurentPoly(table._r(w, v, J, x))
         term = r_wv.bar() * LaurentPoly(table._r(u, w, J, x))

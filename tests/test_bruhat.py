@@ -1,6 +1,7 @@
 """Order comparisons and interval construction, cross-checked three ways:
-lifting recursion, prefix-closure cones, and raw 2^l subword enumeration,
-plus the Ehresmann dominance criterion on the symmetric-group model."""
+lifting recursion, quotient cones built from the left letter, and raw 2^l
+subword enumeration, plus the Ehresmann dominance criterion on the
+symmetric-group model."""
 
 import random
 
@@ -54,13 +55,22 @@ def test_leq_matches_subword_oracle(a3, b3):
                 assert bruhat_leq(sys, u, v) == (u in lower)
 
 
-def test_cone_equals_naive_closure(b3, affine_a2):
+def test_cone_equals_naive_closure(b3, affine_a2, h3):
+    """cone(v, J) lists {u in W^J : u <= v} in (length, word) order, for
+    every J with v in W^J; the subword products share no code with cone."""
     for sys, tops in (
         (b3, [w for w in b3.all_elements() if len(w) <= 6]),
-        (affine_a2, [w for w in affine_a2.ball(5)]),
+        (affine_a2, affine_a2.ball(5)),
+        (h3, h3.all_elements()),
     ):
+        subsets = all_subsets(sys.generators)
         for v in tops:
-            assert set(cone(sys, v)) == naive_closure(sys, v)
+            lower = naive_closure(sys, v)
+            for J in subsets:
+                if sys.is_min_rep(v, J):
+                    expected = [z for z in lower if sys.is_min_rep(z, J)]
+                    expected.sort(key=lambda w: (len(w), w))
+                    assert list(cone(sys, v, J)) == expected
 
 
 def test_leq_implies_length(b3):
@@ -160,15 +170,21 @@ def test_parabolic_interval_requires_min_reps(a2):
 
 
 def test_covers_match_naive_order(b3):
-    v = b3.element("s1 s2 s1 s3")
-    ivl = interval(b3, (0,), v)
-    lower = {z: naive_closure(b3, z) for z in ivl.ground}
-    expected = set()
-    for i, zi in enumerate(ivl.ground):
-        for j, zj in enumerate(ivl.ground):
-            if len(zj) == len(zi) + 1 and zi in lower[zj]:
-                expected.add((i, j))
-    assert set(ivl.covers) == expected
+    """Every interval [u, v] of B3 with l(v) <= 5: the ground set and the
+    covers (length-one steps) against the subword order."""
+    elems = [w for w in b3.all_elements() if len(w) <= 5]
+    lower = {z: naive_closure(b3, z) for z in elems}
+    for v in elems:
+        for u in lower[v]:
+            ivl = interval(b3, u, v)
+            assert set(ivl.ground) == {z for z in lower[v] if u in lower[z]}
+            expected = [
+                (i, j)
+                for i, zi in enumerate(ivl.ground)
+                for j, zj in enumerate(ivl.ground)
+                if len(zj) == len(zi) + 1 and zi in lower[zj]
+            ]
+            assert ivl.covers == tuple(sorted(expected))
 
 
 # -- maximal-quotient splitting ----------------------------------------------------

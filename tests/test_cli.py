@@ -68,6 +68,17 @@ def test_poly_r_kind(capsys):
     assert poly["coeffs"] == [1, -1]  # 1 - q
 
 
+@pytest.mark.parametrize("method", ["duality", "both"])
+def test_poly_r_kind_rejects_other_methods(capsys, method):
+    code, out, err = run(
+        capsys, "poly", "--system", str(CONFIGS / "a2.json"),
+        "--quotient", "s2", "--u", "", "--v", "s2 s1", "--kind", "R",
+        "--method", method,
+    )
+    assert code == 2 and out == ""
+    assert "--method recursion" in err
+
+
 def test_poly_unknown_generator_exits_2(capsys):
     code, _, err = run(
         capsys, "poly", "--system", str(CONFIGS / "a2.json"), "--u", "", "--v", "zz",

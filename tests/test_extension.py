@@ -67,6 +67,12 @@ def test_extend_rejects_policy_on_j(a2):
         extend_system(a2, {1}, policy={1: 3})
 
 
+def test_extend_rejects_bool_policy_key(a3):
+    # True == 1 would otherwise assign the bond to generator s2
+    with pytest.raises(InputError, match="policy key True"):
+        extend_system(a3, [0], policy={True: 4})
+
+
 def test_extend_class_x(a2):
     ext = extend_system(a2, {1}, class_x=ClassX({3}))
     assert ext.extended.matrix.rows[2][0] == 3

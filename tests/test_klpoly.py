@@ -15,7 +15,7 @@ import pytest
 import coxkl
 
 from conftest import all_subsets
-from coxkl import InvariantError, PreconditionError
+from coxkl import InvariantError, PreconditionError, validate_system
 from coxkl.bruhat import bruhat_leq
 from coxkl.klpoly import KLTable, bar_squared_check, get_table
 from coxkl.laurent import ONE, Q, ZERO
@@ -157,6 +157,23 @@ def test_h3_fast_path_equals_duality_nonnegative(h3):
         p = t.parabolic_kl(u, v, J, "q")
         assert p == t.parabolic_kl_duality(u, v, J, "q")
         assert (p.is_zero or p.low >= 0) and all(c >= 0 for c in p.coeffs)
+
+
+def test_d4_fast_path_equals_duality_on_maximal_quotients():
+    """D4, branch node s2: both paths agree on every pair u <= v of every
+    maximal quotient, for both types."""
+    d4 = validate_system([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+    elems = d4.all_elements()
+    assert len(elems) == 192
+    t = get_table(d4)
+    sizes = []
+    for s in d4.generators:
+        J = frozenset(d4.generators) - {s}
+        sizes.append(sum(1 for w in elems if d4.is_min_rep(w, J)))
+        for u, v in _pairs(d4, elems, J):
+            for x in ("q", "-1"):
+                assert t.parabolic_kl(u, v, J, x) == t.parabolic_kl_duality(u, v, J, x)
+    assert sizes == [8, 24, 8, 8]
 
 
 def test_h3_longest_element_polynomial_is_one(h3):
