@@ -27,7 +27,9 @@ def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
         return False
     if u == v:
         return True
-    cache = sys.caches.setdefault("leq", {})
+    cache = sys.caches.get("leq")
+    if cache is None:
+        cache = sys.caches["leq"] = {}
     res = cache.get((u, v))
     if res is not None:
         return res
@@ -56,11 +58,16 @@ def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
 def cone(sys: CoxeterSystem, v, J=frozenset()) -> tuple:
     """The lower cone {u in W^J : u <= v}, sorted by (length, word).
 
-    v must be a canonical word in W^J, for J a frozenset of generators;
-    the default J = {} gives the whole interval [e, v].  The cones of all
+    v must be a canonical word in W^J, for J a set of generators; the
+    default J = {} gives the whole interval [e, v].  The cones of all
     suffixes of v are memoized on the way.
     """
-    v = tuple(v)
+    J = sys.check_subset(J)
+    return _cone(sys, sys._check_rep(v, sum(1 << s for s in J), "v"), J)
+
+
+def _cone(sys: CoxeterSystem, v: tuple, J: frozenset) -> tuple:
+    """`cone` for a canonical word v in W^J that coxkl made or checked."""
     cache = sys.caches.setdefault("cone", {})
     # the longest suffix whose cone is known; the empty word's is {e}
     i = 0
@@ -103,8 +110,8 @@ class IntervalPoset:
     """A Bruhat interval under the induced order.
 
     ground is sorted by (length, word); ranks are lengths relative to the
-    bottom; covers are index pairs (lower, upper); marked is the index
-    set of the parabolic subset when one was requested, else None.
+    bottom; covers are sorted index pairs (lower, upper); marked is the
+    index set of the parabolic subset when one was requested, else None.
     """
 
     def __init__(self, system, bottom, top, J, ground, covers, marked):
@@ -115,12 +122,30 @@ class IntervalPoset:
         self.ground = tuple(ground)
         self.index = {z: i for i, z in enumerate(self.ground)}
         self.ranks = tuple(len(z) - len(bottom) for z in self.ground)
-        self.covers = tuple(covers)
+        self.covers = tuple(sorted(covers))
         self.marked = None if marked is None else frozenset(marked)
         self._up_bits = None
         self._adj = None
+        self._shape = None
         self._invariants = None
         self._fingerprint = None
+        self._search = {}
+
+    def with_marking(self, J) -> IntervalPoset:
+        """A copy with [u, v]^J marked, for a frozenset J; it shares every
+        table that does not depend on the marking."""
+        self._element_shape()
+        jmask = sum(1 << s for s in J)
+        ivl = object.__new__(IntervalPoset)
+        ivl.__dict__.update(self.__dict__)
+        ivl.J = J
+        ivl.marked = frozenset(
+            i for i, z in enumerate(self.ground)
+            if not self.system._right_descents(z) & jmask
+        )
+        ivl._invariants = ivl._fingerprint = None
+        ivl._search = {}
+        return ivl
 
     @property
     def size(self) -> int:
@@ -128,21 +153,6 @@ class IntervalPoset:
 
     def is_marked(self, i: int) -> bool:
         return self.marked is None or i in self.marked
-
-    def rank_sizes(self) -> tuple:
-        top_rank = self.ranks[-1] if self.ground else 0
-        sizes = [0] * (top_rank + 1)
-        for r in self.ranks:
-            sizes[r] += 1
-        return tuple(sizes)
-
-    def marked_rank_sizes(self) -> tuple:
-        top_rank = self.ranks[-1] if self.ground else 0
-        sizes = [0] * (top_rank + 1)
-        for i, r in enumerate(self.ranks):
-            if self.is_marked(i):
-                sizes[r] += 1
-        return tuple(sizes)
 
     def adjacency(self):
         """(down, up): lists of cover neighbors per element index."""
@@ -158,57 +168,59 @@ class IntervalPoset:
     def up_bits(self) -> list[int]:
         """Per element, the bitmask of interval elements above or equal to it."""
         if self._up_bits is None:
-            _, up = self.adjacency()
-            bits = [0] * self.size
-            order = sorted(range(self.size), key=lambda i: -self.ranks[i])
-            for i in order:
-                m = 1 << i
-                for j in up[i]:
-                    m |= bits[j]
-                bits[i] = m
+            bits = [1 << i for i in range(self.size)]
+            for i, j in reversed(self.covers):  # sorted, and i < j
+                bits[i] |= bits[j]
             self._up_bits = bits
         return self._up_bits
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.up_bits()[i] >> j & 1)
 
+    def _element_shape(self) -> tuple:
+        """element_invariants without the marked flag."""
+        if self._shape is None:
+            down, up = self.adjacency()
+            ideals = [1 << j for j in range(self.size)]
+            for i, j in self.covers:
+                ideals[j] |= ideals[i]
+            self._shape = tuple(
+                (r, len(d), len(p), i.bit_count(), f.bit_count())
+                for r, d, p, i, f in zip(self.ranks, down, up, ideals, self.up_bits())
+            )
+        return self._shape
+
     def element_invariants(self) -> tuple:
         """Per element: (rank, down degree, up degree, ideal size, filter
         size, marked flag).  Preserved by any marked poset isomorphism."""
         if self._invariants is None:
-            down, up = self.adjacency()
-            ups = self.up_bits()
-            filt = [m.bit_count() for m in ups]
-            ideal = [0] * self.size
-            for m in ups:
-                i = m
-                while i:
-                    low = i & -i
-                    ideal[low.bit_length() - 1] += 1
-                    i ^= low
             self._invariants = tuple(
-                (
-                    self.ranks[i],
-                    len(down[i]),
-                    len(up[i]),
-                    ideal[i],
-                    filt[i],
-                    self.is_marked(i),
-                )
-                for i in range(self.size)
+                t + (self.is_marked(i),) for i, t in enumerate(self._element_shape())
             )
         return self._invariants
 
-    def fingerprint(self) -> tuple:
-        """Isomorphism-invariant summary used to prune candidate pairs."""
-        if self._fingerprint is None:
-            self._fingerprint = (
-                self.size,
-                self.rank_sizes(),
-                self.marked_rank_sizes(),
-                len(self.covers),
-                tuple(sorted(self.element_invariants())),
+    def search_tables(self, respect_marking: bool):
+        """(invariant -> element indices, lower-cover bitmask per element)."""
+        got = self._search.get(respect_marking)
+        if got is None:
+            invariants = (
+                self.element_invariants() if respect_marking else self._element_shape()
             )
+            classes: dict = {}
+            for i, t in enumerate(invariants):
+                classes.setdefault(t, []).append(i)
+            cover_bits = [0] * self.size
+            for i, j in self.covers:
+                cover_bits[j] |= 1 << i
+            got = self._search[respect_marking] = (classes, cover_bits)
+        return got
+
+    def fingerprint(self) -> tuple:
+        """Isomorphism-invariant summary used to prune candidate pairs: the
+        sorted element invariants, which fix the size, the (marked) rank
+        sizes and the number of covers."""
+        if self._fingerprint is None:
+            self._fingerprint = tuple(sorted(self.element_invariants()))
         return self._fingerprint
 
     def __repr__(self):
@@ -229,7 +241,13 @@ def _build_interval(sys, u, v, J, max_len):
         )
     if not bruhat_leq(sys, u, v):
         raise PreconditionError("u is not <= v in Bruhat order")
-    ground = [z for z in cone(sys, v) if bruhat_leq(sys, u, z)]
+    ivl = _interval(sys, u, v)
+    return ivl if J is None else ivl.with_marking(J)
+
+
+def _interval(sys, u, v) -> IntervalPoset:
+    """The unmarked interval [u, v], for canonical words u <= v."""
+    ground = [z for z in _cone(sys, v, frozenset()) if bruhat_leq(sys, u, z)]
     index = {z: i for i, z in enumerate(ground)}
     covers = []
     for j, z in enumerate(ground):
@@ -244,11 +262,7 @@ def _build_interval(sys, u, v, J, max_len):
             i = index.get(y) if reduced else None
             if i is not None:
                 covers.append((i, j))
-    covers.sort()
-    marked = None
-    if J is not None:
-        marked = [i for i, z in enumerate(ground) if not sys._right_descents(z) & jmask]
-    return IntervalPoset(sys, u, v, J, ground, covers, marked)
+    return IntervalPoset(sys, u, v, None, ground, covers, None)
 
 
 def interval(sys: CoxeterSystem, u, v, max_len: int = 18) -> IntervalPoset:

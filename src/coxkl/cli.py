@@ -2,8 +2,8 @@
 
 Subcommands: poly, interval, extend, verify-reduction, scan.  Every
 command prints a JSON envelope {format, command, inputs, result, timing}
-to stdout; scan adds "stats" (per-phase wall seconds and work counts),
-which no report file carries.  Exit codes: 0 success, 1 mathematical
+to stdout; scan adds "stats" (per-phase wall seconds, work counts,
+kernel kinds and memo table sizes), which no report file carries.  Exit codes: 0 success, 1 mathematical
 disagreement found (including a failed internal invariant), 2 malformed
 input or configuration (an unwritable output path included, refused
 before any work), 3 precondition violation.

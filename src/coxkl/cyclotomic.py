@@ -49,6 +49,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class CyclotomicRing:
     """Arithmetic in Z[x]/(Phi_N), with sign decisions at x = zeta_N."""
 
+    kind = "cyclotomic"
+
     def __init__(self, N: int):
         if N < 1:
             raise ValueError("N must be positive")

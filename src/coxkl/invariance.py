@@ -15,7 +15,7 @@ import time
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
 
-from .bruhat import IntervalPoset, cone, parabolic_interval
+from .bruhat import IntervalPoset, _interval, cone, parabolic_interval
 from .core import (
     INF,
     CoxeterMatrix,
@@ -123,49 +123,54 @@ def find_isomorphisms(
         raise PreconditionError(f"interval size exceeds the cap of {cap}")
     if A.size != B.size:
         return
-    inv_a = list(A.element_invariants())
-    inv_b = list(B.element_invariants())
-    if not respect_marking:
-        inv_a = [t[:-1] for t in inv_a]
-        inv_b = [t[:-1] for t in inv_b]
-    if sorted(inv_a) != sorted(inv_b):
+    classes_a, _ = A.search_tables(respect_marking)
+    classes_b, cover_b = B.search_tables(respect_marking)
+    if len(classes_a) != len(classes_b) or any(
+        len(classes_b.get(t, ())) != len(ix) for t, ix in classes_a.items()
+    ):
         return
-    candidates = [
-        [j for j in range(B.size) if inv_b[j] == inv_a[i]] for i in range(A.size)
-    ]
-    order = sorted(range(A.size), key=lambda i: (A.ranks[i], len(candidates[i]), i))
-    down_a, _ = A.adjacency()
-    cover_b = set(B.covers)
     k = A.size
+    candidates = [()] * k
+    for t, ix in classes_a.items():
+        for i in ix:
+            candidates[i] = classes_b[t]
+    order = sorted(range(k), key=lambda i: (A.ranks[i], len(candidates[i]), i))
+    down_a, _ = A.adjacency()
     mapping = [-1] * k
-    used = [False] * k
-
-    def extend(pos: int) -> Iterator[IsoWitness]:
+    tried = [0] * k  # per position: how many of its candidates were tried
+    used = 0  # bitmask of the images taken
+    pos = 0
+    while pos >= 0:
         if pos == k:
             witness = IsoWitness(A, B, tuple(mapping), respect_marking)
             if not witness.verify():
                 raise InvariantError("search produced an invalid witness")
             yield witness
-            return
+            pos -= 1
+            continue
         i = order[pos]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for x in down_a[i]:
-                fx = mapping[x]
-                if fx >= 0 and (fx, j) not in cover_b:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[i] = j
-            used[j] = True
-            yield from extend(pos + 1)
+        if mapping[i] >= 0:  # come back to this position: free its image
+            used ^= 1 << mapping[i]
             mapping[i] = -1
-            used[j] = False
-
-    yield from extend(0)
+        # every lower cover of i has a lower rank, so it is mapped already
+        need = 0
+        for x in down_a[i]:
+            need |= 1 << mapping[x]
+        cands = candidates[i]
+        c = tried[pos]
+        while c < len(cands):
+            j = cands[c]
+            c += 1
+            if not used >> j & 1 and cover_b[j] & need == need:
+                break
+        else:
+            tried[pos] = 0
+            pos -= 1
+            continue
+        tried[pos] = c
+        mapping[i] = j
+        used |= 1 << j
+        pos += 1
 
 
 class ScanCase(NamedTuple):
@@ -260,6 +265,10 @@ class ScanReport:
         self.phase_seconds = dict.fromkeys(
             ("enumerate", "buckets", "matching", "controls"), 0.0
         )
+        self.kernels: dict = {}  # system name -> set of kernel kinds
+        self.memo = dict.fromkeys(
+            ("canonical", "descent", "leq", "cone", "kernel", "R", "P", "Pdual"), 0
+        )
 
     @property
     def ok(self) -> bool:
@@ -285,15 +294,31 @@ class ScanReport:
         }
 
     def stats(self) -> dict:
-        """Wall seconds per phase and work counts.  Timings vary from run
-        to run, so they belong in the stdout envelope, never in the
-        report files."""
+        """Wall seconds per phase, work counts, the kernel kind of each
+        system and the summed entries of each memo table.  Timings vary
+        from run to run, so they belong in the stdout envelope, never in
+        the report files."""
         return {
             "phase_seconds": {k: round(t, 6) for k, t in self.phase_seconds.items()},
             "cases": self.cases,
             "pairs_checked": self.pairs_checked,
             "controls_checked": self.controls_checked,
+            "kernels": {name: "+".join(sorted(k)) for name, k in self.kernels.items()},
+            "memo": dict(self.memo),
         }
+
+    def count_tables(self, name: str, sys: CoxeterSystem) -> None:
+        """Add a system's kernel kind and memo table sizes to the stats."""
+        self.kernels.setdefault(name, set()).add(sys.kernel.kind)
+        memo = self.memo
+        memo["canonical"] += len(sys.canonical_memo)
+        memo["descent"] += len(sys.descent_memo)
+        memo["leq"] += len(sys.caches.get("leq", ()))
+        memo["cone"] += len(sys.caches.get("cone", ()))
+        memo["kernel"] += sys.kernel.table_size()
+        table = sys.caches.get("kltable")
+        for kind, entries in (table.tables.items() if table else ()):
+            memo[kind] += len(entries)
 
     CSV_HEADER = (
         "system_a,quotient_a,u_a,v_a,system_b,quotient_b,u_b,v_b,"
@@ -371,23 +396,28 @@ def _enumerate_cases(report, config):
             report.skipped_systems.append(name)
             continue
         elems = sys.ball(config.max_length)
+        # each full interval [u, v] is built once; every J marks a copy
+        full: dict = {}
         for J in _quotient_list(sys, config.quotients):
             for v in (w for w in elems if sys.is_min_rep(w, J)):
                 for u in cone(sys, v, J):
                     if len(v) - len(u) > config.max_rank_gap:
                         continue
-                    ivl = parabolic_interval(sys, u, v, J, max_len=config.max_length)
+                    ivl = full.get((u, v))
+                    if ivl is None:
+                        ivl = full[(u, v)] = _interval(sys, u, v)
                     if ivl.size > config.max_interval_size:
                         report.skipped_oversize += 1
                         continue
-                    cases.append(ScanCase(name, sys, J, u, v, ivl))
+                    cases.append(ScanCase(name, sys, J, u, v, ivl.with_marking(J)))
     return cases
 
 
-def _run_controls(report, cases, config):
+def _run_controls(report, cases, config, extensions):
+    """Match each case with its lift; extensions collects the extended
+    system of each (system name, J)."""
     from .extension import extend_system, lift
 
-    extensions = {}
     for case in cases:
         key = (case.system_name, case.J)
         ext = extensions.get(key)
@@ -482,10 +512,15 @@ def scan(config: ScanConfig) -> ScanReport:
     t = clock()
     matched = _match_buckets(report, buckets, config)
     seconds["matching"] = clock() - t
+    extensions: dict = {}
     if matched and config.lift_controls:
         t = clock()
-        _run_controls(report, cases, config)
+        _run_controls(report, cases, config, extensions)
         seconds["controls"] = clock() - t
+    for name, sys, _spec in config.entries:
+        report.count_tables(name, sys)
+    for (name, _J), ext in extensions.items():
+        report.count_tables(name + "~ext", ext.extended)
     return report
 
 

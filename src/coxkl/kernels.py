@@ -10,19 +10,22 @@ simple roots in the simple-root basis; a generator is a right descent
 exactly when its column goes negative.  It rebuilds the matrix from
 scratch on every call and keeps no state.
 
-`RingKernel` works over an exact scalar ring, for systems whose Cartan
-values are not rational integers.  It holds one point per element
-instead of a matrix (Casselman, "Machine calculations in Weyl groups",
-Invent. Math. 116, 1994), and computes each reflection of a point and
-each point's descents once per system.  The two kernels share no code,
-so each is an oracle for the other on crystallographic matrices.
+`RingKernel` holds one point per element instead of a matrix (Casselman,
+"Machine calculations in Weyl groups", Invent. Math. 116, 1994), and
+computes each reflection of a point and each point's descents once per
+system.  Its scalars are `INTEGERS` for integer Cartan matrices and a
+cyclotomic ring otherwise, so every system holds kernel tables.  The two
+kernels share no code, so each is an oracle for the other on
+crystallographic matrices.
 
-`CoxeterSystem` remembers both kernels' answers per word.
+`CoxeterSystem` remembers the kernel's answers per word.
 """
 
 from __future__ import annotations
 
-__all__ = ["PyIntKernel", "RingKernel", "make_integer_kernel"]
+import operator
+
+__all__ = ["INTEGERS", "PyIntKernel", "RingKernel", "make_integer_kernel"]
 
 
 class PyIntKernel:
@@ -83,13 +86,28 @@ class PyIntKernel:
         return mask
 
 
-def make_integer_kernel(cartan) -> PyIntKernel:
+class INTEGERS:
+    """Python ints as the scalars of a `RingKernel`."""
+
+    kind = "int"
+    one = 1
+    neg = operator.neg
+    sub = operator.sub
+    mul = operator.mul
+    is_zero = operator.not_
+
+    @staticmethod
+    def sign(c) -> int:
+        return (c > 0) - (c < 0)
+
+
+def make_integer_kernel(cartan) -> RingKernel:
     """Kernel for an integer Cartan matrix."""
-    return PyIntKernel(cartan)
+    return RingKernel(INTEGERS, cartan)
 
 
 class RingKernel:
-    """Word kernel over an exact scalar ring (general backend).
+    """Word kernel over exact scalars (Python ints or a cyclotomic ring).
 
     An element w is held as one point of the contragredient
     representation, with coordinates y_u = <alpha_u, w.x0> for the
@@ -102,10 +120,9 @@ class RingKernel:
     elements the system meets.
     """
 
-    kind = "ring"
-
     def __init__(self, ring, cartan):
         self.ring = ring
+        self.kind = "ring:" + ring.kind
         self.n = len(cartan)
         self.cartan = tuple(tuple(row) for row in cartan)
         # per generator t: the (u, a(t,u)) with u != t and a(t,u) != 0
@@ -161,3 +178,6 @@ class RingKernel:
 
     def right_descent_mask(self, word) -> int:
         return self._left_descents(self._point(word[::-1]))
+
+    def table_size(self) -> int:
+        return len(self._descents) + sum(map(len, self._reflections))

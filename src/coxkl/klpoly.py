@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import weakref
 
-from .bruhat import bruhat_leq, cone
+from .bruhat import _cone, bruhat_leq
 from .core import CoxeterSystem, InputError, InvariantError, PreconditionError
 from .laurent import ONE, ZERO, LaurentPoly
 
@@ -141,13 +141,13 @@ class KLTable:
     def _r(self, u, v, J, x) -> tuple:
         if u == v:
             return _ONE
-        sys = self._sys()
-        if not bruhat_leq(sys, u, v):
-            return ()
         key = (u, v, J, x)
         got = self.tables["R"].get(key)
         if got is not None:
             return got
+        sys = self._sys()
+        if not bruhat_leq(sys, u, v):
+            return ()
         jmask = sum(1 << s for s in J)
         sv = v[1:]
         su = sys._left_mul(v[0], u)
@@ -168,13 +168,13 @@ class KLTable:
     def _kl(self, u, v, J, x) -> tuple:
         if u == v:
             return _ONE
-        sys = self._sys()
-        if not bruhat_leq(sys, u, v):
-            return ()
         key = (u, v, J, x)
         got = self.tables["P"].get(key)
         if got is not None:
             return got
+        sys = self._sys()
+        if not bruhat_leq(sys, u, v):
+            return ()
         jmask = sum(1 << s for s in J)
         s = v[0]
         sv = v[1:]
@@ -191,7 +191,7 @@ class KLTable:
             out = _addto(list(a), a, 1, 1)
         else:
             out = []
-        for w in cone(sys, sv, J):
+        for w in _cone(sys, sv, J):
             # mu(w, sv) is 0 unless l(sv) - l(w) is odd (w == sv included)
             if not (len(sv) - len(w)) % 2:
                 continue
@@ -225,17 +225,17 @@ class KLTable:
     def _kl_dual(self, u, v, J, x) -> tuple:
         if u == v:
             return _ONE
-        sys = self._sys()
-        if not bruhat_leq(sys, u, v):
-            return ()
         key = (u, v, J, x)
         got = self.tables["Pdual"].get(key)
         if got is not None:
             return got
+        sys = self._sys()
+        if not bruhat_leq(sys, u, v):
+            return ()
         gap = len(v) - len(u)
         # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v})
         rhs = []
-        for w in cone(sys, v, J):
+        for w in _cone(sys, v, J):
             if w == u:
                 continue
             if not bruhat_leq(sys, u, w):
@@ -288,7 +288,7 @@ def bar_squared_check(sys, u, v, J, x: str) -> bool:
         return True
     total = ZERO
     sign = -1 if (len(v) - len(u)) % 2 else 1
-    for w in cone(sys, v, J):
+    for w in _cone(sys, v, J):
         if not bruhat_leq(sys, u, w):
             continue
         r_wv = LaurentPoly(table._r(w, v, J, x))

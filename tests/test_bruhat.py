@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import all_subsets, naive_closure
-from coxkl import PreconditionError
+from coxkl import InputError, PreconditionError
 from coxkl.bruhat import (
     bruhat_leq,
     cone,
@@ -71,6 +71,32 @@ def test_cone_equals_naive_closure(b3, affine_a2, h3):
                     expected = [z for z in lower if sys.is_min_rep(z, J)]
                     expected.sort(key=lambda w: (len(w), w))
                     assert list(cone(sys, v, J)) == expected
+
+
+def test_cone_rejects_a_noncanonical_top(a3):
+    with pytest.raises(InputError):
+        cone(a3, (0, 0))
+
+
+def test_cone_rejects_a_top_outside_the_quotient(a3):
+    with pytest.raises(PreconditionError):
+        cone(a3, (0, 1), frozenset({1}))
+
+
+@pytest.mark.parametrize("v", [(1.0,), (5,), (True,)])
+def test_cone_rejects_a_bad_generator(a3, v):
+    with pytest.raises(InputError):
+        cone(a3, v)
+
+
+def test_cone_rejects_a_bad_subset(a3):
+    with pytest.raises(InputError):
+        cone(a3, (0,), frozenset({5}))
+
+
+def test_cone_takes_any_set_of_generators(a3):
+    v = a3.element("s1 s2")
+    assert cone(a3, v, {0}) == cone(a3, list(v), frozenset({0})) == ((), (1,), (0, 1))
 
 
 def test_leq_implies_length(b3):

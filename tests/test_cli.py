@@ -370,7 +370,11 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path):
     obj = envelope(out)
     stats, summary = obj["stats"], obj["result"]["summary"]
     assert set(stats) == {"phase_seconds", "cases", "pairs_checked",
-                          "controls_checked"}
+                          "controls_checked", "kernels", "memo"}
+    assert stats["kernels"] == {"A3": "ring:int", "A3~ext": "ring:int"}
+    assert set(stats["memo"]) == {"canonical", "descent", "leq", "cone", "kernel",
+                                  "R", "P", "Pdual"}
+    assert all(stats["memo"][k] > 0 for k in ("canonical", "leq", "kernel", "P"))
     assert set(stats["phase_seconds"]) == {"enumerate", "buckets", "matching",
                                            "controls"}
     assert all(t >= 0 for t in stats["phase_seconds"].values())

@@ -4,13 +4,16 @@ import itertools
 
 import pytest
 
+from conftest import all_subsets
 from coxkl import INF, InputError, PreconditionError, validate_system
-from coxkl.bruhat import interval, parabolic_interval
+from coxkl.bruhat import bruhat_leq, cone, interval, parabolic_interval
 from coxkl.core import CoxeterMatrix
 from coxkl.extension import extend_system, lift
 from coxkl.invariance import (
     ClassX,
     ScanConfig,
+    ScanReport,
+    _enumerate_cases,
     check_hypothesis_pair,
     find_isomorphisms,
     is_class_x,
@@ -77,6 +80,99 @@ def test_automorphism_counts_match_brute_force(a3, b3):
             ):
                 brute += 1
         assert found == brute
+
+
+def _rank_bijections(A, B):
+    """Every bijection A -> B that keeps rank and marked flag, as a tuple."""
+    def classes(P):
+        out = {}
+        for i in range(P.size):
+            out.setdefault((P.ranks[i], P.is_marked(i)), []).append(i)
+        return out
+
+    ca, cb = classes(A), classes(B)
+    if {k: len(v) for k, v in ca.items()} != {k: len(v) for k, v in cb.items()}:
+        return
+    keys = sorted(ca)
+    for images in itertools.product(*(itertools.permutations(cb[k]) for k in keys)):
+        mapping = [0] * A.size
+        for key, image in zip(keys, images):
+            for i, j in zip(ca[key], image):
+                mapping[i] = j
+        yield tuple(mapping)
+
+
+def _invariants_from_order(sys, ivl, leq):
+    """element_invariants recomputed from an order matrix and the words."""
+    k = range(ivl.size)
+    rank = [len(z) - len(ivl.bottom) for z in ivl.ground]
+    cover = [[leq[i][j] and rank[j] == rank[i] + 1 for j in k] for i in k]
+    jmask = sum(1 << s for s in ivl.J)
+    return tuple(
+        (rank[i], sum(cover[x][i] for x in k), sum(cover[i]),
+         sum(leq[x][i] for x in k), sum(leq[i]),
+         not sys.descent_mask(ivl.ground[i]) & jmask)
+        for i in k
+    )
+
+
+def test_marked_witnesses_match_brute_force(b3):
+    """Every marked interval [u, v]^J of B3 with l(v) <= 4, against the
+    first interval with its ranks and marked flags: the search finds
+    exactly the rank- and marking-preserving bijections that preserve and
+    reflect the order, which is read off bruhat_leq on the words.  The
+    element invariants that prune the search are checked the same way."""
+    groups = {}
+    for J in all_subsets(b3.generators):
+        for v in b3.ball(4):
+            if b3.is_min_rep(v, J):
+                for u in cone(b3, v, J):
+                    ivl = parabolic_interval(b3, u, v, J)
+                    key = tuple(sorted(zip(ivl.ranks, map(ivl.is_marked, range(ivl.size)))))
+                    groups.setdefault(key, []).append(ivl)
+    assert sum(map(len, groups.values())) == 464
+    for group in groups.values():
+        A = group[0]
+        leq_a = [[bruhat_leq(b3, x, y) for y in A.ground] for x in A.ground]
+        for B in group:
+            leq_b = [[bruhat_leq(b3, x, y) for y in B.ground] for x in B.ground]
+            assert B.element_invariants() == _invariants_from_order(b3, B, leq_b)
+            brute = {
+                m for m in _rank_bijections(A, B)
+                if all(leq_a[i][j] == leq_b[m[i]][m[j]]
+                       for i in range(A.size) for j in range(A.size))
+            }
+            found = [w.mapping for w in find_isomorphisms(A, B, respect_marking=True)]
+            assert len(found) == len(set(found))
+            assert set(found) == brute
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
+    [[1, 4, 2], [4, 1, 3], [2, 3, 1]],
+])
+def test_enumerated_intervals_equal_fresh_ones(matrix):
+    """The scan builds each full interval once and marks a copy per J;
+    every copy equals parabolic_interval on a system that never saw the
+    other quotients."""
+    config = ScanConfig([("X", validate_system(matrix), {})], max_length=5,
+                        max_rank_gap=5, max_interval_size=10**6)
+    cases = _enumerate_cases(ScanReport({}), config)
+    fresh = validate_system(matrix)
+    assert len(cases) == sum(
+        len(cone(fresh, v, J))
+        for J in all_subsets(fresh.generators)
+        for v in fresh.ball(5) if fresh.is_min_rep(v, J)
+    )
+    assert len({(c.u, c.v) for c in cases}) < len(cases)
+    for case in cases:
+        ivl = parabolic_interval(fresh, case.u, case.v, case.J)
+        got = case.interval
+        assert (got.J, got.ground, got.covers, got.marked) == (
+            case.J, ivl.ground, ivl.covers, ivl.marked)
+        assert got.fingerprint() == ivl.fingerprint()
+        assert got.marked == {i for i, z in enumerate(got.ground)
+                              if fresh.is_min_rep(z, case.J)}
 
 
 def test_size_cap(affine_a2):

@@ -1,8 +1,8 @@
 """The word kernels and the per-system memo.
 
 `PyIntKernel` (matrices over the integers) and `RingKernel` (one point
-per element over a cyclotomic ring) share no code, so each checks the
-other on crystallographic matrices.  Poincare polynomials check both
+per element, over Python ints or a cyclotomic ring) share no code, so
+each checks the other on crystallographic matrices.  Poincare polynomials check both
 against numbers that come from neither.  The memo gives the same
 answers as a fresh kernel, does not bypass word validation, and shares
 no entries between systems.
@@ -15,7 +15,7 @@ import pytest
 
 from coxkl import InputError, validate_system
 from coxkl.core import INF
-from coxkl.kernels import PyIntKernel, RingKernel
+from coxkl.kernels import PyIntKernel, RingKernel, make_integer_kernel
 
 MATRICES = {
     "A3": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
@@ -25,6 +25,8 @@ MATRICES = {
     "universal3": [[1, INF, INF], [INF, 1, INF], [INF, INF, 1]],
     "H3": [[1, 5, 2], [5, 1, 3], [2, 3, 1]],
 }
+#: the rank-4 hyperbolic group of the order_queries benchmark workload
+HYPERBOLIC4 = [[1, 3, INF, 2], [3, 1, 3, INF], [INF, 3, 1, 3], [2, INF, 3, 1]]
 
 
 def _fresh_kernel(sys):
@@ -67,6 +69,33 @@ def test_ring_kernel_matches_integer_kernel(name):
         for word in words:
             assert kernel.canonicalize(word) == oracle.canonicalize(word)
             assert kernel.right_descent_mask(word) == oracle.right_descent_mask(word)
+
+
+@pytest.mark.parametrize("matrix", [
+    MATRICES["A3"], MATRICES["B3"], MATRICES["G2"], MATRICES["affineA2"],
+    MATRICES["universal3"], HYPERBOLIC4,
+], ids=["A3", "B3", "G2", "affineA2", "universal3", "hyperbolic4"])
+def test_integer_point_kernel_matches_matrix_kernel(matrix):
+    """The point kernel over Python ints against the matrix algorithm;
+    G2 and B3 have non-symmetric Cartan matrices."""
+    sys = validate_system(matrix)
+    kernel = make_integer_kernel(sys.cartan)
+    oracle = PyIntKernel(sys.cartan)
+    words = _random_words(sys.n)
+    if sys.n == 3:
+        words.append(tuple([0, 1, 2] * 20))
+    for _ in range(2):  # the second pass reads the kernel's own tables
+        for word in words:
+            assert kernel.canonicalize(word) == oracle.canonicalize(word)
+            for w in (word, word[::-1]):
+                assert kernel.right_descent_mask(w) == oracle.right_descent_mask(w)
+
+
+def test_kernel_kind_tells_integers_from_cyclotomics():
+    kind = make_integer_kernel([[2]]).kind
+    assert isinstance(kind, str)
+    assert validate_system(MATRICES["A3"]).kernel.kind == kind
+    assert validate_system(MATRICES["A3"], backend="general").kernel.kind != kind
 
 
 def _poincare(degrees):
