@@ -68,7 +68,9 @@ def cone(sys: CoxeterSystem, v, J=frozenset()) -> tuple:
 
 def _cone(sys: CoxeterSystem, v: tuple, J: frozenset) -> tuple:
     """`cone` for a canonical word v in W^J that coxkl made or checked."""
-    cache = sys.caches.setdefault("cone", {})
+    cache = sys.caches.get("cone")
+    if cache is None:
+        cache = sys.caches["cone"] = {}
     # the longest suffix whose cone is known; the empty word's is {e}
     i = 0
     got = cache.get((v, J))

@@ -20,9 +20,9 @@ from . import serialize
 from .bruhat import interval as build_interval
 from .bruhat import parabolic_interval
 from .core import INF, CoxeterSystem, InputError, InvariantError, PreconditionError
-from .extension import extend_system, verify_reduction_sweep
+from .extension import ExtendedSystem, extend_system, verify_reduction_sweep
 from .invariance import ClassX, scan as run_scan
-from .klpoly import get_table
+from .klpoly import KL_TYPES, get_table
 from .serialize import canonical_dumps, poly_to_jsonable
 
 EXIT_OK = 0
@@ -38,43 +38,34 @@ def _parse_quotient(sys: CoxeterSystem, text: str) -> frozenset:
     return frozenset(sys.generator(n) for n in names)
 
 
-def _parse_policy(sys: CoxeterSystem, text: str) -> dict:
+def _items(text: str) -> list:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _parse_bond(text: str):
+    """One bond of flag text: an integer or "inf"."""
+    if text == "inf":
+        return INF
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"bad bond {text!r}") from None
+
+
+def _load_extension(args) -> tuple[str, ExtendedSystem]:
+    """The --system extended at --quotient, with --policy and --class-x."""
+    name, sys = serialize.load_system(args.system)
+    J = _parse_quotient(sys, args.quotient)
     policy = {}
-    if not text:
-        return policy
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
+    for item in _items(args.policy):
+        gen, eq, value = item.partition("=")
+        if not eq:
             raise InputError(f"policy item {item!r} must look like s1=3")
-        name, _, value = item.partition("=")
-        s = sys.generator(name.strip())
-        value = value.strip()
-        if value == "inf":
-            policy[s] = INF
-        else:
-            try:
-                policy[s] = int(value)
-            except ValueError:
-                raise InputError(f"bad policy bond {value!r}") from None
-    return policy
-
-
-def _parse_class_x(text: str) -> ClassX:
-    values = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if item == "inf":
-            values.append(INF)
-            continue
-        try:
-            values.append(int(item))
-        except ValueError:
-            raise InputError(f"bad class bond {item!r}") from None
-    return ClassX(values)
+        policy[sys.generator(gen.strip())] = _parse_bond(value.strip())
+    class_x = None
+    if args.class_x:
+        class_x = ClassX(_parse_bond(item) for item in _items(args.class_x))
+    return name, extend_system(sys, J, policy=policy, class_x=class_x)
 
 
 def _check_output(path: str) -> None:
@@ -107,7 +98,7 @@ def cmd_poly(args) -> int:
     started = time.perf_counter()
     if args.kind == "R" and args.method != "recursion":
         raise InputError("R-polynomials have one method: --method recursion")
-    name, sys, _spec = serialize.load_system(args.system)
+    name, sys = serialize.load_system(args.system)
     J = _parse_quotient(sys, args.quotient)
     u = sys.element(args.u)
     v = sys.element(args.v)
@@ -146,7 +137,7 @@ def cmd_interval(args) -> int:
     started = time.perf_counter()
     if args.dot:
         _check_output(args.dot)
-    name, sys, _spec = serialize.load_system(args.system)
+    name, sys = serialize.load_system(args.system)
     u = sys.element(args.u)
     v = sys.element(args.v)
     if args.quotient:
@@ -185,17 +176,13 @@ def cmd_extend(args) -> int:
     started = time.perf_counter()
     if args.out:
         _check_output(args.out)
-    name, sys, _spec = serialize.load_system(args.system)
-    J = _parse_quotient(sys, args.quotient)
-    policy = _parse_policy(sys, args.policy)
-    class_x = _parse_class_x(args.class_x) if args.class_x else None
-    ext = extend_system(sys, J, policy=policy, class_x=class_x)
+    name, ext = _load_extension(args)
     spec = serialize.system_to_spec(ext.extended, f"{name}~ext")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(canonical_dumps(spec))
     result = {
-        "quotient": sorted(sys.names[s] for s in J),
+        "quotient": sorted(ext.base.names[s] for s in ext.J),
         "adjoined": ext.extended.names[ext.stilde],
         "spec": spec,
     }
@@ -210,12 +197,9 @@ def cmd_extend(args) -> int:
 
 def cmd_verify_reduction(args) -> int:
     started = time.perf_counter()
-    name, sys, _spec = serialize.load_system(args.system)
-    J = _parse_quotient(sys, args.quotient)
-    policy = _parse_policy(sys, args.policy)
-    class_x = _parse_class_x(args.class_x) if args.class_x else None
-    ext = extend_system(sys, J, policy=policy, class_x=class_x)
+    name, ext = _load_extension(args)
     report = verify_reduction_sweep(ext, args.max_length)
+    sys = ext.base
     records = [
         {
             "u": sys.word_str(r.u),
@@ -229,7 +213,7 @@ def cmd_verify_reduction(args) -> int:
         for r in report.records
     ]
     result = {
-        "quotient": sorted(sys.names[s] for s in J),
+        "quotient": sorted(sys.names[s] for s in ext.J),
         "extended": serialize.system_to_spec(ext.extended, f"{name}~ext"),
         "summary": report.summary(),
         "records": records,
@@ -280,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", default="", help="lower element, space-separated names")
     p.add_argument("--v", required=True, help="upper element")
     p.add_argument("--quotient", default="", help="names in J, comma separated")
-    p.add_argument("--type", default="q", choices=["q", "-1"])
+    p.add_argument("--type", default="q", choices=KL_TYPES)
     p.add_argument("--kind", default="P", choices=["P", "R"])
     p.add_argument("--method", default="recursion",
                    choices=["recursion", "duality", "both"])

@@ -72,7 +72,10 @@ class CoxeterMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = tuple(tuple(_check_entry(v) for v in row) for row in rows)
+        try:
+            rows = tuple(tuple(_check_entry(v) for v in row) for row in rows)
+        except TypeError:  # rows, or one row, is not iterable
+            raise InputError("matrix must be a sequence of rows") from None
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise InputError("matrix is not square")
@@ -156,7 +159,11 @@ class CoxeterSystem:
         if names is None:
             names = tuple(f"s{i + 1}" for i in range(n))
         else:
-            names = tuple(str(x) for x in names)
+            if not isinstance(names, (list, tuple)) or not all(
+                isinstance(x, str) for x in names
+            ):
+                raise InputError("generators must be a list of names")
+            names = tuple(names)
             if len(names) != n:
                 raise InputError("need one name per generator")
             if len(set(names)) != n:

@@ -70,7 +70,6 @@ class CyclotomicRing:
         self._powers = powers
         # float approximations of cos(2 pi k / N) for the fast sign path
         self._cos = [math.cos(2.0 * math.pi * k / N) for k in range(d)]
-        self._sign_cache: dict[tuple[int, ...], int] = {}
 
     # -- internal reduction helpers -------------------------------------
 
@@ -137,18 +136,12 @@ class CyclotomicRing:
             return 0
         if not any(a[1:]):
             return 1 if a[0] > 0 else -1
-        cached = self._sign_cache.get(a)
-        if cached is not None:
-            return cached
         # fast path: float dot product with a crude rigorous error bound
         val = sum(c * w for c, w in zip(a, self._cos))
         bound = 1e-12 * sum(abs(c) for c in a) * len(a)
         if abs(val) > bound:
-            s = 1 if val > 0 else -1
-        else:
-            s = self._sign_slow(a)
-        self._sign_cache[a] = s
-        return s
+            return 1 if val > 0 else -1
+        return self._sign_slow(a)
 
     def _sign_slow(self, a) -> int:
         import mpmath

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .bruhat import bruhat_leq, cone, parabolic_interval
 from .core import INF, CoxeterSystem, InputError, InvariantError, PreconditionError
-from .invariance import IsoWitness
+from .invariance import ClassX, IsoWitness
 from .klpoly import KL_TYPES, get_table
 from .laurent import LaurentPoly
 
@@ -54,7 +54,11 @@ def extend_system(sys: CoxeterSystem, J, policy=None, class_x=None) -> ExtendedS
     n = sys.n
     class_values = None
     if class_x is not None:
-        class_values = frozenset(getattr(class_x, "values", class_x))
+        if not isinstance(class_x, ClassX):
+            raise InputError("class_x must be a ClassX")
+        class_values = class_x.values
+    if policy is not None and not isinstance(policy, dict):
+        raise InputError("policy must map generators to bonds")
     policy = dict(policy or {})
     for s in policy:
         # bool is an int subclass; True must not pass for generator 1
@@ -191,9 +195,9 @@ def verify_reduction(ext: ExtendedSystem, u, v, report: ReductionReport | None =
     return report
 
 
-def verify_reduction_sweep(ext: ExtendedSystem, max_length: int,
-                           check_lifted_intervals: bool = True) -> ReductionReport:
-    """verify_reduction over every pair u <= v in W^J with l(v) <= max_length."""
+def verify_reduction_sweep(ext: ExtendedSystem, max_length: int) -> ReductionReport:
+    """verify_reduction and lift_interval over every pair u <= v in W^J
+    with l(v) <= max_length."""
     sys = ext.base
     report = ReductionReport()
     for v in sys.ball(max_length):
@@ -201,8 +205,7 @@ def verify_reduction_sweep(ext: ExtendedSystem, max_length: int,
             continue
         for u in cone(sys, v, ext.J):
             verify_reduction(ext, u, v, report)
-            if check_lifted_intervals:
-                lift_interval(ext, u, v)
+            lift_interval(ext, u, v)
     return report
 
 

@@ -24,7 +24,7 @@ from .core import (
     InvariantError,
     PreconditionError,
 )
-from .klpoly import get_table
+from .klpoly import KL_TYPES, check_kl_type, get_table
 from .laurent import LaurentPoly
 
 DEFAULT_SIZE_CAP = 40
@@ -36,13 +36,20 @@ class ClassX:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        values = frozenset(values)
-        if not values:
-            raise InputError("class constraint must be nonempty")
+        try:
+            values = list(values)
+        except TypeError:
+            raise InputError("class_x must be a list of bonds") from None
         for v in values:
-            if v is not INF and not (isinstance(v, int) and v >= 3):
-                raise InputError(f"class member {v!r} must be >= 3 or INF")
-        self.values = values
+            # checked before hashing, so that an unhashable entry is an
+            # InputError; a bool is not a bond
+            if v is not INF and type(v) is not int:
+                raise InputError(f"class_x entry must be an int or 'inf', not {v!r}")
+            if v is not INF and v < 3:
+                raise InputError(f"class_x entry {v!r} must be >= 3 or 'inf'")
+        if not values:
+            raise InputError("class_x must be nonempty")
+        self.values = frozenset(values)
 
     def __eq__(self, other):
         return isinstance(other, ClassX) and self.values == other.values
@@ -216,8 +223,9 @@ def check_hypothesis_pair(case_a, case_b, cap: int = DEFAULT_SIZE_CAP) -> Option
 class ScanConfig:
     """Deterministic scan over configured systems and quotients.
 
-    entries lists (name, CoxeterSystem, spec dict) in configured order;
-    quotients is "all" or "maximal".
+    entries lists (name, CoxeterSystem) pairs in configured order;
+    quotients is "all" or "maximal".  These defaults are the defaults of
+    a scan config file, and the messages name the file's keys.
     """
 
     def __init__(
@@ -227,22 +235,40 @@ class ScanConfig:
         max_length: int = 8,
         max_rank_gap: int = 4,
         max_interval_size: int = DEFAULT_SIZE_CAP,
-        types: tuple = ("q", "-1"),
+        types: tuple = KL_TYPES,
         include_r: bool = True,
         class_x: Optional[ClassX] = None,
         lift_controls: bool = True,
     ):
+        if not isinstance(entries, (list, tuple)) or not all(
+            isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], CoxeterSystem)
+            for e in entries
+        ):
+            raise InputError("systems must be a list of (name, CoxeterSystem) pairs")
         if quotients not in ("all", "maximal"):
             raise InputError("quotients must be 'all' or 'maximal'")
+        for key, v in (("max_length", max_length), ("max_rank_gap", max_rank_gap),
+                       ("max_interval_size", max_interval_size)):
+            if type(v) is not int or v < 0:
+                raise InputError(f"{key} must be a nonnegative integer")
+        if not isinstance(types, (list, tuple)) or not types:
+            raise InputError("types must be a nonempty list")
         for x in types:
-            if x not in ("q", "-1"):
-                raise InputError(f"unknown polynomial type {x!r}")
-        self.entries = entries
+            check_kl_type(x)
+        for key, v in (("include_r_polynomials", include_r),
+                       ("lift_controls", lift_controls)):
+            # bool("false") is True: only a real boolean is accepted
+            if not isinstance(v, bool):
+                raise InputError(f"{key} must be true or false")
+        if class_x is not None and not isinstance(class_x, ClassX):
+            raise InputError("class_x must be a list of bonds")
+        self.entries = list(entries)
         self.quotients = quotients
         self.max_length = max_length
         self.max_rank_gap = max_rank_gap
         self.max_interval_size = max_interval_size
-        self.types = types
+        self.types = tuple(types)
         self.include_r = include_r
         self.class_x = class_x
         self.lift_controls = lift_controls
@@ -391,7 +417,7 @@ def _row(report, case_a, case_b, kind, iso, equal):
 
 def _enumerate_cases(report, config):
     cases = []
-    for name, sys, _spec in config.entries:
+    for name, sys in config.entries:
         if config.class_x is not None and not is_class_x(sys.matrix, config.class_x):
             report.skipped_systems.append(name)
             continue
@@ -517,7 +543,7 @@ def scan(config: ScanConfig) -> ScanReport:
         t = clock()
         _run_controls(report, cases, config, extensions)
         seconds["controls"] = clock() - t
-    for name, sys, _spec in config.entries:
+    for name, sys in config.entries:
         report.count_tables(name, sys)
     for (name, _J), ext in extensions.items():
         report.count_tables(name + "~ext", ext.extended)
@@ -526,7 +552,7 @@ def scan(config: ScanConfig) -> ScanReport:
 
 def _config_echo(config: ScanConfig) -> dict:
     return {
-        "systems": [name for name, _sys, _spec in config.entries],
+        "systems": [name for name, _sys in config.entries],
         "quotients": config.quotients,
         "max_length": config.max_length,
         "max_rank_gap": config.max_rank_gap,

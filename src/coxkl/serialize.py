@@ -2,7 +2,9 @@
 
 All JSON documents carry a top-level "format": 1 and are written through
 canonical_dumps, so parsing and re-serializing a document reproduces it
-byte for byte.  Infinite bonds are spelled "inf" in matrices.
+byte for byte.  Infinite bonds are spelled "inf" in matrices and in a
+scan config's class_x.  Reading checks the shape of a document and that
+spelling; CoxeterSystem, ScanConfig and ClassX check the values.
 """
 
 from __future__ import annotations
@@ -27,23 +29,9 @@ def matrix_to_jsonable(matrix) -> list:
     return [["inf" if v is INF else v for v in row] for row in matrix.rows]
 
 
-def matrix_from_jsonable(rows) -> list:
-    if not isinstance(rows, list):
-        raise InputError("matrix must be a list of rows")
-    out = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise InputError("matrix must be a list of rows")
-        conv = []
-        for v in row:
-            if v == "inf":
-                conv.append(INF)
-            elif isinstance(v, int) and not isinstance(v, bool):
-                conv.append(v)
-            else:
-                raise InputError(f"matrix entry must be an int or 'inf', not {v!r}")
-        out.append(conv)
-    return out
+def _read_inf(v):
+    """A JSON bond: the spelling "inf" is INF; the receiver checks the rest."""
+    return INF if v == "inf" else v
 
 
 def system_to_spec(sys: CoxeterSystem, name: str) -> dict:
@@ -56,34 +44,44 @@ def system_to_spec(sys: CoxeterSystem, name: str) -> dict:
     }
 
 
+def _check_document(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object")
+    fmt = obj.get("format")
+    if type(fmt) is not int or fmt != FORMAT:  # true == 1 in Python
+        raise InputError(f"{what} must declare format 1")
+
+
 def system_from_spec(spec: dict) -> tuple[str, CoxeterSystem]:
-    if not isinstance(spec, dict):
-        raise InputError("system spec must be a JSON object")
-    if spec.get("format") != FORMAT:
-        raise InputError("system spec must declare format 1")
+    _check_document(spec, "system spec")
     for key in ("name", "generators", "matrix"):
         if key not in spec:
             raise InputError(f"system spec is missing {key!r}")
-    names = spec["generators"]
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+    if not isinstance(spec["generators"], list):  # null would mean default names
         raise InputError("generators must be a list of names")
-    backend = spec.get("backend", "auto")
+    rows = spec["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InputError("matrix must be a list of rows")
     system = CoxeterSystem(
-        matrix_from_jsonable(spec["matrix"]), names=names, backend=backend
+        [[_read_inf(v) for v in row] for row in rows],
+        names=spec["generators"],
+        backend=spec.get("backend", "auto"),
     )
     return str(spec["name"]), system
 
 
-def load_system(path: str) -> tuple[str, CoxeterSystem, dict]:
+def _load_json(path: str, what: str):
     try:
         with open(path) as fh:
-            spec = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read system file: {exc}") from None
-    except json.JSONDecodeError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise InputError(f"invalid JSON in {path}: {exc}") from None
-    name, system = system_from_spec(spec)
-    return name, system, spec
+
+
+def load_system(path: str) -> tuple[str, CoxeterSystem]:
+    return system_from_spec(_load_json(path, "system file"))
 
 
 # -- polynomials --------------------------------------------------------------
@@ -116,64 +114,33 @@ def interval_to_dot(ivl) -> str:
 # -- scan configs and reports ------------------------------------------------------
 
 
+#: the optional scan config keys; ScanConfig owns their defaults
+_SCAN_KEYS = (
+    "quotients", "max_length", "max_rank_gap", "max_interval_size", "types",
+    "include_r_polynomials", "class_x", "lift_controls",
+)
+
+
 def scan_config_from_jsonable(obj: dict) -> ScanConfig:
-    if not isinstance(obj, dict):
-        raise InputError("scan config must be a JSON object")
-    if obj.get("format") != FORMAT:
-        raise InputError("scan config must declare format 1")
+    _check_document(obj, "scan config")
+    unknown = sorted(set(obj) - {"format", "systems", *_SCAN_KEYS})
+    if unknown:
+        raise InputError(
+            "unknown scan config key " + ", ".join(repr(k) for k in unknown)
+        )
     systems = obj.get("systems")
     if not isinstance(systems, list):
         raise InputError("scan config needs a list of systems")
-    entries = []
-    for spec in systems:
-        name, system = system_from_spec(spec)
-        entries.append((name, system, spec))
-    class_x = None
-    if obj.get("class_x") is not None:
-        raw = obj["class_x"]
+    options = {k: obj[k] for k in _SCAN_KEYS if k in obj}
+    if "include_r_polynomials" in options:
+        options["include_r"] = options.pop("include_r_polynomials")
+    raw = options.get("class_x")
+    if raw is not None:
         if not isinstance(raw, list):
             raise InputError("class_x must be a list of bonds")
-        for v in raw:
-            # an unhashable entry would reach ClassX as a TypeError
-            if v != "inf" and (not isinstance(v, int) or isinstance(v, bool)):
-                raise InputError(f"class_x entry must be an int or 'inf', not {v!r}")
-        class_x = ClassX(INF if v == "inf" else v for v in raw)
-    types = obj.get("types", ["q", "-1"])
-    if not isinstance(types, list) or not types:
-        raise InputError("types must be a nonempty list")
-
-    def _int(key, default):
-        v = obj.get(key, default)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise InputError(f"{key} must be a nonnegative integer")
-        return v
-
-    def _bool(key, default):
-        v = obj.get(key, default)
-        # bool("false") is True: only a JSON boolean is accepted
-        if not isinstance(v, bool):
-            raise InputError(f"{key} must be true or false")
-        return v
-
-    return ScanConfig(
-        entries=entries,
-        quotients=obj.get("quotients", "all"),
-        max_length=_int("max_length", 8),
-        max_rank_gap=_int("max_rank_gap", 4),
-        max_interval_size=_int("max_interval_size", 40),
-        types=tuple(types),
-        include_r=_bool("include_r_polynomials", True),
-        class_x=class_x,
-        lift_controls=_bool("lift_controls", True),
-    )
+        options["class_x"] = ClassX(_read_inf(v) for v in raw)
+    return ScanConfig([system_from_spec(spec) for spec in systems], **options)
 
 
 def load_scan_config(path: str) -> ScanConfig:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
-    return scan_config_from_jsonable(obj)
+    return scan_config_from_jsonable(_load_json(path, "config"))

@@ -302,6 +302,65 @@ def test_scan_non_boolean_flag_exits_2(capsys, tmp_path, key, value):
     assert out == "" and f"{key} must be true or false" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"format": True, "generators": ["s1"]}, "must declare format 1"),
+    ({"format": 1, "generators": None}, "generators must be a list of names"),
+    ({"format": 1, "generators": [1]}, "generators must be a list of names"),
+])
+def test_malformed_system_spec_exits_2(capsys, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "A1", "matrix": [[1]], **spec}))
+    code, out, err = run(capsys, "poly", "--system", str(path), "--v", "s1")
+    assert code == 2
+    assert out == "" and message in err
+
+
+def test_scan_format_true_is_not_format_1(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": True, "systems": []}))
+    code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
+                         str(tmp_path / "r"))
+    assert code == 2
+    assert out == "" and "must declare format 1" in err
+
+
+def test_scan_unknown_key_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": 1, "systems": [], "max_lenght": 2,
+                               "lift_control": False}))
+    code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
+                         str(tmp_path / "r"))
+    assert code == 2
+    assert out == "" and "'lift_control', 'max_lenght'" in err
+
+
+def test_scan_config_defaults_are_scan_config_defaults(capsys, tmp_path):
+    """A config without optional keys echoes what ScanConfig(entries) does."""
+    from coxkl.invariance import ScanConfig, _config_echo
+    from coxkl.serialize import system_from_spec
+
+    spec = json.loads((CONFIGS / "a2.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": 1, "systems": [spec]}))
+    code, _, _ = run(capsys, "scan", "--config", str(cfg), "--out",
+                     str(tmp_path / "r"))
+    assert code == 0
+    echo = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert echo == _config_echo(ScanConfig([system_from_spec(spec)]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--out", "unused", "--config"],
+    ["poly", "--v", "s1", "--system"],
+])
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == "" and "invalid JSON" in err
+
+
 def test_scan_unwritable_out_exits_2_before_scanning(capsys, tmp_path, monkeypatch):
     import coxkl.cli
 
@@ -430,7 +489,7 @@ def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path, monkeypatch):
 
     def poisoned(path):
         config = load_scan_config(path)
-        for _name, system, _spec in config.entries:
+        for _name, system in config.entries:
             # wrong: P(e, s1) is 1
             get_table(system).tables["P"][((), (0,), frozenset(), "q")] = (7,)
         return config

@@ -23,6 +23,12 @@ def test_validate_rejects_asymmetric():
         validate_system([[1, 2], [3, 1]])
 
 
+@pytest.mark.parametrize("matrix", [5, None, [[1, 3], 5]])
+def test_validate_rejects_rows_that_are_not_sequences(matrix):
+    with pytest.raises(InputError, match="matrix must be a sequence of rows"):
+        validate_system(matrix)
+
+
 def test_validate_rejects_bad_diagonal():
     with pytest.raises(InputError):
         validate_system([[2, 3], [3, 1]])
@@ -57,6 +63,12 @@ def test_system_immutable(a2):
 def test_names_unique():
     with pytest.raises(InputError):
         validate_system([[1, 3], [3, 1]], names=["s", "s"])
+
+
+@pytest.mark.parametrize("names", [5, "st", [1, 2]])
+def test_names_are_a_list_of_strings(names):
+    with pytest.raises(InputError, match="generators must be a list of names"):
+        validate_system([[1, 3], [3, 1]], names=names)
 
 
 def test_bool_generator_indices_rejected(a2):

@@ -67,6 +67,12 @@ def test_extend_rejects_policy_on_j(a2):
         extend_system(a2, {1}, policy={1: 3})
 
 
+@pytest.mark.parametrize("policy", [5, [1], "s1=3"])
+def test_extend_rejects_policy_that_is_not_a_dict(a2, policy):
+    with pytest.raises(InputError, match="policy must map generators to bonds"):
+        extend_system(a2, {1}, policy=policy)
+
+
 def test_extend_rejects_bool_policy_key(a3):
     # True == 1 would otherwise assign the bond to generator s2
     with pytest.raises(InputError, match="policy key True"):
@@ -78,6 +84,8 @@ def test_extend_class_x(a2):
     assert ext.extended.matrix.rows[2][0] == 3
     with pytest.raises(InputError):
         extend_system(a2, {1}, policy={0: 4}, class_x=ClassX({3}))
+    with pytest.raises(InputError, match="must be a ClassX"):
+        extend_system(a2, {1}, class_x={3})
 
 
 def test_extend_class_x_right_angled():

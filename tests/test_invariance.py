@@ -155,7 +155,7 @@ def test_enumerated_intervals_equal_fresh_ones(matrix):
     """The scan builds each full interval once and marks a copy per J;
     every copy equals parabolic_interval on a system that never saw the
     other quotients."""
-    config = ScanConfig([("X", validate_system(matrix), {})], max_length=5,
+    config = ScanConfig([("X", validate_system(matrix))], max_length=5,
                         max_rank_gap=5, max_interval_size=10**6)
     cases = _enumerate_cases(ScanReport({}), config)
     fresh = validate_system(matrix)
@@ -229,6 +229,29 @@ def test_class_x_validation():
         ClassX(set())
     with pytest.raises(InputError):
         ClassX({2, 3})
+    for bad in ([[3]], [True], [3.0], 3):
+        with pytest.raises(InputError):
+            ClassX(bad)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"types": ()},
+    {"types": "q"},
+    {"include_r": "no"},
+    {"lift_controls": 1},
+    {"max_rank_gap": "x"},
+    {"max_length": True},
+    {"max_interval_size": -1},
+    {"class_x": [3]},
+    {"entries": [("A2", validate_system([[1, 3], [3, 1]]), {})]},
+], ids=["types-empty", "types-str", "include_r", "lift_controls", "max_rank_gap",
+        "max_length-bool", "max_interval_size-negative", "class_x-list",
+        "entries-triple"])
+def test_scan_config_rejects_malformed_values(a2, kwargs):
+    """ScanConfig checks every value it holds, from a file or from Python."""
+    kwargs.setdefault("entries", [("A2", a2)])
+    with pytest.raises(InputError):
+        ScanConfig(**kwargs)
 
 
 def test_scan_empty_config():
@@ -241,7 +264,7 @@ def test_scan_empty_config():
 
 def test_scan_small_deterministic(a3):
     cfg = ScanConfig(
-        entries=[("A3", a3, {})],
+        entries=[("A3", a3)],
         quotients="maximal",
         max_length=4,
         max_rank_gap=3,
@@ -256,7 +279,7 @@ def test_scan_small_deterministic(a3):
 
 def test_scan_finds_controls(a2):
     cfg = ScanConfig(
-        entries=[("A2", a2, {})],
+        entries=[("A2", a2)],
         quotients="all",
         max_length=3,
         max_rank_gap=3,
@@ -269,7 +292,7 @@ def test_scan_finds_controls(a2):
 
 def test_scan_class_x_filter(a2, b3):
     cfg = ScanConfig(
-        entries=[("A2", a2, {}), ("B3", b3, {})],
+        entries=[("A2", a2), ("B3", b3)],
         quotients="maximal",
         max_length=3,
         class_x=ClassX({3}),
@@ -283,7 +306,7 @@ def test_scan_cross_system_hits(a2):
     # two copies under different names: every case matches its twin
     other = validate_system([[1, 3], [3, 1]])
     cfg = ScanConfig(
-        entries=[("A2a", a2, {}), ("A2b", other, {})],
+        entries=[("A2a", a2), ("A2b", other)],
         quotients="all",
         max_length=3,
         max_rank_gap=2,
