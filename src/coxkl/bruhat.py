@@ -20,9 +20,12 @@ from .core import CoxeterSystem, PreconditionError
 
 
 def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
-    """Whether u <= v in Bruhat order (u, v canonical words)."""
-    u = tuple(u)
-    v = tuple(v)
+    """Whether u <= v in Bruhat order, for canonical words u and v."""
+    return _leq(sys, sys._check_rep(u, 0, "u"), sys._check_rep(v, 0, "v"))
+
+
+def _leq(sys: CoxeterSystem, u: tuple, v: tuple) -> bool:
+    """`bruhat_leq` for canonical words that coxkl made or checked."""
     if len(u) > len(v):
         return False
     if u == v:
@@ -33,9 +36,7 @@ def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
     res = cache.get((u, v))
     if res is not None:
         return res
-    # validated once here; the walk below only makes words from these
-    uu = sys._check_word(u)
-    vv = sys._check_word(v)
+    uu, vv = u, v
     mask = None
     while True:
         if not uu:
@@ -233,23 +234,27 @@ class IntervalPoset:
         )
 
 
-def _build_interval(sys, u, v, J, max_len):
+def _build_interval(sys, u, v, J):
+    """[u, v], marked with J unless J is None, after checking its ends."""
     jmask = 0 if J is None else sum(1 << s for s in J)
     u = sys._check_rep(u, jmask, "u")
     v = sys._check_rep(v, jmask, "v")
-    if len(v) > max_len:
-        raise PreconditionError(
-            f"top element has length {len(v)} > cutoff {max_len}"
-        )
-    if not bruhat_leq(sys, u, v):
+    if not _leq(sys, u, v):
         raise PreconditionError("u is not <= v in Bruhat order")
     ivl = _interval(sys, u, v)
     return ivl if J is None else ivl.with_marking(J)
 
 
+def _cutoff(v, max_len: int):
+    """v, after checking that it has at most max_len letters."""
+    if len(v) > max_len:
+        raise PreconditionError(f"top element has length {len(v)} > cutoff {max_len}")
+    return v
+
+
 def _interval(sys, u, v) -> IntervalPoset:
     """The unmarked interval [u, v], for canonical words u <= v."""
-    ground = [z for z in _cone(sys, v, frozenset()) if bruhat_leq(sys, u, z)]
+    ground = [z for z in _cone(sys, v, frozenset()) if _leq(sys, u, z)]
     index = {z: i for i, z in enumerate(ground)}
     covers = []
     for j, z in enumerate(ground):
@@ -268,16 +273,17 @@ def _interval(sys, u, v) -> IntervalPoset:
 
 
 def interval(sys: CoxeterSystem, u, v, max_len: int = 18) -> IntervalPoset:
-    """The full Bruhat interval [u, v]."""
-    return _build_interval(sys, u, v, None, max_len)
+    """The full Bruhat interval [u, v], for l(v) <= max_len."""
+    return _build_interval(sys, u, _cutoff(v, max_len), None)
 
 
 def parabolic_interval(sys: CoxeterSystem, u, v, J, max_len: int = 18) -> IntervalPoset:
-    """The interval [u, v] with the quotient subset [u, v]^J marked.
+    """The interval [u, v] with the quotient subset [u, v]^J marked, for
+    l(v) <= max_len.
 
     Endpoints must be minimal coset representatives for J.
     """
-    return _build_interval(sys, u, v, sys.check_subset(J), max_len)
+    return _build_interval(sys, u, _cutoff(v, max_len), sys.check_subset(J))
 
 
 def deodhar_criterion(sys: CoxeterSystem, u, v) -> bool:

@@ -260,7 +260,7 @@ class CoxeterSystem:
         w = tuple(w)
         if self.canonicalize(w)[0] != w:
             raise InputError(f"{name} is not a canonical reduced word")
-        if self._right_descents(w) & jmask:
+        if jmask and self._right_descents(w) & jmask:
             raise PreconditionError(f"{name} = '{self.word_str(w)}' is not in W^J")
         return w
 
@@ -346,19 +346,22 @@ class CoxeterSystem:
 
     # -- enumeration ---------------------------------------------------------
 
-    def ball(self, radius: int) -> list[Word]:
-        """All elements of length <= radius, sorted by (length, word)."""
+    def ball(self, radius: int, J: Iterable[int] = frozenset()) -> list[Word]:
+        """The elements of W^J of length <= radius, sorted by (length,
+        word); the default J = {} gives the whole ball."""
         if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
             raise InputError(f"radius must be a nonnegative integer, not {radius!r}")
-        return self._bfs(radius, None)
+        return self._bfs(radius, None, self.subset_mask(J))
 
     def all_elements(self, cap: int = 200000) -> list[Word]:
         """BFS closure of the whole group; raises if it exceeds `cap`."""
-        return self._bfs(None, cap)
+        return self._bfs(None, cap, 0)
 
-    def _bfs(self, radius, cap) -> list[Word]:
-        """Elements of length <= radius (None: no bound), layer by layer,
-        sorted by (length, word); PreconditionError past cap elements."""
+    def _bfs(self, radius, cap, jmask) -> list[Word]:
+        """Elements of W^J (J as a bit mask) of length <= radius (None: no
+        bound), sorted by (length, word); PreconditionError past cap
+        elements.  W^J is closed under suffixes, so each layer is the
+        longer left multiples s w of the last that stay in W^J."""
         seen = {()}
         frontier = {()}
         depth = 0
@@ -366,9 +369,9 @@ class CoxeterSystem:
             new = set()
             for w in frontier:
                 for s in self.generators:
-                    ws = self.multiply_gen(w, s, "right")
-                    if len(ws) > len(w):
-                        new.add(ws)
+                    sw = self._left_mul(s, w)
+                    if len(sw) > len(w) and not (jmask and self._right_descents(sw) & jmask):
+                        new.add(sw)
             seen |= new
             frontier = new
             if cap is not None and len(seen) > cap:

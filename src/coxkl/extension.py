@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bruhat import bruhat_leq, cone, parabolic_interval
+from .bruhat import _build_interval, _leq, cone
 from .core import INF, CoxeterSystem, InputError, InvariantError, PreconditionError
 from .invariance import ClassX, IsoWitness
 from .klpoly import KL_TYPES, get_table
@@ -113,8 +113,8 @@ def lift_interval(ext: ExtendedSystem, u, v):
     lifted marked set or the order structure disagrees with the direct
     construction (which would be an implementation bug).
     """
-    base_ivl = parabolic_interval(ext.base, u, v, ext.J)
-    lifted_ivl = parabolic_interval(
+    base_ivl = _build_interval(ext.base, u, v, ext.J)
+    lifted_ivl = _build_interval(
         ext.extended, lift(ext, u), lift(ext, v), ext.maximal_quotient
     )
     lifted_ground = [lift(ext, z) for z in base_ivl.ground]
@@ -200,9 +200,7 @@ def verify_reduction_sweep(ext: ExtendedSystem, max_length: int) -> ReductionRep
     with l(v) <= max_length."""
     sys = ext.base
     report = ReductionReport()
-    for v in sys.ball(max_length):
-        if not sys.is_min_rep(v, ext.J):
-            continue
+    for v in sys.ball(max_length, ext.J):
         for u in cone(sys, v, ext.J):
             verify_reduction(ext, u, v, report)
             lift_interval(ext, u, v)
@@ -214,21 +212,18 @@ def lift_order_embedding_check(ext: ExtendedSystem, radius: int = 8) -> bool:
     slice of the extended maximal quotient inside W st, on a length ball.
 
     Order is checked pairwise in both directions; surjectivity is checked
-    against a direct enumeration of the extended ball.
+    against a direct enumeration of the extended maximal quotient.
     """
     sys = ext.base
-    wj = [w for w in sys.ball(radius) if sys.is_min_rep(w, ext.J)]
+    wj = sys.ball(radius, ext.J)
     lifted = {w: lift(ext, w) for w in wj}
     for a in wj:
         for b in wj:
-            if bruhat_leq(sys, a, b) != bruhat_leq(ext.extended, lifted[a], lifted[b]):
+            if _leq(sys, a, b) != _leq(ext.extended, lifted[a], lifted[b]):
                 return False
-    S = ext.maximal_quotient
     stilde = ext.stilde
     target = set()
-    for z in ext.extended.ball(radius + 1):
-        if not ext.extended.is_min_rep(z, S):
-            continue
+    for z in ext.extended.ball(radius + 1, ext.maximal_quotient):
         if not ext.extended.descent_mask(z, "right") >> stilde & 1:
             continue
         w = ext.extended.multiply_gen(z, stilde, "right")

@@ -15,7 +15,7 @@ import time
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
 
-from .bruhat import IntervalPoset, _interval, cone, parabolic_interval
+from .bruhat import IntervalPoset, _build_interval, _interval, cone
 from .core import (
     INF,
     CoxeterMatrix,
@@ -200,19 +200,9 @@ class ScanCase(NamedTuple):
         )
 
 
-def check_hypothesis_pair(case_a, case_b, cap: int = DEFAULT_SIZE_CAP) -> Optional[IsoWitness]:
-    """First full-interval isomorphism mapping marked onto marked, if any.
-
-    Cases are (system, u, v, J) tuples or ScanCase instances.
-    """
-
-    def as_interval(c):
-        if isinstance(c, ScanCase):
-            return c.interval
-        sys, u, v, J = c
-        return parabolic_interval(sys, u, v, J)
-
-    ia, ib = as_interval(case_a), as_interval(case_b)
+def check_hypothesis_pair(ia, ib, cap: int = DEFAULT_SIZE_CAP) -> Optional[IsoWitness]:
+    """First isomorphism of the marked intervals ia, ib that maps marked
+    onto marked, if any."""
     if ia.fingerprint() != ib.fingerprint():
         return None
     for witness in find_isomorphisms(ia, ib, respect_marking=True, cap=cap):
@@ -421,11 +411,10 @@ def _enumerate_cases(report, config):
         if config.class_x is not None and not is_class_x(sys.matrix, config.class_x):
             report.skipped_systems.append(name)
             continue
-        elems = sys.ball(config.max_length)
         # each full interval [u, v] is built once; every J marks a copy
         full: dict = {}
         for J in _quotient_list(sys, config.quotients):
-            for v in (w for w in elems if sys.is_min_rep(w, J)):
+            for v in sys.ball(config.max_length, J):
                 for u in cone(sys, v, J):
                     if len(v) - len(u) > config.max_rank_gap:
                         continue
@@ -457,12 +446,11 @@ def _run_controls(report, cases, config, extensions):
             ext.maximal_quotient,
             lu,
             lv,
-            parabolic_interval(
-                ext.extended, lu, lv, ext.maximal_quotient,
-                max_len=config.max_length + 1,
-            ),
+            _build_interval(ext.extended, lu, lv, ext.maximal_quotient),
         )
-        witness = check_hypothesis_pair(case, lifted, cap=config.max_interval_size)
+        witness = check_hypothesis_pair(
+            case.interval, lifted.interval, cap=config.max_interval_size
+        )
         report.controls_checked += 1
         if witness is None:
             report.counterexamples.append(
@@ -494,7 +482,7 @@ def _match_buckets(report, buckets, config) -> bool:
                 rep = cls[0]
                 report.pairs_checked += 1
                 witness = check_hypothesis_pair(
-                    case, rep, cap=config.max_interval_size
+                    case.interval, rep.interval, cap=config.max_interval_size
                 )
                 if witness is not None:
                     report.hypothesis_hits += 1

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import all_subsets, naive_closure
-from coxkl import InputError, PreconditionError
+from coxkl import InputError, PreconditionError, validate_system
 from coxkl.bruhat import (
     bruhat_leq,
     cone,
@@ -99,6 +99,24 @@ def test_cone_takes_any_set_of_generators(a3):
     assert cone(a3, v, {0}) == cone(a3, list(v), frozenset({0})) == ((), (1,), (0, 1))
 
 
+def test_leq_rejects_a_noncanonical_word(a3):
+    """e <= s1, but s1 s1 is not the canonical word of e: no answer."""
+    with pytest.raises(InputError, match="u is not a canonical"):
+        bruhat_leq(a3, (0, 0), (0,))
+    with pytest.raises(InputError, match="v is not a canonical"):
+        bruhat_leq(a3, (), (0, 0))
+
+
+@pytest.mark.parametrize("u", [(1.0,), (True,)])
+def test_leq_checks_words_on_a_memo_hit(u):
+    """(1.0,) and (True,) equal (1,) as dict keys, so a memoized answer
+    for s2 <= s1 s2 must not reach them."""
+    a3 = validate_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    assert bruhat_leq(a3, (1,), (0, 1))
+    with pytest.raises(InputError, match="invalid generator index"):
+        bruhat_leq(a3, u, (0, 1))
+
+
 def test_leq_implies_length(b3):
     elems = b3.all_elements()
     for u in elems:
@@ -144,6 +162,8 @@ def test_interval_cutoff(affine_a2):
     v = affine_a2.ball(6)[-1]
     with pytest.raises(PreconditionError):
         interval(affine_a2, (), v, max_len=5)
+    with pytest.raises(PreconditionError, match="cutoff 5"):
+        parabolic_interval(affine_a2, (), v, frozenset(), max_len=5)
 
 
 def test_intervals_graded(a3, b3):

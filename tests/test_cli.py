@@ -397,6 +397,10 @@ REPORT_DIGESTS = {
         "e1f365d462c6e468e632cfc4e4e1dbe36b79c547f0912f632ea940e90aebe934",
         "8b53a41d61176edc96d9de1982a2e772bdbd5c9551e3ab4be0a573ca001f77ea",
     ),
+    "scan_rank4_maximal": (
+        "ebede33ae3ce17563bc9a7fe79247705d39e49c5587278756c683fb2a183e74b",
+        "b31268407e845ffd03ed877c3022302329f0f5d67000fe807173f1061c3f02f0",
+    ),
 }
 
 
@@ -408,6 +412,7 @@ def test_scan_report_bytes_are_pinned(capsys, tmp_path):
     configs = {
         "a3-maximal": CONFIGS / "a3-maximal.json",
         "scan_a3b3_all-len3": tmp_path / "a3b3.json",
+        "scan_rank4_maximal": CONFIGS / "scan_rank4_maximal.json",
     }
     for name, config in configs.items():
         code, _, _ = run(capsys, "scan", "--config", str(config),
@@ -468,6 +473,22 @@ def test_scan_bad_class_x_entry_exits_2(capsys, tmp_path, class_x):
                          str(tmp_path / "r"))
     assert code == 2
     assert out == "" and "class_x entry must be an int or 'inf'" in err
+
+
+def test_verify_reduction_has_no_hidden_length_cap(capsys, tmp_path):
+    """The top elements of the infinite dihedral group's W^J grow past
+    18 letters; the sweep has no cap of its own."""
+    spec = tmp_path / "iinf.json"
+    spec.write_text(json.dumps({
+        "format": 1, "name": "Iinf", "generators": ["s1", "s2"],
+        "matrix": [[1, "inf"], ["inf", 1]],
+    }))
+    code, out, _ = run(
+        capsys, "verify-reduction", "--system", str(spec),
+        "--quotient", "s1", "--max-length", "20",
+    )
+    assert code == 0
+    assert envelope(out)["result"]["summary"]["unequal"] == 0
 
 
 def test_verify_reduction_negative_max_length_exits_2(capsys):

@@ -296,6 +296,27 @@ def test_ball_rejects_bad_radius(a2, radius):
     assert a2.ball(0) == [()]
 
 
+def test_quotient_ball_equals_filtered_ball(a3, b3, affine_a2, h3):
+    assert h3.backend == "general"
+    for sys, radius in ((a3, 6), (b3, 9), (affine_a2, 6), (h3, 15)):
+        ball = sys.ball(radius)
+        for J in all_subsets(sys.generators):
+            assert sys.ball(radius, J) == [w for w in ball if sys.is_min_rep(w, J)]
+
+
+def test_f4_maximal_quotient_balls_have_index_many_elements():
+    f4 = validate_system([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]])
+    # |W| = 1152 over |W_J| = 48 (B3, C3) or 12 (A1 x A2)
+    for s, index in enumerate((24, 96, 96, 24)):
+        assert len(f4.ball(24, set(range(4)) - {s})) == index
+
+
+@pytest.mark.parametrize("J", [{3}, {-1}, {True}, {1.0}])
+def test_ball_rejects_bad_subset(a3, J):
+    with pytest.raises(InputError, match="in subset"):
+        a3.ball(3, J)
+
+
 def test_parse_and_display(a3):
     assert a3.parse_word("s1 s3") == (0, 2)
     assert a3.parse_word("") == ()

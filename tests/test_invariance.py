@@ -193,8 +193,8 @@ def test_marking_constrains_isomorphisms(a2):
 
 
 def test_check_hypothesis_pair_self(a2):
-    case = (a2, (), a2.element("s2 s1"), frozenset({1}))
-    witness = check_hypothesis_pair(case, case)
+    ivl = parabolic_interval(a2, (), a2.element("s2 s1"), frozenset({1}))
+    witness = check_hypothesis_pair(ivl, ivl)
     assert witness is not None
     assert witness.mapping == tuple(range(4))
 
@@ -203,17 +203,19 @@ def test_check_hypothesis_pair_lift_control(a3):
     J = frozenset({1})
     v = a3.element("s1 s2 s1 s3")
     ext = extend_system(a3, J)
-    case = (a3, (), v, J)
-    lifted = (ext.extended, lift(ext, ()), lift(ext, v), ext.maximal_quotient)
-    witness = check_hypothesis_pair(case, lifted)
+    ivl = parabolic_interval(a3, (), v, J)
+    lifted = parabolic_interval(
+        ext.extended, lift(ext, ()), lift(ext, v), ext.maximal_quotient
+    )
+    witness = check_hypothesis_pair(ivl, lifted)
     assert witness is not None
     assert witness.respects_marking
 
 
 def test_check_hypothesis_pair_mismatch(a2):
-    case_a = (a2, (), a2.element("s2 s1"), frozenset({1}))
-    case_b = (a2, (), a2.element("s1 s2"), frozenset())
-    assert check_hypothesis_pair(case_a, case_b) is None
+    ia = parabolic_interval(a2, (), a2.element("s2 s1"), frozenset({1}))
+    ib = parabolic_interval(a2, (), a2.element("s1 s2"), frozenset())
+    assert check_hypothesis_pair(ia, ib) is None
 
 
 def test_is_class_x():
