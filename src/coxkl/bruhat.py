@@ -12,9 +12,14 @@ letter would be wrong for J nonempty, because prefixes of W^J elements
 can leave W^J.  Cones are memoized per system, per (suffix, J).
 Interval covers come from the subword property: the elements covered by
 z are the reduced one-letter deletions of its canonical word.
+Intervals with equal labeled shape (ranks, covers), in any system, share
+one weakly registered record of immutable tables, and one sub-record per
+marking, which also holds the isomorphism search memo.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .core import CoxeterSystem, PreconditionError
 
@@ -109,6 +114,52 @@ def subword_leq_oracle(sys: CoxeterSystem, u, v) -> bool:
     return u in seen
 
 
+class _Shape:
+    """Tables shared by every interval of one labeled shape (ranks, covers)."""
+
+    def __init__(self, ranks, covers):
+        down = [[] for _ in ranks]
+        up = [[] for _ in ranks]
+        ideals = [1 << i for i in range(len(ranks))]
+        for i, j in covers:
+            up[i].append(j)
+            down[j].append(i)
+            ideals[j] |= ideals[i]
+        bits = [1 << i for i in range(len(ranks))]
+        for i, j in reversed(covers):  # sorted, and i < j
+            bits[i] |= bits[j]
+        self.ranks, self.covers = ranks, covers
+        self.adj = (tuple(map(tuple, down)), tuple(map(tuple, up)))
+        self.up_bits = tuple(bits)
+        self.element_shape = tuple(
+            (r, len(d), len(p), i.bit_count(), f.bit_count())
+            for r, d, p, i, f in zip(ranks, down, up, ideals, bits)
+        )
+        self.markings = {}  # marked index set -> _Marking
+
+    def marking(self, marked):
+        got = self.markings.get(marked)
+        if got is None:
+            got = self.markings[marked] = _Marking(self, marked)
+        return got
+
+
+class _Marking:
+    """Tables shared by every interval of one marking of a shape."""
+
+    def __init__(self, shape, marked):
+        self.invariants = tuple(
+            t + (marked is None or i in marked,) for i, t in enumerate(shape.element_shape)
+        )
+        self.fingerprint = tuple(sorted(self.invariants))
+        self.search = {}
+        self.witnesses = weakref.WeakKeyDictionary()  # other _Marking -> mapping
+
+
+# (ranks, covers) -> _Shape, for as long as some interval refers to it
+_SHAPES = weakref.WeakValueDictionary()
+
+
 class IntervalPoset:
     """A Bruhat interval under the induced order.
 
@@ -124,20 +175,17 @@ class IntervalPoset:
         self.J = J
         self.ground = tuple(ground)
         self.index = {z: i for i, z in enumerate(self.ground)}
-        self.ranks = tuple(len(z) - len(bottom) for z in self.ground)
-        self.covers = tuple(sorted(covers))
+        key = (tuple(len(z) - len(bottom) for z in self.ground), tuple(sorted(covers)))
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _SHAPES[key] = _Shape(*key)
+        self._shape = shape
+        self.ranks, self.covers = shape.ranks, shape.covers
         self.marked = None if marked is None else frozenset(marked)
-        self._up_bits = None
-        self._adj = None
-        self._shape = None
-        self._invariants = None
-        self._fingerprint = None
-        self._search = {}
+        self._marking = shape.marking(self.marked)
 
     def with_marking(self, J) -> IntervalPoset:
-        """A copy with [u, v]^J marked, for a frozenset J; it shares every
-        table that does not depend on the marking."""
-        self._element_shape()
+        """A copy with [u, v]^J marked, for a frozenset J."""
         jmask = sum(1 << s for s in J)
         ivl = object.__new__(IntervalPoset)
         ivl.__dict__.update(self.__dict__)
@@ -146,8 +194,7 @@ class IntervalPoset:
             i for i, z in enumerate(self.ground)
             if not self.system._right_descents(z) & jmask
         )
-        ivl._invariants = ivl._fingerprint = None
-        ivl._search = {}
+        ivl._marking = self._shape.marking(ivl.marked)
         return ivl
 
     @property
@@ -158,56 +205,28 @@ class IntervalPoset:
         return self.marked is None or i in self.marked
 
     def adjacency(self):
-        """(down, up): lists of cover neighbors per element index."""
-        if self._adj is None:
-            down = [[] for _ in self.ground]
-            up = [[] for _ in self.ground]
-            for i, j in self.covers:
-                up[i].append(j)
-                down[j].append(i)
-            self._adj = (down, up)
-        return self._adj
+        """(down, up): tuples of cover neighbors per element index."""
+        return self._shape.adj
 
-    def up_bits(self) -> list[int]:
+    def up_bits(self) -> tuple:
         """Per element, the bitmask of interval elements above or equal to it."""
-        if self._up_bits is None:
-            bits = [1 << i for i in range(self.size)]
-            for i, j in reversed(self.covers):  # sorted, and i < j
-                bits[i] |= bits[j]
-            self._up_bits = bits
-        return self._up_bits
+        return self._shape.up_bits
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.up_bits()[i] >> j & 1)
 
-    def _element_shape(self) -> tuple:
-        """element_invariants without the marked flag."""
-        if self._shape is None:
-            down, up = self.adjacency()
-            ideals = [1 << j for j in range(self.size)]
-            for i, j in self.covers:
-                ideals[j] |= ideals[i]
-            self._shape = tuple(
-                (r, len(d), len(p), i.bit_count(), f.bit_count())
-                for r, d, p, i, f in zip(self.ranks, down, up, ideals, self.up_bits())
-            )
-        return self._shape
-
     def element_invariants(self) -> tuple:
         """Per element: (rank, down degree, up degree, ideal size, filter
         size, marked flag).  Preserved by any marked poset isomorphism."""
-        if self._invariants is None:
-            self._invariants = tuple(
-                t + (self.is_marked(i),) for i, t in enumerate(self._element_shape())
-            )
-        return self._invariants
+        return self._marking.invariants
 
     def search_tables(self, respect_marking: bool):
         """(invariant -> element indices, lower-cover bitmask per element)."""
-        got = self._search.get(respect_marking)
+        search = self._marking.search
+        got = search.get(respect_marking)
         if got is None:
             invariants = (
-                self.element_invariants() if respect_marking else self._element_shape()
+                self._marking.invariants if respect_marking else self._shape.element_shape
             )
             classes: dict = {}
             for i, t in enumerate(invariants):
@@ -215,16 +234,14 @@ class IntervalPoset:
             cover_bits = [0] * self.size
             for i, j in self.covers:
                 cover_bits[j] |= 1 << i
-            got = self._search[respect_marking] = (classes, cover_bits)
+            got = search[respect_marking] = (classes, tuple(cover_bits))
         return got
 
     def fingerprint(self) -> tuple:
         """Isomorphism-invariant summary used to prune candidate pairs: the
         sorted element invariants, which fix the size, the (marked) rank
         sizes and the number of covers."""
-        if self._fingerprint is None:
-            self._fingerprint = tuple(sorted(self.element_invariants()))
-        return self._fingerprint
+        return self._marking.fingerprint
 
     def __repr__(self):
         return (

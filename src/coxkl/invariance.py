@@ -180,34 +180,44 @@ def find_isomorphisms(
         pos += 1
 
 
-class ScanCase(NamedTuple):
-    """One (system, J, u, v) instance with its marked interval."""
+class ScanCase:
+    """One (system, J, u, v) instance with its marked interval, and its
+    report label (system name, J names, u, v)."""
 
-    system_name: str
-    system: CoxeterSystem
-    J: frozenset
-    u: tuple
-    v: tuple
-    interval: IntervalPoset
+    __slots__ = ("system", "J", "u", "v", "interval", "label")
 
-    def label(self) -> tuple:
-        sys = self.system
-        return (
-            self.system_name,
-            " ".join(sorted(sys.names[s] for s in self.J)),
-            sys.word_str(self.u),
-            sys.word_str(self.v),
+    def __init__(self, name, system, J, u, v, interval):
+        self.system, self.J, self.u, self.v, self.interval = system, J, u, v, interval
+        self.label = (
+            name,
+            " ".join(sorted(system.names[s] for s in J)),
+            system.word_str(u),
+            system.word_str(v),
         )
 
 
-def check_hypothesis_pair(ia, ib, cap: int = DEFAULT_SIZE_CAP) -> Optional[IsoWitness]:
+def check_hypothesis_pair(ia, ib, cap: int = DEFAULT_SIZE_CAP, counts=None):
     """First isomorphism of the marked intervals ia, ib that maps marked
-    onto marked, if any."""
+    onto marked, if any.  The search reads only sizes, ranks, covers and
+    markings, so its first mapping is memoized per pair of marked shapes
+    and verified again on reuse; counts, if given, counts "searches" and
+    "memo_hits"."""
     if ia.fingerprint() != ib.fingerprint():
         return None
-    for witness in find_isomorphisms(ia, ib, respect_marking=True, cap=cap):
+    if ia.size > cap:  # equal fingerprints, equal sizes
+        raise PreconditionError(f"interval size exceeds the cap of {cap}")
+    memo, key = ia._marking.witnesses, ib._marking
+    hit = key in memo
+    if counts is not None:
+        counts["memo_hits" if hit else "searches"] += 1
+    if not hit:
+        witness = next(find_isomorphisms(ia, ib, respect_marking=True, cap=cap), None)
+        memo[key] = witness and witness.mapping
         return witness
-    return None
+    witness = memo[key] and IsoWitness(ia, ib, memo[key], True)
+    if witness and not witness.verify():
+        raise InvariantError("a memoized witness does not verify")
+    return witness
 
 
 class ScanConfig:
@@ -285,6 +295,8 @@ class ScanReport:
         self.memo = dict.fromkeys(
             ("canonical", "descent", "leq", "cone", "kernel", "R", "P", "Pdual"), 0
         )
+        self.iso = {"searches": 0, "memo_hits": 0}
+        self.shapes = 0  # distinct marked shapes among the cases
 
     @property
     def ok(self) -> bool:
@@ -321,6 +333,8 @@ class ScanReport:
             "controls_checked": self.controls_checked,
             "kernels": {name: "+".join(sorted(k)) for name, k in self.kernels.items()},
             "memo": dict(self.memo),
+            "iso": dict(self.iso),
+            "shapes": self.shapes,
         }
 
     def count_tables(self, name: str, sys: CoxeterSystem) -> None:
@@ -383,8 +397,8 @@ def _poly_equal_check(report, case_a, case_b, config, control=False):
                         "control": control,
                         "kind": kind,
                         "type": x,
-                        "case_a": case_a.label(),
-                        "case_b": case_b.label(),
+                        "case_a": case_a.label,
+                        "case_b": case_b.label,
                         "poly_a": str(LaurentPoly(pa)),
                         "poly_b": str(LaurentPoly(pb)),
                     }
@@ -393,16 +407,7 @@ def _poly_equal_check(report, case_a, case_b, config, control=False):
 
 
 def _row(report, case_a, case_b, kind, iso, equal):
-    la, lb = case_a.label(), case_b.label()
-    report.rows.append(
-        (
-            la[0], la[1], la[2], la[3],
-            lb[0], lb[1], lb[2], lb[3],
-            kind,
-            int(iso),
-            int(equal),
-        )
-    )
+    report.rows.append((*case_a.label, *case_b.label, kind, int(iso), int(equal)))
 
 
 def _enumerate_cases(report, config):
@@ -434,14 +439,14 @@ def _run_controls(report, cases, config, extensions):
     from .extension import extend_system, lift
 
     for case in cases:
-        key = (case.system_name, case.J)
+        key = (case.label[0], case.J)
         ext = extensions.get(key)
         if ext is None:
             ext = extend_system(case.system, case.J, class_x=config.class_x)
             extensions[key] = ext
         lu, lv = lift(ext, case.u), lift(ext, case.v)
         lifted = ScanCase(
-            case.system_name + "~ext",
+            case.label[0] + "~ext",
             ext.extended,
             ext.maximal_quotient,
             lu,
@@ -449,7 +454,7 @@ def _run_controls(report, cases, config, extensions):
             _build_interval(ext.extended, lu, lv, ext.maximal_quotient),
         )
         witness = check_hypothesis_pair(
-            case.interval, lifted.interval, cap=config.max_interval_size
+            case.interval, lifted.interval, config.max_interval_size, report.iso
         )
         report.controls_checked += 1
         if witness is None:
@@ -457,8 +462,8 @@ def _run_controls(report, cases, config, extensions):
                 {
                     "control": True,
                     "kind": "iso",
-                    "case_a": case.label(),
-                    "case_b": lifted.label(),
+                    "case_a": case.label,
+                    "case_b": lifted.label,
                     "detail": "lifted pair not detected as isomorphic",
                 }
             )
@@ -482,7 +487,7 @@ def _match_buckets(report, buckets, config) -> bool:
                 rep = cls[0]
                 report.pairs_checked += 1
                 witness = check_hypothesis_pair(
-                    case.interval, rep.interval, cap=config.max_interval_size
+                    case.interval, rep.interval, config.max_interval_size, report.iso
                 )
                 if witness is not None:
                     report.hypothesis_hits += 1
@@ -517,6 +522,7 @@ def scan(config: ScanConfig) -> ScanReport:
     t = clock()
     cases = _enumerate_cases(report, config)
     report.cases = len(cases)
+    report.shapes = len({case.interval._marking for case in cases})
     seconds["enumerate"] = clock() - t
     t = clock()
     buckets: dict = {}

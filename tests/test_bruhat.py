@@ -3,7 +3,9 @@ lifting recursion, quotient cones built from the left letter, and raw 2^l
 subword enumeration, plus the Ehresmann dominance criterion on the
 symmetric-group model."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from coxkl.bruhat import (
     parabolic_interval,
     subword_leq_oracle,
 )
+from coxkl.extension import extend_system, lift
 
 
 def test_identity_below_everything(a3):
@@ -179,6 +182,39 @@ def test_intervals_graded(a3, b3):
                     assert covers_up, "non-top element missing an up cover"
                 for j in covers_up:
                     assert ivl.ranks[j] == ivl.ranks[i] + 1
+
+
+def test_equal_shapes_share_immutable_tables(a3):
+    """A case and its lift to the extended system have equal ranks and
+    covers but different systems; they share one set of tables, which no
+    caller can change."""
+    J = frozenset({1})
+    v = a3.element("s1 s2 s1 s3")
+    ext = extend_system(a3, J)
+    ivl = parabolic_interval(a3, (), v, J)
+    lifted = parabolic_interval(
+        ext.extended, lift(ext, ()), lift(ext, v), ext.maximal_quotient
+    )
+    assert ivl.system is not lifted.system
+    assert (ivl.ranks, ivl.covers, ivl.marked) == (lifted.ranks, lifted.covers, lifted.marked)
+    for name in ("adjacency", "up_bits", "element_invariants", "fingerprint"):
+        assert getattr(ivl, name)() is getattr(lifted, name)(), name
+    assert ivl.search_tables(True) is lifted.search_tables(True)
+    down, up = ivl.adjacency()
+    assert type(ivl.up_bits()) is tuple
+    assert all(type(t) is tuple for t in (down, up, *down, *up))
+    # the unmarked interval has the same shape and a marking of its own
+    full = interval(a3, (), v)
+    assert full.up_bits() is ivl.up_bits()
+    assert full.fingerprint() != ivl.fingerprint()
+
+
+def test_shape_records_live_only_while_an_interval_does(a3):
+    ivl = interval(a3, (), a3.element("s1 s2 s3 s2"))
+    record = weakref.ref(ivl._shape)
+    del ivl
+    gc.collect()
+    assert record() is None
 
 
 def test_parabolic_interval_example(a2):

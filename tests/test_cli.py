@@ -401,6 +401,10 @@ REPORT_DIGESTS = {
         "ebede33ae3ce17563bc9a7fe79247705d39e49c5587278756c683fb2a183e74b",
         "b31268407e845ffd03ed877c3022302329f0f5d67000fe807173f1061c3f02f0",
     ),
+    "scan_rank4_maximal-F4-len24": (
+        "5dda173962c4df1843e7d1e360d1d7876d8ebc6dc58e12c8dff16334482c860b",
+        "236c4f09e6a5b6bdb58cf8a017008f3ec605bbee2ce47390064393513a2626fa",
+    ),
 }
 
 
@@ -409,10 +413,17 @@ def test_scan_report_bytes_are_pinned(capsys, tmp_path):
     a3b3["max_length"] = 3
     assert a3b3["lift_controls"] is True
     (tmp_path / "a3b3.json").write_text(json.dumps(a3b3))
+    # F4's four maximal quotients at full length (its longest element has
+    # 24 letters): 3,438 cases
+    f4 = json.loads((CONFIGS / "scan_rank4_maximal.json").read_text())
+    f4["systems"] = [spec for spec in f4["systems"] if spec["name"] == "F4"]
+    f4["max_length"] = 24
+    (tmp_path / "f4.json").write_text(json.dumps(f4))
     configs = {
         "a3-maximal": CONFIGS / "a3-maximal.json",
         "scan_a3b3_all-len3": tmp_path / "a3b3.json",
         "scan_rank4_maximal": CONFIGS / "scan_rank4_maximal.json",
+        "scan_rank4_maximal-F4-len24": tmp_path / "f4.json",
     }
     for name, config in configs.items():
         code, _, _ = run(capsys, "scan", "--config", str(config),
@@ -434,7 +445,7 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path):
     obj = envelope(out)
     stats, summary = obj["stats"], obj["result"]["summary"]
     assert set(stats) == {"phase_seconds", "cases", "pairs_checked",
-                          "controls_checked", "kernels", "memo"}
+                          "controls_checked", "kernels", "memo", "iso", "shapes"}
     assert stats["kernels"] == {"A3": "ring:int", "A3~ext": "ring:int"}
     assert set(stats["memo"]) == {"canonical", "descent", "leq", "cone", "kernel",
                                   "R", "P", "Pdual"}
@@ -445,6 +456,13 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path):
     assert stats["phase_seconds"]["controls"] > 0
     for key in ("cases", "pairs_checked", "controls_checked"):
         assert stats[key] == summary[key]
+    # one search per pair of marked shapes; every other check is a memo hit
+    iso = stats["iso"]
+    assert set(iso) == {"searches", "memo_hits"}
+    assert iso["searches"] > 0 and iso["memo_hits"] > 0
+    assert iso["searches"] + iso["memo_hits"] <= (
+        summary["pairs_checked"] + summary["controls_checked"])
+    assert 0 < stats["shapes"] < summary["cases"]
     assert "stats" not in (tmp_path / "r.json").read_text()
 
 

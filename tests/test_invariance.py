@@ -1,11 +1,13 @@
 """Isomorphism search, hypothesis detection, and scanning."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from conftest import all_subsets
-from coxkl import INF, InputError, PreconditionError, validate_system
+from coxkl import INF, InputError, InvariantError, PreconditionError, validate_system
 from coxkl.bruhat import bruhat_leq, cone, interval, parabolic_interval
 from coxkl.core import CoxeterMatrix
 from coxkl.extension import extend_system, lift
@@ -19,6 +21,9 @@ from coxkl.invariance import (
     is_class_x,
     scan,
 )
+from coxkl.serialize import scan_config_from_jsonable
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_chain_has_one_isomorphism(a2, b3):
@@ -216,6 +221,59 @@ def test_check_hypothesis_pair_mismatch(a2):
     ia = parabolic_interval(a2, (), a2.element("s2 s1"), frozenset({1}))
     ib = parabolic_interval(a2, (), a2.element("s1 s2"), frozenset())
     assert check_hypothesis_pair(ia, ib) is None
+
+
+def test_memoized_witnesses_are_the_first_ones_found():
+    """check_hypothesis_pair searches once per pair of marked shapes.  On
+    every pair that the scan of scan_a3b3_all at max_length 3 can check
+    (a case and an earlier one with an equal fingerprint, and each case
+    with its lift),
+    it returns the first mapping of a fresh search, and the same mapping
+    again on a second call."""
+    obj = json.loads((CONFIGS / "scan_a3b3_all.json").read_text())
+    obj["max_length"] = 3
+    cases = _enumerate_cases(ScanReport({}), scan_config_from_jsonable(obj))
+    buckets = {}
+    for case in cases:
+        buckets.setdefault(case.interval.fingerprint(), []).append(case.interval)
+    # the scan checks a later case against an earlier one
+    pairs = [(b, a) for bucket in buckets.values()
+             for a, b in itertools.combinations(bucket, 2)]
+    extensions = {}
+    for case in cases:
+        key = (case.label[0], case.J)
+        if key not in extensions:
+            extensions[key] = extend_system(case.system, case.J)
+        ext = extensions[key]
+        pairs.append((case.interval, parabolic_interval(
+            ext.extended, lift(ext, case.u), lift(ext, case.v), ext.maximal_quotient)))
+    counts = {"searches": 0, "memo_hits": 0}
+    for a, b in pairs:
+        got = check_hypothesis_pair(a, b, counts=counts)
+        fresh = next(find_isomorphisms(a, b, respect_marking=True), None)
+        assert (got and got.mapping) == (fresh and fresh.mapping)
+        again = check_hypothesis_pair(a, b, counts=counts)
+        assert (again and again.mapping) == (got and got.mapping)
+        assert got is None or (got.source, got.target) == (again.source, again.target) == (a, b)
+    assert counts["searches"] + counts["memo_hits"] == 2 * len(pairs)
+    assert 0 < counts["searches"] < len(pairs) < counts["memo_hits"]
+
+
+def test_memoized_witness_is_verified_again(a3):
+    """A remembered mapping that does not verify on the actual pair
+    raises InvariantError instead of being returned."""
+    v = a3.element("s1 s2 s1 s3")
+    ia = parabolic_interval(a3, (), v, frozenset({1}))
+    ib = parabolic_interval(a3, (), v, frozenset({1}))
+    witness = check_hypothesis_pair(ia, ib)
+    assert witness is not None and witness.mapping == tuple(range(ia.size))
+    memo = ia._marking.witnesses
+    memo[ib._marking] = (1, 0) + tuple(range(2, ia.size))
+    try:
+        with pytest.raises(InvariantError):
+            check_hypothesis_pair(ia, ib)
+    finally:
+        del memo[ib._marking]
 
 
 def test_is_class_x():
