@@ -2,14 +2,16 @@
 
 Comparisons use the lifting recursion on the least left descent of the
 larger element (which is the first letter of its canonical word).
-Every walk below an element goes through one structure, the lower cone
-inside a quotient, {u in W^J : u <= v}.  It is built from the left
+Intervals and `cone` walk the lower cone inside a quotient,
+{u in W^J : u <= v}.  It is built from the left
 letter of v: with v = s v' (v' is again canonical and in W^J), the cone
 of v is the cone of v' together with every s z, z in that cone, that is
 longer than z and in W^J.  This is the lifting property (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 2.2.7); building from the last
 letter would be wrong for J nonempty, because prefixes of W^J elements
 can leave W^J.  Cones are memoized per system, per (suffix, J).
+The polynomial recursions read one numbered index per (system, J)
+instead (`_Order`): u <= v is a bit test, [u, v]^J is up[u] & down[v].
 Interval covers come from the subword property: the elements covered by
 z are the reduced one-letter deletions of its canonical word.
 Intervals with equal labeled shape (ranks, covers), in any system, share
@@ -19,6 +21,7 @@ marking, which also holds the isomorphism search memo.
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 from .core import CoxeterSystem, PreconditionError
@@ -97,6 +100,77 @@ def _cone(sys: CoxeterSystem, v: tuple, J: frozenset) -> tuple:
         got = tuple(sorted(elems, key=lambda w: (len(w), w)))
         cache[(v[i:], J)] = got
     return got
+
+
+def _bits(mask: int):
+    """The set bit positions of mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Order:
+    """W^J elements, numbered as met: words[i] has id i, lower covers[i]
+    and bitmasks down[i] (ids <= it) and up[i] (ids >= it).  An id is
+    published under the lock, after its bits."""
+
+    def __init__(self, jmask: int):
+        self.jmask, self.lock = jmask, threading.Lock()
+        self.ids, self.words, self.covers, self.down, self.up = {}, [], [], [], []
+
+    def id(self, sys, v) -> int:
+        """The id of v (canonical, in W^J), numbering its cone first."""
+        got = self.ids.get(v)
+        if got is None:
+            with self.lock:
+                if v not in self.ids:
+                    self._number(sys, v)
+            got = self.ids[v]
+        return got
+
+    def leq(self, sys, u, v) -> bool:
+        down = self.down[self.id(sys, v)]
+        i = self.ids.get(u)
+        return i is not None and down >> i & 1 == 1
+
+    def between(self, u, v):
+        """[u, v]^J, for numbered u and v."""
+        return map(self.words.__getitem__, _bits(self.up[self.ids[u]] & self.down[self.ids[v]]))
+
+    def _number(self, sys, v):
+        # W^J is graded (Bjorner-Brenti 2.5.5): z covers the reduced
+        # one-letter deletions of its word in W^J
+        ids, below, todo = self.ids, {v: None}, [v]
+        while todo:
+            z = todo.pop()
+            below[z] = []
+            for k in range(len(z)):
+                y, reduced = sys._canonical(z[:k] + z[k + 1:])
+                if reduced and not (self.jmask and sys._right_descents(y) & self.jmask):
+                    below[z].append(y)
+                    if y not in ids and y not in below:
+                        below[y] = None
+                        todo.append(y)
+        for z in sorted(below, key=len):
+            i = len(self.words)
+            covers = tuple(ids[y] for y in below[z])
+            down = 1 << i
+            for c in covers:
+                down |= self.down[c]
+            self.up.append(0)
+            for j in _bits(down):
+                self.up[j] |= 1 << i
+            self.words.append(z)
+            self.covers.append(covers)
+            self.down.append(down)
+            ids[z] = i
+
+
+def _order(sys: CoxeterSystem, J: frozenset) -> _Order:
+    """The system's numbered order on W^J, made on first use."""
+    orders = sys.caches.get("order") or sys.caches.setdefault("order", {})
+    return orders.get(J) or orders.setdefault(J, _Order(sum(1 << s for s in J)))
 
 
 def subword_leq_oracle(sys: CoxeterSystem, u, v) -> bool:

@@ -45,6 +45,11 @@ def affine_a2():
 
 
 @pytest.fixture(scope="session")
+def d4():
+    return validate_system([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+
+
+@pytest.fixture(scope="session")
 def h3():
     return validate_system([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
 

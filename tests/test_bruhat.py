@@ -5,13 +5,20 @@ symmetric-group model."""
 
 import gc
 import random
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import all_subsets, naive_closure
 from coxkl import InputError, PreconditionError, validate_system
 from coxkl.bruhat import (
+    _bits,
+    _leq,
+    _Order,
+    _order,
     bruhat_leq,
     cone,
     deodhar_criterion,
@@ -20,6 +27,7 @@ from coxkl.bruhat import (
     subword_leq_oracle,
 )
 from coxkl.extension import extend_system, lift
+from coxkl.klpoly import KLTable
 
 
 def test_identity_below_everything(a3):
@@ -310,3 +318,100 @@ def test_lifting_matches_subword_inside_intervals(a3):
         for z1 in ivl.ground:
             for z2 in ivl.ground:
                 assert bruhat_leq(a3, z1, z2) == subword_leq_oracle(a3, z1, z2)
+
+
+# -- the numbered order index ---------------------------------------------------
+
+
+def _check_index(order):
+    """Ids are a bijection, and down, up and covers agree with each other."""
+    assert len(order.ids) == len(order.words)
+    for i, z in enumerate(order.words):
+        assert order.ids[z] == i
+        closure = 1 << i
+        for c in order.covers[i]:
+            closure |= order.down[c]
+        assert order.down[i] == closure
+        assert order.up[i] == sum(1 << j for j, d in enumerate(order.down) if d >> i & 1)
+
+
+@pytest.mark.parametrize("fixture", ["a3", "b3", "h3", "affine_a2"])
+def test_order_index_matches_leq(fixture, request):
+    """A fresh index per J, filled at radius 5 in a shuffled order: its bit
+    test is `_leq` (and the subword oracle up to length 4), up[u] & down[v]
+    decodes to the quotient interval cut from the cone, and the covers of
+    each element are the W^J elements one length below it."""
+    w = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    for J in all_subsets(w.generators):
+        ball = w.ball(5, J)
+        order = _Order(w.subset_mask(J))
+        for v in rng.sample(ball, len(ball)):
+            order.id(w, v)
+        _check_index(order)
+        for v in ball:
+            iv = order.ids[v]
+            below = {z for z in ball if _leq(w, z, v)}
+            assert {order.words[c] for c in order.covers[iv]} == {
+                z for z in below if len(z) == len(v) - 1}
+            for u in ball:
+                leq = order.leq(w, u, v)
+                assert leq == (u in below)
+                if len(v) <= 4:
+                    assert leq == subword_leq_oracle(w, u, v)
+                if leq:
+                    assert set(order.between(u, v)) == {
+                        z for z in cone(w, v, J) if _leq(w, u, z)}
+
+
+class _CheckedIds(dict):
+    """An index's id table that refuses an id published without the
+    index's lock, or before the element's bits are written."""
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __setitem__(self, z, i):
+        o = self.order
+        if not (o.lock.locked() and len(o.words) == len(o.up) == i + 1 and o.words[i] == z
+                and all(o.up[j] >> i & 1 for j in _bits(o.down[i]))):
+            raise AssertionError(f"id {i} published before its bits, or without the lock")
+        super().__setitem__(z, i)
+
+
+def test_threads_fill_one_order_index_consistently():
+    """Four threads, each with its own polynomial table, run the duality
+    solver on one fresh system in four orders, so they number the same
+    cones at once.  Every id must be published under the index's lock and
+    after its bits, every answer must equal a serial one, and the filled
+    index must be consistent."""
+    matrix = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
+    shared, serial = validate_system(matrix), validate_system(matrix)
+    subsets = all_subsets(range(3))
+    for J in subsets:
+        order = shared.caches.setdefault("order", {})[J] = _Order(shared.subset_mask(J))
+        order.ids = _CheckedIds(order)
+    jobs = [(J, v) for J in subsets for v in serial.ball(6, J)]
+    table = KLTable(serial)
+    expected = {job: table.parabolic_kl_duality((), job[1], job[0], "q") for job in jobs}
+    start = threading.Barrier(4)
+
+    def work(seed):
+        table = KLTable(shared)
+        start.wait(timeout=60)
+        return {job: table.parabolic_kl_duality((), job[1], job[0], "q")
+                for job in random.Random(seed).sample(jobs, len(jobs))}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = [f.result(timeout=300) for f in [pool.submit(work, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(got == expected for got in results)
+    for J in subsets:
+        order = _order(shared, J)
+        _check_index(order)
+        assert set(order.words) == set(_order(serial, J).words)

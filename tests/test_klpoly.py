@@ -4,6 +4,7 @@ parabolic-to-ordinary identities, and invariant checks that hold under
 python -O."""
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -176,6 +177,33 @@ def test_d4_fast_path_equals_duality_on_maximal_quotients():
     assert sizes == [8, 24, 8, 8]
 
 
+# sha256 of every entry of the whole tables; a change that alters them must
+# say why here
+TABLE_DIGESTS = {
+    "b3": "167f48afd6fea4391b7c20a73dbdc1851d46b24dade0bf779cd93676c081de12",
+    "h3": "efd87b19f672abd3311274f898d8ac7048a0812043cedcd16b4b9a5734978c7b",
+}
+
+
+@pytest.mark.parametrize("fixture", ["b3", "h3"])
+def test_whole_tables_are_pinned(fixture, request):
+    """Every P by the recursion and by the duality solver, and every R, of
+    both types, over the whole group: for every J on B3, for J = {} on H3
+    (the general backend)."""
+    sys = request.getfixturevalue(fixture)
+    elems = sys.all_elements()
+    t = KLTable(sys)
+    digest = hashlib.sha256()
+    for J in all_subsets(sys.generators) if fixture == "b3" else [frozenset()]:
+        for u, v in _pairs(sys, elems, J):
+            for x in ("q", "-1"):
+                polys = (t.parabolic_kl(u, v, J, x), t.parabolic_kl_duality(u, v, J, x),
+                         t.parabolic_r(u, v, J, x))
+                entry = (sorted(J), x, u, v, [(p.offset, p.coeffs) for p in polys])
+                digest.update(repr(entry).encode())
+    assert digest.hexdigest() == TABLE_DIGESTS[fixture]
+
+
 def test_h3_longest_element_polynomial_is_one(h3):
     w0 = h3.all_elements()[-1]
     assert len(w0) == 15
@@ -268,6 +296,8 @@ def test_dropped_system_is_freed_without_gc():
     try:
         system = coxkl.validate_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
         table = get_table(system)
+        # the duality solver fills the system's order index first
+        assert table.parabolic_kl_duality((), (0, 1, 0), frozenset(), "q") == ONE
         assert table.parabolic_kl((), (0, 1, 0), frozenset(), "q") == ONE
         alive = weakref.ref(system)
         del system
@@ -323,10 +353,12 @@ def test_duality_rejects_memoized_entry_above_its_degree(a2):
 # -- Deodhar's identities: parabolic against ordinary ------------------------------
 
 
-@pytest.mark.parametrize("fixture, expected", [("a3", 234), ("b3", 860)])
-def test_deodhar_identities(fixture, expected, request):
-    """For every J with |J| in {1, 2} and every u <= v in W^J (Deodhar,
-    J. Algebra 111, 1987):
+@pytest.mark.parametrize("fixture, sizes, expected",
+                         [("a3", (1, 2), 234), ("b3", (1, 2), 860), ("d4", (3,), 351)],
+                         ids=["a3-234", "b3-860", "d4-351"])
+def test_deodhar_identities(fixture, sizes, expected, request):
+    """For every J with |J| in sizes (on D4, the four maximal quotients)
+    and every u <= v in W^J (Deodhar, J. Algebra 111, 1987):
 
         P^{J,q}_{u,v} = P_{u w_J, v w_J}
         P^{J,-1}_{u,v} = sum over z in W_J with uz <= v of (-1)^l(z) P_{uz,v}
@@ -340,7 +372,7 @@ def test_deodhar_identities(fixture, expected, request):
     E = frozenset()
     count = 0
     for J in all_subsets(sys.generators):
-        if len(J) not in (1, 2):
+        if len(J) not in sizes:
             continue
         W_J = [z for z in elems if set(z) <= J]
         w_J = W_J[-1]  # elems are sorted by length, and W_J is finite
