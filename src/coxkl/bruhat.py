@@ -1,19 +1,15 @@
 """Bruhat order, interval posets, and the maximal-quotient splitting check.
 
-Comparisons use the lifting recursion on the least left descent of the
-larger element (which is the first letter of its canonical word).
-Intervals and `cone` walk the lower cone inside a quotient,
-{u in W^J : u <= v}.  It is built from the left
-letter of v: with v = s v' (v' is again canonical and in W^J), the cone
-of v is the cone of v' together with every s z, z in that cone, that is
-longer than z and in W^J.  This is the lifting property (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, Prop. 2.2.7); building from the last
-letter would be wrong for J nonempty, because prefixes of W^J elements
-can leave W^J.  Cones are memoized per system, per (suffix, J).
-The polynomial recursions read one numbered index per (system, J)
-instead (`_Order`): u <= v is a bit test, [u, v]^J is up[u] & down[v].
-Interval covers come from the subword property: the elements covered by
-z are the reduced one-letter deletions of its canonical word.
+Order facts live in one numbered index per (system, J) (`_Order`): each
+element of W^J met gets an id after its lower covers in W^J (the reduced
+one-letter deletions of its word that stay in W^J), and bitmasks of the
+ids below and above it, so u <= v is a bit test and [u, v]^J is
+up[u] & down[v].  Cones, intervals and their covers, and the polynomial
+recursions all read it.  The public `bruhat_leq` walks the lifting
+recursion instead (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+Prop. 2.2.7), on the least left descent of the larger element (the first
+letter of its canonical word), since numbering the cone of a long word
+can cost exponentially many elements.
 Intervals with equal labeled shape (ranks, covers), in any system, share
 one weakly registered record of immutable tables, and one sub-record per
 marking, which also holds the isomorphism search memo.
@@ -36,70 +32,35 @@ def _leq(sys: CoxeterSystem, u: tuple, v: tuple) -> bool:
     """`bruhat_leq` for canonical words that coxkl made or checked."""
     if len(u) > len(v):
         return False
-    if u == v:
-        return True
-    cache = sys.caches.get("leq")
-    if cache is None:
-        cache = sys.caches["leq"] = {}
-    res = cache.get((u, v))
-    if res is not None:
-        return res
-    uu, vv = u, v
     mask = None
-    while True:
-        if not uu:
-            res = True
-            break
-        if len(uu) >= len(vv):
-            res = uu == vv
-            break
-        s = vv[0]
-        vv = vv[1:]
+    while u:
+        if len(u) >= len(v):
+            return u == v
+        s = v[0]
+        v = v[1:]
         if mask is None:
-            mask = sys._right_descents(uu[::-1])
+            mask = sys._right_descents(u[::-1])
         if mask >> s & 1:
-            uu = sys._left_mul(s, uu)
+            u = sys._left_mul(s, u)
             mask = None
-    cache[(u, v)] = res
-    return res
+    return True
 
 
 def cone(sys: CoxeterSystem, v, J=frozenset()) -> tuple:
     """The lower cone {u in W^J : u <= v}, sorted by (length, word).
 
     v must be a canonical word in W^J, for J a set of generators; the
-    default J = {} gives the whole interval [e, v].  The cones of all
-    suffixes of v are memoized on the way.
+    default J = {} gives the whole interval [e, v].
     """
     J = sys.check_subset(J)
-    return _cone(sys, sys._check_rep(v, sum(1 << s for s in J), "v"), J)
+    order = _order(sys, J)
+    v = sys._check_rep(v, order.jmask, "v")
+    order.id(sys, v)
+    return tuple(sorted(order.between((), v), key=_by_length))
 
 
-def _cone(sys: CoxeterSystem, v: tuple, J: frozenset) -> tuple:
-    """`cone` for a canonical word v in W^J that coxkl made or checked."""
-    cache = sys.caches.get("cone")
-    if cache is None:
-        cache = sys.caches["cone"] = {}
-    # the longest suffix whose cone is known; the empty word's is {e}
-    i = 0
-    got = cache.get((v, J))
-    while got is None and i < len(v):
-        i += 1
-        got = cache.get((v[i:], J))
-    if got is None:
-        got = ((),)
-    jmask = sum(1 << s for s in J)
-    while i:
-        i -= 1
-        s = v[i]
-        elems = set(got)
-        for z in got:
-            sz = sys._left_mul(s, z)
-            if len(sz) > len(z) and not (jmask and sys._right_descents(sz) & jmask):
-                elems.add(sz)
-        got = tuple(sorted(elems, key=lambda w: (len(w), w)))
-        cache[(v[i:], J)] = got
-    return got
+def _by_length(w: tuple):
+    return len(w), w
 
 
 def _bits(mask: int):
@@ -330,7 +291,7 @@ def _build_interval(sys, u, v, J):
     jmask = 0 if J is None else sum(1 << s for s in J)
     u = sys._check_rep(u, jmask, "u")
     v = sys._check_rep(v, jmask, "v")
-    if not _leq(sys, u, v):
+    if not _order(sys, frozenset()).leq(sys, u, v):
         raise PreconditionError("u is not <= v in Bruhat order")
     ivl = _interval(sys, u, v)
     return ivl if J is None else ivl.with_marking(J)
@@ -345,22 +306,13 @@ def _cutoff(v, max_len: int):
 
 def _interval(sys, u, v) -> IntervalPoset:
     """The unmarked interval [u, v], for canonical words u <= v."""
-    ground = [z for z in _cone(sys, v, frozenset()) if _leq(sys, u, z)]
-    index = {z: i for i, z in enumerate(ground)}
-    covers = []
-    for j, z in enumerate(ground):
-        if len(z) - len(u) < 2:
-            # ground[0] = u, and it is covered by every element of rank 1
-            if len(z) > len(u):
-                covers.append((0, j))
-            continue
-        # z covers exactly the reduced one-letter deletions of its word
-        for k in range(len(z)):
-            y, reduced = sys._canonical(z[:k] + z[k + 1:])
-            i = index.get(y) if reduced else None
-            if i is not None:
-                covers.append((i, j))
-    return IntervalPoset(sys, u, v, None, ground, covers, None)
+    order = _order(sys, frozenset())
+    words = order.words
+    span = order.down[order.id(sys, v)] & order.up[order.ids[u]]
+    ids = sorted(_bits(span), key=lambda i: _by_length(words[i]))
+    pos = {i: k for k, i in enumerate(ids)}
+    covers = [(pos[c], k) for k, i in enumerate(ids) for c in order.covers[i] if span >> c & 1]
+    return IntervalPoset(sys, u, v, None, map(words.__getitem__, ids), covers, None)
 
 
 def interval(sys: CoxeterSystem, u, v, max_len: int = 18) -> IntervalPoset:

@@ -293,7 +293,7 @@ class ScanReport:
         )
         self.kernels: dict = {}  # system name -> set of kernel kinds
         self.memo = dict.fromkeys(
-            ("canonical", "descent", "leq", "cone", "order", "kernel", "R", "P", "Pdual"), 0
+            ("canonical", "descent", "order", "kernel", "R", "P", "Pdual"), 0
         )
         self.iso = {"searches": 0, "memo_hits": 0}
         self.shapes = 0  # distinct marked shapes among the cases
@@ -343,8 +343,6 @@ class ScanReport:
         memo = self.memo
         memo["canonical"] += len(sys.canonical_memo)
         memo["descent"] += len(sys.descent_memo)
-        memo["leq"] += len(sys.caches.get("leq", ()))
-        memo["cone"] += len(sys.caches.get("cone", ()))
         memo["order"] += sum(len(o.words) for o in sys.caches.get("order", {}).values())
         memo["kernel"] += sys.kernel.table_size()
         table = sys.caches.get("kltable")

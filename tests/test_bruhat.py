@@ -1,7 +1,7 @@
 """Order comparisons and interval construction, cross-checked three ways:
-lifting recursion, quotient cones built from the left letter, and raw 2^l
-subword enumeration, plus the Ehresmann dominance criterion on the
-symmetric-group model."""
+lifting recursion, cones and intervals read from the numbered order
+index, and raw 2^l subword enumeration, plus the Ehresmann dominance
+criterion on the symmetric-group model."""
 
 import gc
 import random
@@ -259,22 +259,40 @@ def test_parabolic_interval_requires_min_reps(a2):
         parabolic_interval(a2, (), (1,), frozenset({1}))
 
 
-def test_covers_match_naive_order(b3):
-    """Every interval [u, v] of B3 with l(v) <= 5: the ground set and the
-    covers (length-one steps) against the subword order."""
-    elems = [w for w in b3.all_elements() if len(w) <= 5]
-    lower = {z: naive_closure(b3, z) for z in elems}
-    for v in elems:
-        for u in lower[v]:
-            ivl = interval(b3, u, v)
-            assert set(ivl.ground) == {z for z in lower[v] if u in lower[z]}
-            expected = [
-                (i, j)
-                for i, zi in enumerate(ivl.ground)
-                for j, zj in enumerate(ivl.ground)
-                if len(zj) == len(zi) + 1 and zi in lower[zj]
-            ]
-            assert ivl.covers == tuple(sorted(expected))
+def _check_intervals_against_subwords(sys, pairs):
+    """Each interval [u, v]: the ground set and the covers (length-one
+    steps) against the order of subword products."""
+    lower = {}
+    for u, v in pairs:
+        if v not in lower:
+            for z in naive_closure(sys, v):
+                if z not in lower:
+                    lower[z] = naive_closure(sys, z)
+        ivl = interval(sys, u, v)
+        assert set(ivl.ground) == {z for z in lower[v] if u in lower[z]}
+        expected = [
+            (i, j)
+            for i, zi in enumerate(ivl.ground)
+            for j, zj in enumerate(ivl.ground)
+            if len(zj) == len(zi) + 1 and zi in lower[zj]
+        ]
+        assert ivl.covers == tuple(sorted(expected))
+
+
+def test_covers_match_naive_order(b3, h3, affine_a2):
+    """Every interval [u, v] with l(v) <= 5 of B3, of H3 on the general
+    backend and of the affine group A2~, and a case and its lift in an
+    extended system: ground sets and covers come from the order index."""
+    for sys in (b3, h3, affine_a2):
+        elems = sys.ball(5)
+        _check_intervals_against_subwords(
+            sys, [(u, v) for v in elems for u in naive_closure(sys, v)])
+    J = frozenset({1})
+    v = b3.ball(5, J)[-1]
+    u = cone(b3, v, J)[1]
+    ext = extend_system(b3, J)
+    _check_intervals_against_subwords(b3, [(u, v)])
+    _check_intervals_against_subwords(ext.extended, [(lift(ext, u), lift(ext, v))])
 
 
 # -- maximal-quotient splitting ----------------------------------------------------
@@ -339,7 +357,7 @@ def _check_index(order):
 def test_order_index_matches_leq(fixture, request):
     """A fresh index per J, filled at radius 5 in a shuffled order: its bit
     test is `_leq` (and the subword oracle up to length 4), up[u] & down[v]
-    decodes to the quotient interval cut from the cone, and the covers of
+    decodes to the quotient interval cut from `_leq`'s lower set, and the covers of
     each element are the W^J elements one length below it."""
     w = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
@@ -360,8 +378,7 @@ def test_order_index_matches_leq(fixture, request):
                 if len(v) <= 4:
                     assert leq == subword_leq_oracle(w, u, v)
                 if leq:
-                    assert set(order.between(u, v)) == {
-                        z for z in cone(w, v, J) if _leq(w, u, z)}
+                    assert set(order.between(u, v)) == {z for z in below if _leq(w, u, z)}
 
 
 class _CheckedIds(dict):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from coxkl.cli import main
+from coxkl.invariance import ScanReport
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -436,20 +437,32 @@ def test_scan_report_bytes_are_pinned(capsys, tmp_path):
         assert digests == REPORT_DIGESTS[name], name
 
 
-def test_scan_stats_in_envelope_only(capsys, tmp_path):
+def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
+    systems = []
+    count_tables = ScanReport.count_tables
+
+    def counted(report, name, sys):
+        systems.append(sys)
+        count_tables(report, name, sys)
+
+    monkeypatch.setattr(ScanReport, "count_tables", counted)
     code, out, _ = run(
         capsys, "scan", "--config", str(CONFIGS / "a3-maximal.json"),
         "--out", str(tmp_path / "r"),
     )
     assert code == 0
+    # order facts have one store per system, the numbered index
+    assert systems
+    for sys in systems:
+        assert sys.caches.get("order") and not {"leq", "cone"} & set(sys.caches)
     obj = envelope(out)
     stats, summary = obj["stats"], obj["result"]["summary"]
     assert set(stats) == {"phase_seconds", "cases", "pairs_checked",
                           "controls_checked", "kernels", "memo", "iso", "shapes"}
     assert stats["kernels"] == {"A3": "ring:int", "A3~ext": "ring:int"}
-    assert set(stats["memo"]) == {"canonical", "descent", "leq", "cone", "order",
-                                  "kernel", "R", "P", "Pdual"}
-    assert all(stats["memo"][k] > 0 for k in ("canonical", "leq", "order", "kernel", "P"))
+    assert set(stats["memo"]) == {"canonical", "descent", "order", "kernel", "R", "P",
+                                  "Pdual"}
+    assert all(stats["memo"][k] > 0 for k in ("canonical", "order", "kernel", "P"))
     assert set(stats["phase_seconds"]) == {"enumerate", "buckets", "matching",
                                            "controls"}
     assert all(t >= 0 for t in stats["phase_seconds"].values())
