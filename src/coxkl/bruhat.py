@@ -5,11 +5,11 @@ element of W^J met gets an id after its lower covers in W^J (the reduced
 one-letter deletions of its word that stay in W^J), and bitmasks of the
 ids below and above it, so u <= v is a bit test and [u, v]^J is
 up[u] & down[v].  Cones, intervals and their covers, and the polynomial
-recursions all read it.  The public `bruhat_leq` walks the lifting
-recursion instead (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-Prop. 2.2.7), on the least left descent of the larger element (the first
-letter of its canonical word), since numbering the cone of a long word
-can cost exponentially many elements.
+recursions (with its left action s·z) all read it.  The public
+`bruhat_leq` walks the lifting recursion instead (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.2.7), on the least left descent
+of the larger element (the first letter of its canonical word), since
+numbering the cone of a long word can cost exponentially many elements.
 Intervals with equal labeled shape (ranks, covers), in any system, share
 one weakly registered record of immutable tables, and one sub-record per
 marking, which also holds the isomorphism search memo.
@@ -72,13 +72,16 @@ def _bits(mask: int):
 
 
 class _Order:
-    """W^J elements, numbered as met: words[i] has id i, lower covers[i]
-    and bitmasks down[i] (ids <= it) and up[i] (ids >= it).  An id is
-    published under the lock, after its bits."""
+    """W^J elements, numbered as met: words[i] has id i, length lens[i],
+    lower covers[i] (the first is words[i][1:]) and bitmasks down[i] (ids
+    <= it) and up[i] (ids >= it).  An id is published under the lock,
+    after its bits.  left[i], filled on first use, gives s·z for each s:
+    a lower cover's id, a higher word in W^J, or None outside W^J."""
 
     def __init__(self, jmask: int):
         self.jmask, self.lock = jmask, threading.Lock()
-        self.ids, self.words, self.covers, self.down, self.up = {}, [], [], [], []
+        self.ids, self.words, self.lens, self.covers, self.down, self.up = {}, [], [], [], [], []
+        self.left = {}
 
     def id(self, sys, v) -> int:
         """The id of v (canonical, in W^J), numbering its cone first."""
@@ -98,6 +101,21 @@ class _Order:
     def between(self, u, v):
         """[u, v]^J, for numbered u and v."""
         return map(self.words.__getitem__, _bits(self.up[self.ids[u]] & self.down[self.ids[v]]))
+
+    def row(self, sys, i) -> tuple:
+        """left[i], made on first use."""
+        got = self.left.get(i)
+        if got is None:
+            z, act = self.words[i], []
+            for s in sys.generators:
+                sz = sys._left_mul(s, z)
+                if len(sz) < len(z):
+                    sz = self.ids[sz]
+                elif self.jmask and sys._right_descents(sz) & self.jmask:
+                    sz = None
+                act.append(sz)
+            got = self.left[i] = tuple(act)
+        return got
 
     def _number(self, sys, v):
         # W^J is graded (Bjorner-Brenti 2.5.5): z covers the reduced
@@ -123,6 +141,7 @@ class _Order:
             for j in _bits(down):
                 self.up[j] |= 1 << i
             self.words.append(z)
+            self.lens.append(len(z))
             self.covers.append(covers)
             self.down.append(down)
             ids[z] = i

@@ -3,7 +3,8 @@
 Subcommands: poly, interval, extend, verify-reduction, scan.  Every
 command prints a JSON envelope {format, command, inputs, result, timing}
 to stdout; scan adds "stats" (per-phase wall seconds, work counts,
-kernel kinds and memo table sizes), which no report file carries.  Exit codes: 0 success, 1 mathematical
+kernel kinds and memo table sizes) and poly adds "stats" with the order
+and polynomial table sizes, which no report file carries.  Exit codes: 0 success, 1 mathematical
 disagreement found (including a failed internal invariant), 2 malformed
 input or configuration (an unwritable output path included, refused
 before any work), 3 precondition violation.
@@ -22,7 +23,7 @@ from .bruhat import parabolic_interval
 from .core import INF, CoxeterSystem, InputError, InvariantError, PreconditionError
 from .extension import ExtendedSystem, extend_system, verify_reduction_sweep
 from .invariance import ClassX, scan as run_scan
-from .klpoly import KL_TYPES, get_table
+from .klpoly import KL_TYPES, get_table, memo_sizes
 from .serialize import canonical_dumps, poly_to_jsonable
 
 EXIT_OK = 0
@@ -126,7 +127,7 @@ def cmd_poly(args) -> int:
     }
     if args.method == "both":
         result["agree"] = agree
-    _emit("poly", {"system": name}, result, started)
+    _emit("poly", {"system": name}, result, started, {"memo": memo_sizes(sys)})
     return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 

@@ -24,7 +24,7 @@ from .core import (
     InvariantError,
     PreconditionError,
 )
-from .klpoly import KL_TYPES, check_kl_type, get_table
+from .klpoly import KL_TYPES, check_kl_type, get_table, memo_sizes
 from .laurent import LaurentPoly
 
 DEFAULT_SIZE_CAP = 40
@@ -343,11 +343,9 @@ class ScanReport:
         memo = self.memo
         memo["canonical"] += len(sys.canonical_memo)
         memo["descent"] += len(sys.descent_memo)
-        memo["order"] += sum(len(o.words) for o in sys.caches.get("order", {}).values())
         memo["kernel"] += sys.kernel.table_size()
-        table = sys.caches.get("kltable")
-        for kind, entries in (table.tables.items() if table else ()):
-            memo[kind] += len(entries)
+        for kind, size in memo_sizes(sys).items():
+            memo[kind] += size
 
     CSV_HEADER = (
         "system_a,quotient_a,u_a,v_a,system_b,quotient_b,u_b,v_b,"
@@ -380,14 +378,16 @@ def _poly_equal_check(report, case_a, case_b, config, control=False):
     tables' coefficient tuples without the entry points' validation.
     """
     ta, tb = get_table(case_a.system), get_table(case_b.system)
+    ids_a = ta._ids(case_a.u, case_a.v, case_a.J)
+    ids_b = tb._ids(case_b.u, case_b.v, case_b.J)
     kinds = [("P", ta._kl, tb._kl)]
     if config.include_r:
         kinds.append(("R", ta._r, tb._r))
     all_equal = True
     for kind, poly_a, poly_b in kinds:
         for x in config.types:
-            pa = poly_a(case_a.u, case_a.v, case_a.J, x)
-            pb = poly_b(case_b.u, case_b.v, case_b.J, x)
+            pa = poly_a(*ids_a, x)
+            pb = poly_b(*ids_b, x)
             report.equalities_verified += 1
             if pa != pb:
                 all_equal = False

@@ -18,17 +18,17 @@ R and P always lie in Z[q], so the layer computes and stores them as
 coefficient tuples with offset 0: p[i] is the coefficient of q^i, and
 the tuple has no trailing zero (the zero polynomial is ()).  The `_`
 helpers below do that arithmetic; `LaurentPoly` is the public type, made
-at the entry points.  The recursions run on canonical words that have
-passed `_check_pair` (or, in the scan, the checks made when its cases
-were built), through the system's unvalidated lookups.  Both paths read
-the order from `bruhat._order`, and their sums visit only [u, v]^J.
+at the entry points.  The recursions run on ids in the order index
+`bruhat._order(sys, J)`, which give lengths, the cover sv, the left
+action s·z and [u, v]^J; the entry points translate checked words once
+per call (the scan's cases were checked when they were built).
 """
 
 from __future__ import annotations
 
 import weakref
 
-from .bruhat import _order, bruhat_leq  # noqa: F401 (perfbench reads klpoly.bruhat_leq)
+from .bruhat import _bits, _order, bruhat_leq  # noqa: F401 (perfbench reads klpoly.bruhat_leq)
 from .core import CoxeterSystem, InputError, InvariantError, PreconditionError
 from .laurent import ONE, ZERO, LaurentPoly
 
@@ -90,10 +90,12 @@ def _truncate(p: tuple, k: int) -> tuple:
 class KLTable:
     """Per-system memo table for R- and KL polynomials.
 
-    Entries are immutable once inserted, keyed by (u, v, J, x) per kind,
-    and hold coefficient tuples; recomputation is deterministic, so
-    concurrent duplicate inserts under the GIL are benign.  Every entry
-    is computed by one of the two paths.
+    Entries are immutable once inserted, keyed by (iu, iv, J, x) per kind,
+    with the ids of u and v in `bruhat._order(sys, J)`, and hold
+    coefficient tuples; recomputation is deterministic, so concurrent
+    duplicate inserts under the GIL are benign.  Every entry is computed
+    by one of the two paths; `mirrors` holds the duality solver's mirrored
+    Pdual entries.
 
     The table refers to its system weakly: the system's `caches` hold the
     table, so a strong reference back would be a cycle that only the
@@ -103,6 +105,7 @@ class KLTable:
     def __init__(self, sys: CoxeterSystem):
         self._sys = weakref.ref(sys)
         self.tables: dict[str, dict] = {"R": {}, "P": {}, "Pdual": {}}
+        self.mirrors: dict = {}
 
     @property
     def sys(self) -> CoxeterSystem:
@@ -117,132 +120,145 @@ class KLTable:
         sys = self.sys
         J = sys.check_subset(J)
         check_kl_type(x)
-        jmask = sum(1 << s for s in J)
-        return sys._check_rep(u, jmask, "u"), sys._check_rep(v, jmask, "v"), J
+        jmask = _order(sys, J).jmask
+        return self._ids(sys._check_rep(u, jmask, "u"), sys._check_rep(v, jmask, "v"), J)
+
+    def _ids(self, u, v, J):
+        """(iu, iv, J) for canonical words in W^J, numbering v's cone first;
+        None when u is not numbered, so not <= v."""
+        sys = self.sys
+        order = _order(sys, J)
+        iv = order.id(sys, v)
+        iu = order.ids.get(u)
+        return None if iu is None else (iu, iv, J)
 
     def parabolic_r(self, u, v, J, x: str) -> LaurentPoly:
-        u, v, J = self._check_pair(u, v, J, x)
-        return LaurentPoly(self._r(u, v, J, x))
+        ids = self._check_pair(u, v, J, x)
+        return LaurentPoly(self._r(*ids, x) if ids else ())
 
     def parabolic_kl(self, u, v, J, x: str) -> LaurentPoly:
-        u, v, J = self._check_pair(u, v, J, x)
-        return LaurentPoly(self._kl(u, v, J, x))
+        ids = self._check_pair(u, v, J, x)
+        return LaurentPoly(self._kl(*ids, x) if ids else ())
 
     def parabolic_kl_duality(self, u, v, J, x: str) -> LaurentPoly:
-        u, v, J = self._check_pair(u, v, J, x)
-        return LaurentPoly(self._kl_dual(u, v, J, x))
+        ids = self._check_pair(u, v, J, x)
+        return LaurentPoly(self._kl_dual(*ids, x) if ids else ())
 
     def mu(self, w, v, J, x: str) -> int:
         """Coefficient of q^((l(v)-l(w)-1)/2) in P^{J,x}_{w,v}."""
-        w, v, J = self._check_pair(w, v, J, x)
-        return self._mu(w, v, J, x)
+        ids = self._check_pair(w, v, J, x)
+        if ids is None:
+            return 0
+        lens = _order(self.sys, ids[2]).lens
+        gap = lens[ids[1]] - lens[ids[0]]
+        p = self._kl(*ids, x) if gap % 2 else ()
+        k = (gap - 1) // 2
+        return p[k] if 0 <= k < len(p) else 0
 
     # -- R recursion ------------------------------------------------------
 
-    def _r(self, u, v, J, x) -> tuple:
-        if u == v:
+    def _r(self, iu, iv, J, x) -> tuple:
+        if iu == iv:
             return _ONE
-        key = (u, v, J, x)
+        key = (iu, iv, J, x)
         got = self.tables["R"].get(key)
         if got is not None:
             return got
         sys = self._sys()
         order = _order(sys, J)
-        if not order.leq(sys, u, v):
+        if not order.down[iv] >> iu & 1:
             return ()
-        sv = v[1:]
-        su = sys._left_mul(v[0], u)
-        if len(su) < len(u):
-            res = self._r(su, sv, J, x)
-        elif not sys._right_descents(su) & order.jmask:
-            # (q - 1) R_{u,sv} + q R_{su,sv}
-            a = self._r(u, sv, J, x)
-            out = _addto(_addto([], a, 1, 1), a, -1)
-            res = _trim(_addto(out, self._r(su, sv, J, x), 1, 1))
+        isv = order.covers[iv][0]
+        su = order.row(sys, iu)[order.words[iv][0]]
+        if su is None:  # su leaves W^J
+            res = _trim(_addto([], self._r(iu, isv, J, x), *_R3[x]))
+        elif su.__class__ is int:  # su < u
+            res = self._r(su, isv, J, x)
         else:
-            res = _trim(_addto([], self._r(u, sv, J, x), *_R3[x]))
+            # (q - 1) R_{u,sv} + q R_{su,sv}; su is numbered if su <= sv
+            a = self._r(iu, isv, J, x)
+            out = _addto(_addto([], a, 1, 1), a, -1)
+            isu = order.ids.get(su)
+            if isu is not None:
+                _addto(out, self._r(isu, isv, J, x), 1, 1)
+            res = _trim(out)
         self.tables["R"][key] = res
         return res
 
     # -- fast path: descent recursion with mu corrections --------------------
 
-    def _kl(self, u, v, J, x) -> tuple:
-        if u == v:
+    def _kl(self, iu, iv, J, x) -> tuple:
+        if iu == iv:
             return _ONE
-        key = (u, v, J, x)
+        key = (iu, iv, J, x)
         got = self.tables["P"].get(key)
         if got is not None:
             return got
         sys = self._sys()
         order = _order(sys, J)
-        if not order.leq(sys, u, v):
+        if not order.down[iv] >> iu & 1:
             return ()
-        jmask = order.jmask
-        s = v[0]
-        sv = v[1:]
-        su = sys._left_mul(s, u)
-        if len(su) < len(u):
-            out = list(self._kl(su, sv, J, x))
-            _addto(out, self._kl(u, sv, J, x), 1, 1)
-        elif not sys._right_descents(su) & jmask:
-            out = _addto([], self._kl(su, sv, J, x), 1, 1)
-            _addto(out, self._kl(u, sv, J, x))
-        elif x == "q":
-            # (q + 1) P_{u,sv}
-            a = self._kl(u, sv, J, x)
+        lens = order.lens
+        s, isv = order.words[iv][0], order.covers[iv][0]
+        su = order.row(sys, iu)[s]
+        if su is None:
+            # (q + 1) P_{u,sv} for x = q, else 0
+            a = self._kl(iu, isv, J, x) if x == "q" else ()
             out = _addto(list(a), a, 1, 1)
+        elif su.__class__ is int:
+            out = list(self._kl(su, isv, J, x))
+            _addto(out, self._kl(iu, isv, J, x), 1, 1)
         else:
-            out = []
-        for w in order.between(u, sv):
+            isu = order.ids.get(su)
+            out = [] if isu is None else _addto([], self._kl(isu, isv, J, x), 1, 1)
+            _addto(out, self._kl(iu, isv, J, x))
+        lsv = lens[isv]
+        for w in _bits(order.up[iu] & order.down[isv]):
             # mu(w, sv) is 0 unless l(sv) - l(w) is odd (w == sv included)
-            if not (len(sv) - len(w)) % 2:
+            if not (lsv - lens[w]) % 2:
                 continue
-            sw = sys._left_mul(s, w)
-            if len(sw) > len(w) and not (x == "q" and sys._right_descents(sw) & jmask):
+            # w counts when sw < w, or for x = q when sw leaves W^J
+            sw = order.row(sys, w)[s]
+            if not (sw.__class__ is int or sw is None and x == "q"):
                 continue
-            m = self._mu(w, sv, J, x)
-            if m:
-                gap = len(v) - len(w)
+            p = self._kl(w, isv, J, x)
+            k = (lsv - lens[w] - 1) // 2
+            if k < len(p) and p[k]:
+                gap = lens[iv] - lens[w]
                 if gap % 2:
                     raise InvariantError("mu correction at odd length gap")
-                _addto(out, self._kl(u, w, J, x), -m, gap // 2)
+                _addto(out, self._kl(iu, w, J, x), -p[k], gap // 2)
         res = _trim(out)
-        if res and 2 * (len(res) - 1) > len(v) - len(u) - 1:
+        if res and 2 * (len(res) - 1) > lens[iv] - lens[iu] - 1:
             raise InvariantError("degree bound violated")
         self.tables["P"][key] = res
         return res
 
-    def _mu(self, w, v, J, x) -> int:
-        gap = len(v) - len(w)
-        if gap % 2 == 0:
-            return 0
-        p = self._kl(w, v, J, x)
-        k = (gap - 1) // 2
-        return p[k] if k < len(p) else 0
-
     # -- normative path: bar-duality solver ------------------------------------
 
-    def _kl_dual(self, u, v, J, x) -> tuple:
-        if u == v:
+    def _kl_dual(self, iu, iv, J, x) -> tuple:
+        if iu == iv:
             return _ONE
-        key = (u, v, J, x)
+        key = (iu, iv, J, x)
         got = self.tables["Pdual"].get(key)
         if got is not None:
             return got
         sys = self._sys()
         order = _order(sys, J)
-        if not order.leq(sys, u, v):
+        if not order.down[iv] >> iu & 1:
             return ()
-        gap = len(v) - len(u)
+        lens, mirrors = order.lens, self.mirrors
+        lu, lv = lens[iu], lens[iv]
         # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v})
         rhs = []
-        for w in order.between(u, v):
-            if w == u:
-                continue
-            r = self._r(u, w, J, x)
-            mirrored = _mirror(self._kl_dual(w, v, J, x), len(v) - len(w))
-            _addmul(rhs, mirrored, r, -1 if (len(w) - len(u)) % 2 else 1)
+        for w in _bits((order.up[iu] & order.down[iv]) ^ 1 << iu):
+            wkey = (w, iv, J, x)
+            mirrored = mirrors.get(wkey)
+            if mirrored is None:
+                mirrored = mirrors[wkey] = _mirror(self._kl_dual(w, iv, J, x), lv - lens[w])
+            _addmul(rhs, mirrored, self._r(iu, w, J, x), -1 if (lens[w] - lu) % 2 else 1)
         rhs = _trim(rhs)
+        gap = lv - lu
         res = _truncate(rhs, (gap - 1) // 2)
         if rhs != _trim(_addto(list(res), _mirror(res, gap), -1)):
             raise InvariantError("duality right-hand side is not self-mirrored")
@@ -257,6 +273,13 @@ def get_table(sys: CoxeterSystem) -> KLTable:
         table = KLTable(sys)
         sys.caches["kltable"] = table
     return table
+
+
+def memo_sizes(sys: CoxeterSystem) -> dict:
+    """Entries in the system's order indexes and polynomial memos."""
+    sizes = {kind: len(entries) for kind, entries in get_table(sys).tables.items()}
+    sizes["order"] = sum(len(o.words) for o in sys.caches.get("order", {}).values())
+    return sizes
 
 
 def parabolic_r(sys, u, v, J, x: str) -> LaurentPoly:
@@ -282,15 +305,15 @@ def bar_squared_check(sys, u, v, J, x: str) -> bool:
     R_{w,v}(1/q) R_{u,w}(q) equals 1 if u = v else 0.
     """
     table = get_table(sys)
-    u, v, J = table._check_pair(u, v, J, x)
-    order = _order(sys, J)
-    if not order.leq(sys, u, v):
+    ids = table._check_pair(u, v, J, x)
+    if ids is None:
         return True
+    iu, iv, J = ids
+    order = _order(sys, J)
+    lens = order.lens
     total = ZERO
-    sign = -1 if (len(v) - len(u)) % 2 else 1
-    for w in order.between(u, v):
-        r_wv = LaurentPoly(table._r(w, v, J, x))
-        term = r_wv.bar() * LaurentPoly(table._r(u, w, J, x))
-        total = total + term.shift(len(v) - len(w))
-    total = sign * total
-    return total == (ONE if u == v else ZERO)
+    for w in _bits(order.up[iu] & order.down[iv]):
+        term = LaurentPoly(table._r(w, iv, J, x)).bar() * LaurentPoly(table._r(iu, w, J, x))
+        total = total + term.shift(lens[iv] - lens[w])
+    total = (-1 if (lens[iv] - lens[iu]) % 2 else 1) * total
+    return total == (ONE if iu == iv else ZERO)

@@ -50,6 +50,11 @@ def d4():
 
 
 @pytest.fixture(scope="session")
+def f4():
+    return validate_system([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]])
+
+
+@pytest.fixture(scope="session")
 def h3():
     return validate_system([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
 

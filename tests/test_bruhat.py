@@ -343,9 +343,11 @@ def test_lifting_matches_subword_inside_intervals(a3):
 
 def _check_index(order):
     """Ids are a bijection, and down, up and covers agree with each other."""
-    assert len(order.ids) == len(order.words)
+    assert len(order.ids) == len(order.words) == len(order.lens)
     for i, z in enumerate(order.words):
-        assert order.ids[z] == i
+        assert order.ids[z] == i and order.lens[i] == len(z)
+        if z:
+            assert order.words[order.covers[i][0]] == z[1:]
         closure = 1 << i
         for c in order.covers[i]:
             closure |= order.down[c]
@@ -381,6 +383,41 @@ def test_order_index_matches_leq(fixture, request):
                     assert set(order.between(u, v)) == {z for z in below if _leq(w, u, z)}
 
 
+@pytest.mark.parametrize("fixture", ["a3", "b3", "h3", "affine_a2"])
+def test_left_action_matches_kernel(fixture, request):
+    """The left-action rows of a fresh index per J, filled at radius 5 in a
+    shuffled order and read in another: s·z is the id of a lower cover when
+    the kernel's s·z is shorter, None when it leaves W^J, and else its
+    canonical word; the first letter of z gives the suffix cover."""
+    w = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    for J in all_subsets(w.generators):
+        jmask = w.subset_mask(J)
+        ball = w.ball(5, J)
+        order = _Order(jmask)
+        for v in rng.sample(ball, len(ball)):
+            order.id(w, v)
+        for i in rng.sample(range(len(order.words)), len(order.words)):
+            z, row = order.words[i], order.row(w, i)
+            assert len(row) == w.n and order.row(w, i) is row
+            for s, got in enumerate(row):
+                sz = w._left_mul(s, z)
+                if len(sz) < len(z):
+                    assert got.__class__ is int and got in order.covers[i]
+                    assert order.words[got] == sz
+                elif w._right_descents(sz) & jmask:
+                    assert got is None
+                else:
+                    assert got == sz
+            if z:
+                assert row[z[0]] == order.covers[i][0]
+
+
+def _action(order, system, i):
+    """The left-action row of id i, with ids read back as words."""
+    return tuple(order.words[t] if t.__class__ is int else t for t in order.row(system, i))
+
+
 class _CheckedIds(dict):
     """An index's id table that refuses an id published without the
     index's lock, or before the element's bits are written."""
@@ -391,7 +428,8 @@ class _CheckedIds(dict):
 
     def __setitem__(self, z, i):
         o = self.order
-        if not (o.lock.locked() and len(o.words) == len(o.up) == i + 1 and o.words[i] == z
+        if not (o.lock.locked() and len(o.words) == len(o.lens) == len(o.up) == i + 1
+                and o.words[i] == z
                 and all(o.up[j] >> i & 1 for j in _bits(o.down[i]))):
             raise AssertionError(f"id {i} published before its bits, or without the lock")
         super().__setitem__(z, i)
@@ -399,10 +437,11 @@ class _CheckedIds(dict):
 
 def test_threads_fill_one_order_index_consistently():
     """Four threads, each with its own polynomial table, run the duality
-    solver on one fresh system in four orders, so they number the same
-    cones at once.  Every id must be published under the index's lock and
-    after its bits, every answer must equal a serial one, and the filled
-    index must be consistent."""
+    solver and the recursion on one fresh system in four orders, so they
+    number the same cones and fill the same left-action rows at once.
+    Every id must be published under the index's lock and after its bits,
+    every answer must equal a serial one, and the filled index and its
+    rows must be consistent."""
     matrix = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
     shared, serial = validate_system(matrix), validate_system(matrix)
     subsets = all_subsets(range(3))
@@ -410,15 +449,18 @@ def test_threads_fill_one_order_index_consistently():
         order = shared.caches.setdefault("order", {})[J] = _Order(shared.subset_mask(J))
         order.ids = _CheckedIds(order)
     jobs = [(J, v) for J in subsets for v in serial.ball(6, J)]
+
+    def both(table, J, v):
+        return table.parabolic_kl_duality((), v, J, "q"), table.parabolic_kl((), v, J, "q")
+
     table = KLTable(serial)
-    expected = {job: table.parabolic_kl_duality((), job[1], job[0], "q") for job in jobs}
+    expected = {job: both(table, *job) for job in jobs}
     start = threading.Barrier(4)
 
     def work(seed):
         table = KLTable(shared)
         start.wait(timeout=60)
-        return {job: table.parabolic_kl_duality((), job[1], job[0], "q")
-                for job in random.Random(seed).sample(jobs, len(jobs))}
+        return {job: both(table, *job) for job in random.Random(seed).sample(jobs, len(jobs))}
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -428,7 +470,11 @@ def test_threads_fill_one_order_index_consistently():
     finally:
         sys.setswitchinterval(switch)
     assert all(got == expected for got in results)
+    assert any(_order(shared, J).left for J in subsets)
     for J in subsets:
         order = _order(shared, J)
         _check_index(order)
         assert set(order.words) == set(_order(serial, J).words)
+        other = _order(serial, J)
+        for i in order.left:
+            assert _action(order, shared, i) == _action(other, serial, other.ids[order.words[i]])

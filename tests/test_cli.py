@@ -22,7 +22,7 @@ def envelope(out):
     obj = json.loads(out)
     assert obj["format"] == 1
     keys = {"format", "command", "inputs", "result", "timing"}
-    if obj["command"] == "scan":
+    if obj["command"] in ("scan", "poly"):
         keys.add("stats")
     assert set(obj) == keys
     return obj
@@ -54,9 +54,13 @@ def test_poly_method_both_agrees(capsys):
         "--quotient", "s1", "--u", "", "--v", "s2 s1 s3 s2", "--method", "both",
     )
     assert code == 0
-    res = envelope(out)["result"]
+    obj = envelope(out)
+    res = obj["result"]
     assert res["agree"] is True
     assert res["polynomials"]["recursion"] == res["polynomials"]["duality"]
+    memo = obj["stats"]["memo"]
+    assert set(obj["stats"]) == {"memo"} and set(memo) == {"order", "R", "P", "Pdual"}
+    assert all(memo[k] > 0 for k in memo)
 
 
 def test_poly_r_kind(capsys):
@@ -65,8 +69,10 @@ def test_poly_r_kind(capsys):
         "--quotient", "s2", "--u", "", "--v", "s2 s1", "--type", "q", "--kind", "R",
     )
     assert code == 0
-    poly = envelope(out)["result"]["polynomials"]["recursion"]
-    assert poly["coeffs"] == [1, -1]  # 1 - q
+    obj = envelope(out)
+    assert obj["result"]["polynomials"]["recursion"]["coeffs"] == [1, -1]  # 1 - q
+    memo = obj["stats"]["memo"]
+    assert memo["R"] > 0 and memo["P"] == memo["Pdual"] == 0
 
 
 @pytest.mark.parametrize("method", ["duality", "both"])
@@ -463,6 +469,8 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
     assert set(stats["memo"]) == {"canonical", "descent", "order", "kernel", "R", "P",
                                   "Pdual"}
     assert all(stats["memo"][k] > 0 for k in ("canonical", "order", "kernel", "P"))
+    # one entry per computed pair and type; pinned so that entry counting cannot drift
+    assert [stats["memo"][k] for k in ("R", "P", "Pdual")] == [104, 104, 0]
     assert set(stats["phase_seconds"]) == {"enumerate", "buckets", "matching",
                                            "controls"}
     assert all(t >= 0 for t in stats["phase_seconds"].values())
@@ -535,6 +543,7 @@ def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path, monkeypatch):
     """Deliberately poison one memoized polynomial; the scan must notice the
     disagreement, dump the offending pair, and exit 1."""
     from coxkl import serialize
+    from coxkl.bruhat import _order
     from coxkl.klpoly import get_table
 
     load_scan_config = serialize.load_scan_config
@@ -542,8 +551,10 @@ def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path, monkeypatch):
     def poisoned(path):
         config = load_scan_config(path)
         for _name, system in config.entries:
-            # wrong: P(e, s1) is 1
-            get_table(system).tables["P"][((), (0,), frozenset(), "q")] = (7,)
+            # wrong: P(e, s1) is 1; memo keys are ids in the order index
+            order = _order(system, frozenset())
+            iv = order.id(system, (0,))
+            get_table(system).tables["P"][(order.ids[()], iv, frozenset(), "q")] = (7,)
         return config
 
     monkeypatch.setattr(serialize, "load_scan_config", poisoned)
