@@ -22,10 +22,8 @@ from .laurent import LaurentPoly
 from .bruhat import (
     IntervalPoset,
     bruhat_leq,
-    deodhar_criterion,
     interval,
     parabolic_interval,
-    subword_leq_oracle,
 )
 from .klpoly import (
     KLTable,

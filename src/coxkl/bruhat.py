@@ -1,4 +1,4 @@
-"""Bruhat order, interval posets, and the maximal-quotient splitting check.
+"""Bruhat order and interval posets.
 
 Order facts live in one numbered index per (system, J) (`_Order`): each
 element of W^J met gets an id after its lower covers in W^J (the reduced
@@ -153,21 +153,6 @@ def _order(sys: CoxeterSystem, J: frozenset) -> _Order:
     return orders.get(J) or orders.setdefault(J, _Order(sum(1 << s for s in J)))
 
 
-def subword_leq_oracle(sys: CoxeterSystem, u, v) -> bool:
-    """Decide u <= v by raw enumeration of all 2^l subwords of v.
-
-    Deliberately brute force; kept as an independent cross-check of
-    bruhat_leq and of cone.
-    """
-    u = tuple(u)
-    v = tuple(v)
-    seen = set()
-    for bits in range(1 << len(v)):
-        sub = tuple(s for i, s in enumerate(v) if bits >> i & 1)
-        seen.add(sys.canonicalize(sub)[0])
-    return u in seen
-
-
 class _Shape:
     """Tables shared by every interval of one labeled shape (ranks, covers)."""
 
@@ -228,7 +213,6 @@ class IntervalPoset:
         self.top = top
         self.J = J
         self.ground = tuple(ground)
-        self.index = {z: i for i, z in enumerate(self.ground)}
         key = (tuple(len(z) - len(bottom) for z in self.ground), tuple(sorted(covers)))
         shape = _SHAPES.get(key)
         if shape is None:
@@ -347,21 +331,3 @@ def parabolic_interval(sys: CoxeterSystem, u, v, J, max_len: int = 18) -> Interv
     """
     return _build_interval(sys, u, _cutoff(v, max_len), sys.check_subset(J))
 
-
-def deodhar_criterion(sys: CoxeterSystem, u, v) -> bool:
-    """Compare u, v through all maximal-quotient projections.
-
-    Equivalent to bruhat_leq(u, v): the Bruhat order is determined by its
-    images in the maximal quotients.  Kept as an independent cross-check.
-    """
-    u = tuple(u)
-    v = tuple(v)
-    for s in sys.generators:
-        J = frozenset(sys.generators) - {s}
-        if not bruhat_leq(
-            sys,
-            sys.project_to_quotient(u, J, "right"),
-            sys.project_to_quotient(v, J, "right"),
-        ):
-            return False
-    return True

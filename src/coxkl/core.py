@@ -285,7 +285,7 @@ class CoxeterSystem:
 
     def multiply_gen(self, w: Word, s: int, side: str = "right") -> Word:
         if side == "right":
-            return self.canonicalize(w + (s,))[0]
+            return self.canonicalize(tuple(w) + (s,))[0]
         if side == "left":
             return self.canonicalize((s,) + tuple(w))[0]
         raise InputError(f"side must be 'left' or 'right', not {side!r}")
@@ -295,9 +295,6 @@ class CoxeterSystem:
 
     def inverse(self, a: Word) -> Word:
         return self.canonicalize(tuple(reversed(a)))[0]
-
-    def length(self, w: Word) -> int:
-        return len(w)
 
     def descent_mask(self, w: Word, side: str = "right") -> int:
         word = self._check_word(w)
@@ -314,17 +311,6 @@ class CoxeterSystem:
     def is_min_rep(self, w: Word, J: Iterable[int], side: str = "right") -> bool:
         """True iff no generator of J is a descent on the given side."""
         return not self.descent_mask(w, side) & self.subset_mask(J)
-
-    def project_to_quotient(self, w: Word, J: Iterable[int], side: str = "right") -> Word:
-        """Minimal-length representative of the coset w W_J (right) or W_J w (left)."""
-        jmask = self.subset_mask(J)
-        w = tuple(w)
-        while True:
-            hit = self.descent_mask(w, side) & jmask
-            if not hit:
-                return w
-            s = (hit & -hit).bit_length() - 1
-            w = self.multiply_gen(w, s, side)
 
     # -- lookups for words coxkl produced (no validation) --------------------
 

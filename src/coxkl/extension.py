@@ -95,12 +95,14 @@ def extend_system(sys: CoxeterSystem, J, policy=None, class_x=None) -> ExtendedS
 
 
 def lift(ext: ExtendedSystem, z) -> tuple:
-    """z st in the extended system; appends one letter to the word."""
+    """z st in the extended system, for a canonical word z of the base
+    system; appends one letter to the word."""
     z = tuple(z)
     if any(s >= ext.base.n for s in z):
         raise PreconditionError("element already mentions the adjoined generator")
     lifted = ext.extended.canonicalize(z + (ext.stilde,))[0]
     if lifted != z + (ext.stilde,):
+        ext.base._check_rep(z, 0, "z")
         raise InvariantError("lift must append a single letter")
     return lifted
 
@@ -120,7 +122,8 @@ def lift_interval(ext: ExtendedSystem, u, v):
     lifted_ground = [lift(ext, z) for z in base_ivl.ground]
     if set(lifted_ground) != set(lifted_ivl.ground):
         raise InvariantError("lifted interval differs from the direct one")
-    mapping = tuple(lifted_ivl.index[w] for w in lifted_ground)
+    index = {w: i for i, w in enumerate(lifted_ivl.ground)}
+    mapping = tuple(index[w] for w in lifted_ground)
     marked_image = {mapping[i] for i in base_ivl.marked}
     if marked_image != set(lifted_ivl.marked):
         raise InvariantError(

@@ -1,22 +1,14 @@
-"""Word kernels: canonical forms and descents of words.
+"""The word kernel: canonical forms and descents of words.
 
-Both kernels answer from the reflection representation of a Coxeter
-system, and both find the ShortLex canonical word by greedily extracting
-the least left descent.
-
-`PyIntKernel` works over Python ints, which never overflow, for integer
-Cartan matrices.  Columns of an n x n matrix hold the images of the
-simple roots in the simple-root basis; a generator is a right descent
-exactly when its column goes negative.  It rebuilds the matrix from
-scratch on every call and keeps no state.
-
-`RingKernel` holds one point per element instead of a matrix (Casselman,
-"Machine calculations in Weyl groups", Invent. Math. 116, 1994), and
-computes each reflection of a point and each point's descents once per
-system.  Its scalars are `INTEGERS` for integer Cartan matrices and a
-cyclotomic ring otherwise, so every system holds kernel tables.  The two
-kernels share no code, so each is an oracle for the other on
-crystallographic matrices.
+`RingKernel` answers from the reflection representation of a Coxeter
+system.  It holds one point per element (Casselman, "Machine
+calculations in Weyl groups", Invent. Math. 116, 1994), finds the
+ShortLex canonical word by greedily extracting the least left descent,
+and computes each reflection of a point and each point's descents once
+per system.  Its scalars are `INTEGERS` for integer Cartan matrices and
+a cyclotomic ring otherwise, so every system holds kernel tables.  The
+tests check it against the matrix algorithm in `tests/oracles.py`,
+which shares no code with it.
 
 `CoxeterSystem` remembers the kernel's answers per word.
 """
@@ -25,65 +17,7 @@ from __future__ import annotations
 
 import operator
 
-__all__ = ["INTEGERS", "PyIntKernel", "RingKernel", "make_integer_kernel"]
-
-
-class PyIntKernel:
-    """Word kernel over arbitrary-precision integers."""
-
-    kind = "pure"
-
-    def __init__(self, cartan):
-        self.n = len(cartan)
-        self.cartan = tuple(tuple(row) for row in cartan)
-
-    def _apply_right(self, cols, s):
-        # cols <- cols . sigma_s : col_t -= a(s,t) col_s  (t != s), col_s negated
-        row = self.cartan[s]
-        cs = cols[s]
-        for t in range(self.n):
-            if t == s:
-                continue
-            a = row[t]
-            if a:
-                cols[t] = [x - a * y for x, y in zip(cols[t], cs)]
-        cols[s] = [-y for y in cs]
-
-    def _identity(self):
-        n = self.n
-        return [[1 if u == t else 0 for u in range(n)] for t in range(n)]
-
-    def canonicalize(self, word):
-        """ShortLex canonical form of the element of `word`.
-
-        Returns (canonical_word, was_reduced).
-        """
-        minv = self._identity()  # matrix of the inverse element
-        for s in reversed(word):
-            self._apply_right(minv, s)
-        out = []
-        while True:
-            found = -1
-            for t in range(self.n):
-                if all(x <= 0 for x in minv[t]):
-                    found = t
-                    break
-            if found < 0:
-                break
-            out.append(found)
-            self._apply_right(minv, found)
-        return tuple(out), len(out) == len(word)
-
-    def right_descent_mask(self, word) -> int:
-        """Bitmask of generators whose right multiplication shortens."""
-        m = self._identity()
-        for s in word:
-            self._apply_right(m, s)
-        mask = 0
-        for t in range(self.n):
-            if all(x <= 0 for x in m[t]):
-                mask |= 1 << t
-        return mask
+__all__ = ["INTEGERS", "RingKernel", "make_integer_kernel"]
 
 
 class INTEGERS:

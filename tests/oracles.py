@@ -1,0 +1,127 @@
+"""Independent oracles that only the tests run.
+
+None of these is on a library path.  Each decides a question by a route
+that shares no code with the one the package takes, and each imports
+only public coxkl names, so a fault in the code under test cannot hide
+in the oracle too.
+
+* `PyIntKernel`: canonical forms and descents by the matrix algorithm,
+  an n x n matrix over Python ints rebuilt on every call, against the
+  package's point kernel `RingKernel`.
+* `subword_leq_oracle`: u <= v by enumerating all 2^l subwords of v.
+* `project_to_quotient` and `deodhar_criterion`: u <= v through the
+  images of u and v in every maximal quotient.
+"""
+
+from __future__ import annotations
+
+from coxkl import CoxeterSystem, bruhat_leq
+
+
+class PyIntKernel:
+    """Word kernel over arbitrary-precision integers.
+
+    Columns of an n x n matrix hold the images of the simple roots in
+    the simple-root basis; a generator is a right descent exactly when
+    its column goes negative.  The kernel keeps no state.
+    """
+
+    kind = "pure"
+
+    def __init__(self, cartan):
+        self.n = len(cartan)
+        self.cartan = tuple(tuple(row) for row in cartan)
+
+    def _apply_right(self, cols, s):
+        # cols <- cols . sigma_s : col_t -= a(s,t) col_s  (t != s), col_s negated
+        row = self.cartan[s]
+        cs = cols[s]
+        for t in range(self.n):
+            if t == s:
+                continue
+            a = row[t]
+            if a:
+                cols[t] = [x - a * y for x, y in zip(cols[t], cs)]
+        cols[s] = [-y for y in cs]
+
+    def _identity(self):
+        n = self.n
+        return [[1 if u == t else 0 for u in range(n)] for t in range(n)]
+
+    def canonicalize(self, word):
+        """ShortLex canonical form of the element of `word`.
+
+        Returns (canonical_word, was_reduced).
+        """
+        minv = self._identity()  # matrix of the inverse element
+        for s in reversed(word):
+            self._apply_right(minv, s)
+        out = []
+        while True:
+            found = -1
+            for t in range(self.n):
+                if all(x <= 0 for x in minv[t]):
+                    found = t
+                    break
+            if found < 0:
+                break
+            out.append(found)
+            self._apply_right(minv, found)
+        return tuple(out), len(out) == len(word)
+
+    def right_descent_mask(self, word) -> int:
+        """Bitmask of generators whose right multiplication shortens."""
+        m = self._identity()
+        for s in word:
+            self._apply_right(m, s)
+        mask = 0
+        for t in range(self.n):
+            if all(x <= 0 for x in m[t]):
+                mask |= 1 << t
+        return mask
+
+
+def subword_leq_oracle(sys: CoxeterSystem, u, v) -> bool:
+    """Decide u <= v by raw enumeration of all 2^l subwords of v.
+
+    Deliberately brute force; an independent cross-check of bruhat_leq
+    and of cone.
+    """
+    u = tuple(u)
+    v = tuple(v)
+    seen = set()
+    for bits in range(1 << len(v)):
+        sub = tuple(s for i, s in enumerate(v) if bits >> i & 1)
+        seen.add(sys.canonicalize(sub)[0])
+    return u in seen
+
+
+def project_to_quotient(sys: CoxeterSystem, w, J, side: str = "right") -> tuple:
+    """Minimal-length representative of the coset w W_J (right) or W_J w (left)."""
+    jmask = sys.subset_mask(J)
+    w = tuple(w)
+    while True:
+        hit = sys.descent_mask(w, side) & jmask
+        if not hit:
+            return w
+        s = (hit & -hit).bit_length() - 1
+        w = sys.multiply_gen(w, s, side)
+
+
+def deodhar_criterion(sys: CoxeterSystem, u, v) -> bool:
+    """Compare u, v through all maximal-quotient projections.
+
+    Equivalent to bruhat_leq(u, v): the Bruhat order is determined by its
+    images in the maximal quotients.  An independent cross-check.
+    """
+    u = tuple(u)
+    v = tuple(v)
+    for s in sys.generators:
+        J = frozenset(sys.generators) - {s}
+        if not bruhat_leq(
+            sys,
+            project_to_quotient(sys, u, J, "right"),
+            project_to_quotient(sys, v, J, "right"),
+        ):
+            return False
+    return True

@@ -10,7 +10,7 @@ import random
 from pathlib import Path
 
 from conftest import all_subsets, naive_closure
-from coxkl.bruhat import bruhat_leq, deodhar_criterion, interval, parabolic_interval
+from coxkl.bruhat import bruhat_leq, interval, parabolic_interval
 from coxkl.cli import main
 from coxkl.extension import (
     extend_system,
@@ -23,6 +23,7 @@ from coxkl.klpoly import bar_squared_check, get_table
 from coxkl.laurent import ONE, ZERO
 from coxkl.serialize import load_scan_config
 from coxkl.invariance import scan
+from oracles import deodhar_criterion
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -1,13 +1,17 @@
 """Element arithmetic against independent permutation models."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import all_subsets
-from coxkl import INF, InputError, validate_system
+import coxkl
+from coxkl import INF, CoxeterSystem, InputError, validate_system
 from coxkl.core import CoxeterMatrix
+from oracles import project_to_quotient
 
 
 # -- validation ---------------------------------------------------------------
@@ -109,6 +113,8 @@ def test_multiply_generator(a2):
     assert a2.multiply_gen(s1, 0, "right") == ()
     s1s2 = a2.element("s1 s2")
     assert a2.multiply_gen(s1s2, 0, "right") == (0, 1, 0)
+    assert a2.multiply_gen([0, 1], 0, "right") == (0, 1, 0)
+    assert a2.multiply_gen([0, 1], 0, "left") == (1,)
 
 
 @pytest.mark.parametrize("fixture", ["a2", "a3", "b3", "a1xa1", "affine_a2"])
@@ -217,15 +223,15 @@ def test_min_rep_membership(a2):
 
 def test_projection_examples(a2):
     J = frozenset({1})
-    assert a2.project_to_quotient(a2.element("s1 s2"), J) == (0,)
-    assert a2.project_to_quotient((), J) == ()
-    assert a2.project_to_quotient(a2.element("s1 s2 s1"), J) == (1, 0)
+    assert project_to_quotient(a2, a2.element("s1 s2"), J) == (0,)
+    assert project_to_quotient(a2, (), J) == ()
+    assert project_to_quotient(a2, a2.element("s1 s2 s1"), J) == (1, 0)
 
 
 def test_projection_factors_length(a3):
     for J in all_subsets(a3.generators):
         for w in a3.all_elements():
-            rep = a3.project_to_quotient(w, J, "right")
+            rep = project_to_quotient(a3, w, J, "right")
             assert a3.is_min_rep(rep, J)
             tail = a3.product(a3.inverse(rep), w)
             assert len(w) == len(rep) + len(tail)
@@ -330,3 +336,27 @@ def test_matrix_equality_helpers():
     assert m.entry(0, 1) == 3
     assert m.is_crystallographic()
     assert not CoxeterMatrix([[1, 5], [5, 1]]).is_crystallographic()
+
+
+# -- the shipped API ----------------------------------------------------------------------
+
+
+def test_oracles_ship_only_with_the_tests():
+    """The test-only oracles live in tests/oracles.py, which reaches coxkl
+    only through public names."""
+    moved = ("PyIntKernel", "subword_leq_oracle", "deodhar_criterion", "project_to_quotient")
+    for module in (coxkl, coxkl.bruhat, coxkl.kernels):
+        for name in moved:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert "PyIntKernel" not in coxkl.kernels.__all__
+    for name in moved + ("length",):
+        assert not hasattr(CoxeterSystem, name)
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "coxkl":
+            imported += [node.module] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "coxkl"]
+    assert "bruhat_leq" in imported
+    assert not [n for n in imported if any(p.startswith("_") for p in n.split("."))]

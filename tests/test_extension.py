@@ -106,6 +106,17 @@ def test_lift_examples(a2):
         lift(ext, (2,))
 
 
+def test_lift_rejects_non_canonical_word(a2):
+    """A word that is not the canonical word of its element is an input
+    error, not a failed invariant; s2 s1 s2 is reduced but not canonical."""
+    ext = extend_system(a2, {1})
+    for word in [(0, 0), (1, 0, 1, 0), (1, 0, 1), [1, 1]]:
+        with pytest.raises(InputError, match="z is not a canonical reduced word"):
+            lift(ext, word)
+    with pytest.raises(PreconditionError):
+        lift(ext, (0, 2))
+
+
 def test_lift_injective_on_ball(affine_a2):
     ext = extend_system(affine_a2, {2})
     ball = affine_a2.ball(8)

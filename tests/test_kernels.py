@@ -1,9 +1,10 @@
-"""The word kernels and the per-system memo.
+"""The word kernel and the per-system memo.
 
-`PyIntKernel` (matrices over the integers) and `RingKernel` (one point
-per element, over Python ints or a cyclotomic ring) share no code, so
-each checks the other on crystallographic matrices.  Poincare polynomials check both
-against numbers that come from neither.  The memo gives the same
+`RingKernel` (one point per element, over Python ints or a cyclotomic
+ring) is checked on crystallographic matrices against the matrix
+algorithm `PyIntKernel` (matrices over the integers, in
+`tests/oracles.py`), which shares no code with it.  Poincare polynomials
+check both against numbers that come from neither.  The memo gives the same
 answers as a fresh kernel, does not bypass word validation, and shares
 no entries between systems.
 """
@@ -15,7 +16,8 @@ import pytest
 
 from coxkl import InputError, validate_system
 from coxkl.core import INF
-from coxkl.kernels import PyIntKernel, RingKernel, make_integer_kernel
+from coxkl.kernels import RingKernel, make_integer_kernel
+from oracles import PyIntKernel
 
 MATRICES = {
     "A3": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
