@@ -12,13 +12,15 @@ of the larger element (the first letter of its canonical word), since
 numbering the cone of a long word can cost exponentially many elements.
 Intervals with equal labeled shape (ranks, covers), in any system, share
 one weakly registered record of immutable tables, and one sub-record per
-marking, which also holds the isomorphism search memo.
+marking, which also holds the isomorphism search memo.  `IsoWitness`
+certifies an isomorphism of two intervals by their covers.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from typing import NamedTuple
 
 from .core import CoxeterSystem, PreconditionError
 
@@ -287,6 +289,34 @@ class IntervalPoset:
             f"[{self.system.word_str(self.bottom) or 'e'}, "
             f"{self.system.word_str(self.top) or 'e'}]>"
         )
+
+
+class IsoWitness(NamedTuple):
+    """A claimed isomorphism between two interval posets: mapping[i] is the
+    target index of source element i.  verify() checks it from scratch: a
+    rank-preserving bijection that carries the set of covers onto the set
+    of covers (an order is the reflexive-transitive closure of its covers)
+    and, when required, the marked set onto the marked set.
+    """
+
+    source: IntervalPoset
+    target: IntervalPoset
+    mapping: tuple
+    respects_marking: bool
+
+    def verify(self) -> bool:
+        src, tgt, mapping = self.source, self.target, self.mapping
+        k = src.size
+        if tgt.size != k or sorted(mapping) != list(range(k)):
+            return False
+        if any(src.ranks[i] != tgt.ranks[j] for i, j in enumerate(mapping)):
+            return False
+        if {(mapping[i], mapping[j]) for i, j in src.covers} != set(tgt.covers):
+            return False
+        if self.respects_marking:
+            image = {mapping[i] for i in range(k) if src.is_marked(i)}
+            return image == {j for j in range(k) if tgt.is_marked(j)}
+        return True
 
 
 def _build_interval(sys, u, v, J):

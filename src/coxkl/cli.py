@@ -33,10 +33,7 @@ EXIT_PRECONDITION = 3
 
 
 def _parse_quotient(sys: CoxeterSystem, text: str) -> frozenset:
-    if not text:
-        return frozenset()
-    names = [t for t in text.replace(",", " ").split() if t]
-    return frozenset(sys.generator(n) for n in names)
+    return frozenset(sys.generator(n) for n in text.replace(",", " ").split())
 
 
 def _items(text: str) -> list:

@@ -6,7 +6,7 @@ and the empty tuple is the identity.  Lengths and descents come from the
 reflection representation on root coordinates, which works uniformly for
 finite and infinite systems.  The scalar backend is exact throughout:
 integers for matrix entries in {1,2,3,4,6,inf}, residues in a real
-cyclotomic ring otherwise.
+cyclotomic ring otherwise.  `ClassX` is a class of admissible bonds.
 
 Systems are immutable and safe to share; every operation here is a pure
 function of its inputs.  Each system remembers the kernel's answers
@@ -111,6 +111,48 @@ class CoxeterMatrix:
         )
 
 
+class ClassX:
+    """A nonempty set of admissible bond labels (>= 3 or INF)."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        try:
+            values = list(values)
+        except TypeError:
+            raise InputError("class_x must be a list of bonds") from None
+        for v in values:
+            # checked before hashing, so that an unhashable entry is an
+            # InputError; a bool is not a bond
+            if v is not INF and type(v) is not int:
+                raise InputError(f"class_x entry must be an int or 'inf', not {v!r}")
+            if v is not INF and v < 3:
+                raise InputError(f"class_x entry {v!r} must be >= 3 or 'inf'")
+        if not values:
+            raise InputError("class_x must be nonempty")
+        self.values = frozenset(values)
+
+    def __eq__(self, other):
+        return isinstance(other, ClassX) and self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"ClassX(values={self.values!r})"
+
+
+def is_class_x(matrix: CoxeterMatrix, class_x: ClassX) -> bool:
+    """Whether all off-diagonal bonds lie in the class (2 is always allowed)."""
+    allowed = class_x.values | {2}
+    n = matrix.n
+    return all(
+        matrix.entry(s, t) in allowed
+        for s in range(n)
+        for t in range(s + 1, n)
+    )
+
+
 def _integer_cartan(matrix: CoxeterMatrix):
     n = matrix.n
     cartan = [[2] * n for _ in range(n)]
@@ -168,6 +210,13 @@ class CoxeterSystem:
                 raise InputError("need one name per generator")
             if len(set(names)) != n:
                 raise InputError("generator names must be unique")
+            for name in names:
+                # words are written with spaces, quotients with commas
+                if "," in name or name.split() != [name]:
+                    raise InputError(
+                        f"generator name {name!r} must be nonempty, "
+                        "without whitespace or commas"
+                    )
         if backend == "auto":
             backend = "crystallographic" if matrix.is_crystallographic() else "general"
         if backend == "crystallographic":
@@ -265,10 +314,7 @@ class CoxeterSystem:
         return w
 
     def subset_mask(self, J: Iterable[int]) -> int:
-        mask = 0
-        for s in self.check_subset(J):
-            mask |= 1 << s
-        return mask
+        return sum(1 << s for s in self.check_subset(J))
 
     # -- element arithmetic -------------------------------------------------
 

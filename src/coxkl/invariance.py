@@ -4,115 +4,32 @@ that matched pairs carry equal polynomials.
 The hypothesis test is a single search for a rank-preserving isomorphism
 of full intervals that maps marked subset onto marked subset, which is
 equivalent to asking for an isomorphism of the marked subposets that
-extends to the full intervals.  Witnesses are re-verified from scratch
-before they are trusted.  Scans are deterministic: no randomness, all
-iteration in canonical orders.
+extends to the full intervals.  Witnesses, found or remembered, are
+verified (`IsoWitness.verify`) before they are trusted.  Scans are
+deterministic: no randomness, all iteration in canonical orders.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import combinations
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
-from .bruhat import IntervalPoset, _build_interval, _interval, cone
+from .bruhat import IntervalPoset, IsoWitness, _build_interval, _interval, cone
 from .core import (
     INF,
-    CoxeterMatrix,
+    ClassX,
     CoxeterSystem,
     InputError,
     InvariantError,
     PreconditionError,
+    is_class_x,
 )
+from .extension import extend_system, lift
 from .klpoly import KL_TYPES, check_kl_type, get_table, memo_sizes
 from .laurent import LaurentPoly
 
 DEFAULT_SIZE_CAP = 40
-
-
-class ClassX:
-    """A nonempty set of admissible bond labels (>= 3 or INF)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        try:
-            values = list(values)
-        except TypeError:
-            raise InputError("class_x must be a list of bonds") from None
-        for v in values:
-            # checked before hashing, so that an unhashable entry is an
-            # InputError; a bool is not a bond
-            if v is not INF and type(v) is not int:
-                raise InputError(f"class_x entry must be an int or 'inf', not {v!r}")
-            if v is not INF and v < 3:
-                raise InputError(f"class_x entry {v!r} must be >= 3 or 'inf'")
-        if not values:
-            raise InputError("class_x must be nonempty")
-        self.values = frozenset(values)
-
-    def __eq__(self, other):
-        return isinstance(other, ClassX) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"ClassX(values={self.values!r})"
-
-
-def is_class_x(matrix: CoxeterMatrix, class_x: ClassX) -> bool:
-    """Whether all off-diagonal bonds lie in the class (2 is always allowed)."""
-    allowed = class_x.values | {2}
-    n = matrix.n
-    return all(
-        matrix.entry(s, t) in allowed
-        for s in range(n)
-        for t in range(s + 1, n)
-    )
-
-
-class IsoWitness(NamedTuple):
-    """A claimed isomorphism between two interval posets.
-
-    mapping[i] is the target index of source element i.  verify() checks
-    the claim from scratch: bijective, rank preserving, order preserved
-    and reflected, and marked mapped onto marked when required.  Order is
-    compared one element at a time: the image of its up-set under the
-    mapping must be the up-set of its image.
-    """
-
-    source: IntervalPoset
-    target: IntervalPoset
-    mapping: tuple
-    respects_marking: bool
-
-    def verify(self) -> bool:
-        src, tgt, mapping = self.source, self.target, self.mapping
-        k = src.size
-        if tgt.size != k or len(mapping) != k:
-            return False
-        if sorted(mapping) != list(range(k)):
-            return False
-        src_up, tgt_up = src.up_bits(), tgt.up_bits()
-        for i in range(k):
-            fi = mapping[i]
-            if src.ranks[i] != tgt.ranks[fi]:
-                return False
-            image = 0
-            bits = src_up[i]
-            while bits:
-                low = bits & -bits
-                image |= 1 << mapping[low.bit_length() - 1]
-                bits ^= low
-            if image != tgt_up[fi]:
-                return False
-        if self.respects_marking:
-            image = {mapping[i] for i in range(k) if src.is_marked(i)}
-            marked = {i for i in range(k) if tgt.is_marked(i)}
-            if image != marked:
-                return False
-        return True
 
 
 def find_isomorphisms(
@@ -246,6 +163,14 @@ class ScanConfig:
             for e in entries
         ):
             raise InputError("systems must be a list of (name, CoxeterSystem) pairs")
+        names = [name for name, _sys in entries]
+        for name in names:
+            if set(name) & {",", "\n", "\r"}:
+                raise InputError(
+                    f"system name {name!r} must not contain a comma or a line break"
+                )
+            if names.count(name) > 1:
+                raise InputError(f"two systems are named {name!r}")
         if quotients not in ("all", "maximal"):
             raise InputError("quotients must be 'all' or 'maximal'")
         for key, v in (("max_length", max_length), ("max_rank_gap", max_rank_gap),
@@ -353,10 +278,8 @@ class ScanReport:
     )
 
     def csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(",".join(str(x) for x in row))
-        return "\n".join(lines) + "\n"
+        rows = (",".join(map(str, row)) for row in self.rows)
+        return "\n".join((self.CSV_HEADER, *rows)) + "\n"
 
 
 def _quotient_list(sys: CoxeterSystem, mode: str):
@@ -435,8 +358,6 @@ def _enumerate_cases(report, config):
 def _run_controls(report, cases, config, extensions):
     """Match each case with its lift; extensions collects the extended
     system of each (system name, J)."""
-    from .extension import extend_system, lift
-
     for case in cases:
         key = (case.label[0], case.J)
         ext = extensions.get(key)

@@ -57,6 +57,8 @@ def system_from_spec(spec: dict) -> tuple[str, CoxeterSystem]:
     for key in ("name", "generators", "matrix"):
         if key not in spec:
             raise InputError(f"system spec is missing {key!r}")
+    if not isinstance(spec["name"], str):
+        raise InputError("system name must be a string")
     if not isinstance(spec["generators"], list):  # null would mean default names
         raise InputError("generators must be a list of names")
     rows = spec["matrix"]
@@ -67,7 +69,7 @@ def system_from_spec(spec: dict) -> tuple[str, CoxeterSystem]:
         names=spec["generators"],
         backend=spec.get("backend", "auto"),
     )
-    return str(spec["name"]), system
+    return spec["name"], system
 
 
 def _load_json(path: str, what: str):

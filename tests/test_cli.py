@@ -577,3 +577,52 @@ def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path, monkeypatch):
     dump = report["counterexamples"][0]
     flat = json.dumps(dump)
     assert "s1" in flat and "7" in flat
+
+
+def _spec(path, **changes):
+    return {**json.loads((CONFIGS / path).read_text()), **changes}
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_spec("a2.json", generators=["s1", ""]), "generator name ''"),
+    (_spec("a2.json", generators=["a,b", "s2"]), "generator name 'a,b'"),
+    (_spec("a2.json", name=["a", "b"]), "system name must be a string"),
+])
+def test_system_spec_names_a_word_cannot_carry_exit_2(capsys, tmp_path, spec, message):
+    """Words print with spaces and --quotient splits on commas, and an
+    empty name would print like the identity."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "poly", "--system", str(path), "--v", "s2")
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("systems, message", [
+    ([_spec("a3.json", name="X"), _spec("b3.json", name="X")], "two systems are named 'X'"),
+    ([_spec("a2.json", generators=["a,b", "c d"])], "generator name 'a,b'"),
+    ([_spec("a2.json", name="A,2")], "system name 'A,2'"),
+], ids=["duplicate", "generators", "system"])
+def test_scan_names_a_report_cannot_carry_exit_2(capsys, tmp_path, systems, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": 1, "systems": systems,
+                               "quotients": "maximal", "max_length": 4}))
+    code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
+                         str(tmp_path / "r"))
+    assert code == 2
+    assert out == "" and message in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("config", sorted(
+    path.stem for path in CONFIGS.glob("*.json")
+    if "systems" in json.loads(path.read_text())
+))
+def test_bundled_scan_csv_rows_have_eleven_fields(capsys, tmp_path, config):
+    """The CSV quotes nothing, so no name may add a field."""
+    code, _, _ = run(capsys, "scan", "--config", str(CONFIGS / f"{config}.json"),
+                     "--out", str(tmp_path / "r"))
+    assert code == 0
+    rows = (tmp_path / "r.csv").read_text().splitlines()
+    assert len(rows) > 1
+    assert {len(row.split(",")) for row in rows} == {11}

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,14 @@ def test_names_unique():
 def test_names_are_a_list_of_strings(names):
     with pytest.raises(InputError, match="generators must be a list of names"):
         validate_system([[1, 3], [3, 1]], names=names)
+
+
+@pytest.mark.parametrize("bad", ["", "a,b", "c d", " a", "a\n", "a\tb", "a b"])
+def test_names_that_words_cannot_carry_rejected(bad):
+    """Words are written with spaces and quotients with commas, so a name
+    with either, or an empty one, could not be read back."""
+    with pytest.raises(InputError, match=re.escape(f"generator name {bad!r}")):
+        validate_system([[1, 3], [3, 1]], names=["s", bad])
 
 
 def test_bool_generator_indices_rejected(a2):

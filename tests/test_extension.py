@@ -3,7 +3,7 @@ polynomial transport."""
 
 import pytest
 
-from coxkl import INF, InputError, PreconditionError, validate_system
+from coxkl import INF, InputError, InvariantError, PreconditionError, validate_system
 from coxkl.bruhat import bruhat_leq, parabolic_interval
 from coxkl.extension import (
     extend_system,
@@ -150,6 +150,14 @@ def test_lift_interval_a3_sizes(a3):
     lifted, _ = lift_interval(ext, (), v)
     assert lifted.size == base.size == 12
     assert len(lifted.marked) == len(base.marked) == 9
+
+
+def test_lift_interval_refuses_a_marking_the_lift_does_not_carry(a2):
+    """The witness, verified as a marked isomorphism, is the only check:
+    [e, s2 s1] marked with J = {} has 4 marked elements, its lift 3."""
+    ext = extend_system(a2, {1})._replace(J=frozenset())
+    with pytest.raises(InvariantError, match="not a marked isomorphism"):
+        lift_interval(ext, (), a2.element("s2 s1"))
 
 
 def test_lift_order_embedding(a2):

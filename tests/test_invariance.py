@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,20 @@ def test_scan_config_rejects_malformed_values(a2, kwargs):
     kwargs.setdefault("entries", [("A2", a2)])
     with pytest.raises(InputError):
         ScanConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["A,2", "A\n2", "A2\r"])
+def test_scan_config_rejects_system_names_a_row_cannot_carry(a2, name):
+    """System names are CSV fields, written without quoting."""
+    with pytest.raises(InputError, match=re.escape(f"system name {name!r}")):
+        ScanConfig([(name, a2)])
+
+
+def test_scan_config_rejects_two_systems_with_one_name(a2, a3):
+    """The report labels cases by system name, and the lift controls keep
+    one extension per (name, J)."""
+    with pytest.raises(InputError, match="two systems are named 'X'"):
+        ScanConfig([("X", a2), ("Y", a3), ("X", a3)])
 
 
 def test_scan_empty_config():

@@ -2,9 +2,10 @@
 
 Bonds are drawn from {2, 3, 4, 5, 6, 7, inf}.  Every system runs on the
 general backend, and a crystallographic one on the integer backend too;
-both backends must give the same polynomials.  Witness verification is
-compared with a pairwise check on the transitive closure of the covers,
-not on the interval's up-set bitmasks.
+both backends must give the same polynomials.  Witness verification,
+which compares the image of the source's cover set with the target's
+cover set, is checked against a pairwise comparison of the two orders,
+each the transitive closure of its covers.
 """
 
 import functools
@@ -146,6 +147,8 @@ def _claims(draw):
 @settings(max_examples=150, deadline=None)
 @given(_claims())
 def test_bitmask_verify_matches_pairwise(claim):
+    """IsoWitness.verify, which compares cover sets, agrees with the
+    pairwise order oracle, also on pairs whose source is one cover short."""
     src, tgt, mapping, respects_marking = claim
     witness = IsoWitness(src, tgt, mapping, respects_marking)
     assert witness.verify() == _pairwise_verify(src, tgt, mapping, respects_marking)
