@@ -12,7 +12,7 @@ of the larger element (the first letter of its canonical word), since
 numbering the cone of a long word can cost exponentially many elements.
 Intervals with equal labeled shape (ranks, covers), in any system, share
 one weakly registered record of immutable tables, and one sub-record per
-marking, which also holds the isomorphism search memo.  `IsoWitness`
+marking, which also holds the memo of found isomorphisms.  `IsoWitness`
 certifies an isomorphism of two intervals by their covers.
 """
 
@@ -23,6 +23,9 @@ import weakref
 from typing import NamedTuple
 
 from .core import CoxeterSystem, PreconditionError
+
+#: the longest top that the public `interval` and `parabolic_interval` take
+INTERVAL_CUTOFF = 18
 
 
 def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
@@ -193,7 +196,6 @@ class _Marking:
             t + (marked is None or i in marked,) for i, t in enumerate(shape.element_shape)
         )
         self.fingerprint = tuple(sorted(self.invariants))
-        self.search = {}
         self.witnesses = weakref.WeakKeyDictionary()  # other _Marking -> mapping
 
 
@@ -260,23 +262,6 @@ class IntervalPoset:
         size, marked flag).  Preserved by any marked poset isomorphism."""
         return self._marking.invariants
 
-    def search_tables(self, respect_marking: bool):
-        """(invariant -> element indices, lower-cover bitmask per element)."""
-        search = self._marking.search
-        got = search.get(respect_marking)
-        if got is None:
-            invariants = (
-                self._marking.invariants if respect_marking else self._shape.element_shape
-            )
-            classes: dict = {}
-            for i, t in enumerate(invariants):
-                classes.setdefault(t, []).append(i)
-            cover_bits = [0] * self.size
-            for i, j in self.covers:
-                cover_bits[j] |= 1 << i
-            got = search[respect_marking] = (classes, tuple(cover_bits))
-        return got
-
     def fingerprint(self) -> tuple:
         """Isomorphism-invariant summary used to prune candidate pairs: the
         sorted element invariants, which fix the size, the (marked) rank
@@ -330,10 +315,10 @@ def _build_interval(sys, u, v, J):
     return ivl if J is None else ivl.with_marking(J)
 
 
-def _cutoff(v, max_len: int):
-    """v, after checking that it has at most max_len letters."""
-    if len(v) > max_len:
-        raise PreconditionError(f"top element has length {len(v)} > cutoff {max_len}")
+def _cutoff(v):
+    """v, after checking that it has at most INTERVAL_CUTOFF letters."""
+    if len(v) > INTERVAL_CUTOFF:
+        raise PreconditionError(f"top element has length {len(v)} > cutoff {INTERVAL_CUTOFF}")
     return v
 
 
@@ -348,16 +333,15 @@ def _interval(sys, u, v) -> IntervalPoset:
     return IntervalPoset(sys, u, v, None, map(words.__getitem__, ids), covers, None)
 
 
-def interval(sys: CoxeterSystem, u, v, max_len: int = 18) -> IntervalPoset:
-    """The full Bruhat interval [u, v], for l(v) <= max_len."""
-    return _build_interval(sys, u, _cutoff(v, max_len), None)
+def interval(sys: CoxeterSystem, u, v) -> IntervalPoset:
+    """The full Bruhat interval [u, v], for l(v) <= INTERVAL_CUTOFF."""
+    return _build_interval(sys, u, _cutoff(v), None)
 
 
-def parabolic_interval(sys: CoxeterSystem, u, v, J, max_len: int = 18) -> IntervalPoset:
+def parabolic_interval(sys: CoxeterSystem, u, v, J) -> IntervalPoset:
     """The interval [u, v] with the quotient subset [u, v]^J marked, for
-    l(v) <= max_len.
+    l(v) <= INTERVAL_CUTOFF.
 
     Endpoints must be minimal coset representatives for J.
     """
-    return _build_interval(sys, u, _cutoff(v, max_len), sys.check_subset(J))
-
+    return _build_interval(sys, u, _cutoff(v), sys.check_subset(J))

@@ -56,7 +56,7 @@ def _load_extension(args) -> tuple[str, ExtendedSystem]:
     J = _parse_quotient(sys, args.quotient)
     policy = {}
     for item in _items(args.policy):
-        gen, eq, value = item.partition("=")
+        gen, eq, value = item.rpartition("=")  # a name may hold "="
         if not eq:
             raise InputError(f"policy item {item!r} must look like s1=3")
         policy[sys.generator(gen.strip())] = _parse_bond(value.strip())

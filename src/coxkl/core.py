@@ -165,6 +165,10 @@ def _integer_cartan(matrix: CoxeterMatrix):
     return tuple(tuple(row) for row in cartan)
 
 
+#: the largest N = lcm(2m) over the bonds m that the general backend takes
+MAX_RING_ORDER = 10_000
+
+
 def _general_cartan(matrix: CoxeterMatrix):
     finite = sorted(
         {m for row in matrix.rows for m in row if m is not INF and m >= 3}
@@ -172,6 +176,8 @@ def _general_cartan(matrix: CoxeterMatrix):
     N = 1
     for m in finite:
         N = N * 2 * m // math.gcd(N, 2 * m)
+    if N > MAX_RING_ORDER:
+        raise InputError(f"bonds {finite} need cyclotomic order N = {N} > {MAX_RING_ORDER}")
     ring = CyclotomicRing(max(N, 2))
     n = matrix.n
     cartan = [[ring.from_int(2)] * n for _ in range(n)]

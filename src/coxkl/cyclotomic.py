@@ -4,10 +4,10 @@ Coxeter matrix entries outside {1,2,3,4,6,inf} force Cartan values
 -2cos(pi/m) that are not rational integers.  They are algebraic integers
 in the real subfield of Q(zeta_N) for N = lcm(2m), so we compute in
 Z[x]/(Phi_N(x)) with integer coefficients: a scalar is its residue,
-which is zero exactly when the scalar is zero.  Signs are decided by
-numeric enclosures of increasing precision; the enclosure is refined
-until it excludes zero, which terminates because a nonzero residue has a
-nonzero value at zeta_N.
+which is zero exactly when the scalar is zero; powers x^k are reduced
+when asked for.  Signs are decided by numeric enclosures of increasing
+precision; the enclosure is refined until it excludes zero, which
+terminates because a nonzero residue has a nonzero value at zeta_N.
 """
 
 from __future__ import annotations
@@ -60,46 +60,38 @@ class CyclotomicRing:
         self._phi_tail = phi[:-1]  # x^d = -(phi_0 + ... + phi_{d-1} x^{d-1})
         d = self.degree
         self.zero = (0,) * d
-        self.one = ((1,) + (0,) * (d - 1)) if d else ()
-        # x^k mod Phi_N for 0 <= k < N
-        powers = []
-        cur = list(self.one)
-        for _ in range(N):
-            powers.append(tuple(cur))
-            cur = self._shift_reduce(cur)
-        self._powers = powers
+        self.one = self.from_int(1)
         # float approximations of cos(2 pi k / N) for the fast sign path
         self._cos = [math.cos(2.0 * math.pi * k / N) for k in range(d)]
 
     # -- internal reduction helpers -------------------------------------
 
-    def _shift_reduce(self, coeffs: list[int]) -> list[int]:
-        """Multiply by x and reduce mod Phi_N."""
+    def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
+        """Reduce coeffs (ascending, at least degree of them) mod Phi_N, in place."""
         d = self.degree
-        lead = coeffs[d - 1]
-        out = [0] + coeffs[: d - 1]
-        if lead:
-            for j, p in enumerate(self._phi_tail):
-                out[j] -= lead * p
-        return out
+        for k in range(len(coeffs) - 1, d - 1, -1):
+            t = coeffs[k]
+            if t:
+                coeffs[k] = 0
+                for j, p in enumerate(self._phi_tail):
+                    coeffs[k - d + j] -= t * p
+        return tuple(coeffs[:d])
 
     # -- ring operations -------------------------------------------------
 
     def from_int(self, c: int) -> tuple[int, ...]:
-        d = self.degree
-        return ((c,) + (0,) * (d - 1)) if d else ()
+        return (c,) + (0,) * (self.degree - 1)  # degree >= 1
 
     def root_power(self, k: int) -> tuple[int, ...]:
-        return self._powers[k % self.N]
+        """zeta_N^k: x^(k mod N), reduced from N >= degree coefficients."""
+        return self._reduce([int(i == k % self.N) for i in range(self.N)])
 
     def minus_two_cos_pi_over(self, m: int) -> tuple[int, ...]:
         """The Cartan value -2cos(pi/m) = -(zeta_{2m} + zeta_{2m}^{-1})."""
         if self.N % (2 * m):
             raise ValueError(f"2*{m} does not divide N={self.N}")
         k = self.N // (2 * m)
-        a = self.root_power(k)
-        b = self.root_power(self.N - k)
-        return tuple(-(x + y) for x, y in zip(a, b))
+        return self.neg(self.add(self.root_power(k), self.root_power(-k)))
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -117,13 +109,7 @@ class CyclotomicRing:
             if x:
                 for j, y in enumerate(b):
                     conv[i + j] += x * y
-        for k in range(2 * d - 2, d - 1, -1):
-            t = conv[k]
-            if t:
-                conv[k] = 0
-                for j, p in enumerate(self._phi_tail):
-                    conv[k - d + j] -= t * p
-        return tuple(conv[:d])
+        return self._reduce(conv)
 
     def is_zero(self, a) -> bool:
         return not any(a)

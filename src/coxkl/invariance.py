@@ -41,29 +41,28 @@ def find_isomorphisms(
     """All rank-preserving poset isomorphisms A -> B, each one verified.
 
     Backtracking over elements in rank order, pruned by per-element
-    invariants (rank, degrees, ideal and filter sizes, marked flag).
+    invariants (rank, degrees, ideal and filter sizes, marked flag if
+    respect_marking), which each call builds afresh.
     """
     if A.size > cap or B.size > cap:
         raise PreconditionError(f"interval size exceeds the cap of {cap}")
-    if A.size != B.size:
+    keys_a, keys_b = (
+        [t if respect_marking else t[:-1] for t in ivl.element_invariants()] for ivl in (A, B)
+    )
+    if sorted(keys_a) != sorted(keys_b):
         return
-    classes_a, _ = A.search_tables(respect_marking)
-    classes_b, cover_b = B.search_tables(respect_marking)
-    if len(classes_a) != len(classes_b) or any(
-        len(classes_b.get(t, ())) != len(ix) for t, ix in classes_a.items()
-    ):
-        return
+    classes_b: dict = {}
+    for j, t in enumerate(keys_b):
+        classes_b.setdefault(t, []).append(j)
     k = A.size
-    candidates = [()] * k
-    for t, ix in classes_a.items():
-        for i in ix:
-            candidates[i] = classes_b[t]
+    candidates = [classes_b[t] for t in keys_a]
     order = sorted(range(k), key=lambda i: (A.ranks[i], len(candidates[i]), i))
     down_a, _ = A.adjacency()
+    cover_b = [sum(1 << x for x in down) for down in B.adjacency()[0]]
     mapping = [-1] * k
     tried = [0] * k  # per position: how many of its candidates were tried
     used = 0  # bitmask of the images taken
-    pos = 0
+    pos = 0  # an explicit stack: recursion would nest one frame per element
     while pos >= 0:
         if pos == k:
             witness = IsoWitness(A, B, tuple(mapping), respect_marking)

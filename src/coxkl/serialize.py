@@ -101,7 +101,7 @@ def interval_to_dot(ivl) -> str:
     sys = ivl.system
     lines = ["digraph interval {", "  rankdir=BT;"]
     for i, z in enumerate(ivl.ground):
-        label = sys.word_str(z) or "e"
+        label = (sys.word_str(z) or "e").replace("\\", "\\\\").replace('"', '\\"')
         if ivl.marked is not None and i in ivl.marked:
             style = ' shape=box style=filled fillcolor="lightblue"'
         else:

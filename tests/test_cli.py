@@ -156,6 +156,19 @@ def test_interval_marking_in_dot(capsys, tmp_path):
     assert text.count("filled") == 3  # e, s1, s2 s1
 
 
+def test_interval_dot_escapes_labels(capsys, tmp_path):
+    spec, dot = tmp_path / "spec.json", tmp_path / "iv.dot"
+    spec.write_text(json.dumps(_spec("a2.json", generators=['a"b', "c\\d"])))
+    code, _, _ = run(
+        capsys, "interval", "--system", str(spec), "--u", "", "--v", 'a"b c\\d',
+        "--dot", str(dot),
+    )
+    assert code == 0
+    lines = dot.read_text().splitlines()
+    assert '  n1 [label="a\\"b"];' in lines
+    assert '  n3 [label="a\\"b c\\\\d"];' in lines
+
+
 def test_interval_incomparable_exits_3(capsys):
     code, _, err = run(
         capsys, "interval", "--system", str(CONFIGS / "a2.json"),
@@ -243,6 +256,25 @@ def test_extend_policy_inf(capsys):
     )
     assert code == 0
     assert envelope(out)["result"]["spec"]["matrix"][2][0] == "inf"
+
+
+def test_extend_policy_splits_at_the_last_equals_sign(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec("a2.json", generators=["a=b", "c"])))
+    code, out, _ = run(
+        capsys, "extend", "--system", str(spec), "--quotient", "c", "--policy", "a=b=4",
+    )
+    assert code == 0
+    assert envelope(out)["result"]["spec"]["matrix"][2][0] == 4
+
+
+def test_extend_bond_past_the_ring_bound_exits_2(capsys):
+    code, out, err = run(
+        capsys, "extend", "--system", str(CONFIGS / "a2.json"),
+        "--quotient", "s1", "--policy", "s2=10000",
+    )
+    assert code == 2
+    assert out == "" and "N = 60000" in err
 
 
 def test_verify_reduction_command(capsys):

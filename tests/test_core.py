@@ -49,6 +49,13 @@ def test_crystallographic_backend_rejects_m5():
         validate_system([[1, 5], [5, 1]], backend="crystallographic")
 
 
+def test_general_backend_bounds_the_ring():
+    """N = lcm(2m) over the bonds sizes the cyclotomic ring; an N above
+    MAX_RING_ORDER is refused before the ring is built."""
+    with pytest.raises(InputError, match=re.escape("bonds [3, 10000] need cyclotomic order N = 60000 > 10000")):
+        validate_system([[1, 3, 2], [3, 1, 10000], [2, 10000, 1]])
+
+
 def test_pairing_policy_table():
     sys = validate_system([[1, 4], [4, 1]])
     assert sys.cartan == ((2, -1), (-2, 2))

@@ -29,6 +29,21 @@ def test_ring_axioms(N):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("N", [5, 8, 10, 12, 30])
+def test_root_power_matches_repeated_multiplication_by_x(N):
+    """x^k mod Phi_N, also past k = N, against multiplying by x and
+    reducing one step at a time."""
+    ring = CyclotomicRing(N)
+    phi = cyclotomic_polynomial(N)
+    d = len(phi) - 1
+    power = [1] + [0] * (d - 1)
+    for k in range(2 * N):
+        assert ring.root_power(k) == tuple(power), k
+        lead = power[-1]
+        power = [0] + power[:-1]
+        power = [c - lead * p for c, p in zip(power, phi)]
+
+
 def test_two_cos_values_match_floats():
     for m in (3, 4, 5, 6, 15):
         ring = CyclotomicRing(2 * m)
