@@ -5,44 +5,37 @@ Coxeter matrix entries outside {1,2,3,4,6,inf} force Cartan values
 in the real subfield of Q(zeta_N) for N = lcm(2m), so we compute in
 Z[x]/(Phi_N(x)) with integer coefficients: a scalar is its residue,
 which is zero exactly when the scalar is zero; powers x^k are reduced
-when asked for.  Signs are decided by numeric enclosures of increasing
-precision; the enclosure is refined until it excludes zero, which
-terminates because a nonzero residue has a nonzero value at zeta_N.
+when asked for, subtracting only the nonzero terms of Phi_N.  Phi_n
+(n > 1) is the product over the squarefree divisors e of n of
+(1 - x^(n/e))^mu(e), kept as a power series cut at degree phi(n), so
+each factor is one pass over phi(n) + 1 coefficients.  Signs are
+decided by numeric enclosures of increasing precision; the enclosure is
+refined until it excludes zero, which terminates because a nonzero
+residue has a nonzero value at zeta_N.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache
 
 
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (den monic, remainder zero)."""
-    num = list(num)
-    d = len(den) - 1
-    out = [0] * (len(num) - d)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - d] = c
-        for j, b in enumerate(den):
-            num[i - d + j] -= c * b
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial."""
     if n == 1:
         return (-1, 1)
-    poly = [0] * (n + 1)
-    poly[0], poly[n] = -1, 1  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    deg = n // math.prod(primes) * math.prod(p - 1 for p in primes)  # phi(n)
+    poly = [1] + [0] * deg
+    for r in range(len(primes) + 1):
+        for e in itertools.combinations(primes, r):
+            d = n // math.prod(e)
+            if r % 2:  # divide by 1 - x^d
+                for i in range(d, deg + 1):
+                    poly[i] += poly[i - d]
+            else:  # multiply by 1 - x^d
+                for i in range(deg, d - 1, -1):
+                    poly[i] -= poly[i - d]
     return tuple(poly)
 
 
@@ -57,7 +50,8 @@ class CyclotomicRing:
         self.N = N
         phi = cyclotomic_polynomial(N)
         self.degree = len(phi) - 1
-        self._phi_tail = phi[:-1]  # x^d = -(phi_0 + ... + phi_{d-1} x^{d-1})
+        # x^d = -(phi_0 + ... + phi_{d-1} x^{d-1}), kept as its nonzero (j, phi_j)
+        self._phi_tail = [(j, p) for j, p in enumerate(phi[:-1]) if p]
         d = self.degree
         self.zero = (0,) * d
         self.one = self.from_int(1)
@@ -73,7 +67,7 @@ class CyclotomicRing:
             t = coeffs[k]
             if t:
                 coeffs[k] = 0
-                for j, p in enumerate(self._phi_tail):
+                for j, p in self._phi_tail:
                     coeffs[k - d + j] -= t * p
         return tuple(coeffs[:d])
 

@@ -97,18 +97,19 @@ def find_isomorphisms(
 
 
 class ScanCase:
-    """One (system, J, u, v) instance with its marked interval, and its
-    report label (system name, J names, u, v)."""
+    """One scan instance: its marked interval [u, v]^J, which holds the
+    system, J, u and v, and its report label (system name, J names, u, v)."""
 
-    __slots__ = ("system", "J", "u", "v", "interval", "label")
+    __slots__ = ("interval", "label")
 
-    def __init__(self, name, system, J, u, v, interval):
-        self.system, self.J, self.u, self.v, self.interval = system, J, u, v, interval
+    def __init__(self, name, interval):
+        sys = interval.system
+        self.interval = interval
         self.label = (
             name,
-            " ".join(sorted(system.names[s] for s in J)),
-            system.word_str(u),
-            system.word_str(v),
+            " ".join(sorted(sys.names[s] for s in interval.J)),
+            sys.word_str(interval.bottom),
+            sys.word_str(interval.top),
         )
 
 
@@ -299,9 +300,10 @@ def _poly_equal_check(report, case_a, case_b, config, control=False):
     W^J, u <= v) and the config checked the types, so this compares the
     tables' coefficient tuples without the entry points' validation.
     """
-    ta, tb = get_table(case_a.system), get_table(case_b.system)
-    ids_a = ta._ids(case_a.u, case_a.v, case_a.J)
-    ids_b = tb._ids(case_b.u, case_b.v, case_b.J)
+    ia, ib = case_a.interval, case_b.interval
+    ta, tb = get_table(ia.system), get_table(ib.system)
+    ids_a = ta._ids(ia.bottom, ia.top, ia.J)
+    ids_b = tb._ids(ib.bottom, ib.top, ib.J)
     kinds = [("P", ta._kl, tb._kl)]
     if config.include_r:
         kinds.append(("R", ta._r, tb._r))
@@ -350,7 +352,7 @@ def _enumerate_cases(report, config):
                     if ivl.size > config.max_interval_size:
                         report.skipped_oversize += 1
                         continue
-                    cases.append(ScanCase(name, sys, J, u, v, ivl.with_marking(J)))
+                    cases.append(ScanCase(name, ivl.with_marking(J)))
     return cases
 
 
@@ -358,18 +360,15 @@ def _run_controls(report, cases, config, extensions):
     """Match each case with its lift; extensions collects the extended
     system of each (system name, J)."""
     for case in cases:
-        key = (case.label[0], case.J)
+        ivl = case.interval
+        key = (case.label[0], ivl.J)
         ext = extensions.get(key)
         if ext is None:
-            ext = extend_system(case.system, case.J, class_x=config.class_x)
+            ext = extend_system(ivl.system, ivl.J, class_x=config.class_x)
             extensions[key] = ext
-        lu, lv = lift(ext, case.u), lift(ext, case.v)
+        lu, lv = lift(ext, ivl.bottom), lift(ext, ivl.top)
         lifted = ScanCase(
             case.label[0] + "~ext",
-            ext.extended,
-            ext.maximal_quotient,
-            lu,
-            lv,
             _build_interval(ext.extended, lu, lv, ext.maximal_quotient),
         )
         witness = check_hypothesis_pair(

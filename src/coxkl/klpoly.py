@@ -87,6 +87,31 @@ def _truncate(p: tuple, k: int) -> tuple:
     return _trim(list(p[: k + 1]))
 
 
+def _memoized(kind: str):
+    """A recursion step (self, iu, iv, J, x) memoized in tables[kind]: 1 at
+    u = v, 0 unless u <= v, else body(self, sys, order, iu, iv, J, x)."""
+
+    def wrap(body):
+        def step(self, iu, iv, J, x):
+            if iu == iv:
+                return _ONE
+            key = (iu, iv, J, x)
+            memo = self.tables[kind]
+            got = memo.get(key)
+            if got is not None:
+                return got
+            sys = self._sys()
+            order = _order(sys, J)
+            if not order.down[iv] >> iu & 1:
+                return ()
+            res = memo[key] = body(self, sys, order, iu, iv, J, x)
+            return res
+
+        return step
+
+    return wrap
+
+
 class KLTable:
     """Per-system memo table for R- and KL polynomials.
 
@@ -157,47 +182,26 @@ class KLTable:
 
     # -- R recursion ------------------------------------------------------
 
-    def _r(self, iu, iv, J, x) -> tuple:
-        if iu == iv:
-            return _ONE
-        key = (iu, iv, J, x)
-        got = self.tables["R"].get(key)
-        if got is not None:
-            return got
-        sys = self._sys()
-        order = _order(sys, J)
-        if not order.down[iv] >> iu & 1:
-            return ()
+    @_memoized("R")
+    def _r(self, sys, order, iu, iv, J, x) -> tuple:
         isv = order.covers[iv][0]
         su = order.row(sys, iu)[order.words[iv][0]]
         if su is None:  # su leaves W^J
-            res = _trim(_addto([], self._r(iu, isv, J, x), *_R3[x]))
-        elif su.__class__ is int:  # su < u
-            res = self._r(su, isv, J, x)
-        else:
-            # (q - 1) R_{u,sv} + q R_{su,sv}; su is numbered if su <= sv
-            a = self._r(iu, isv, J, x)
-            out = _addto(_addto([], a, 1, 1), a, -1)
-            isu = order.ids.get(su)
-            if isu is not None:
-                _addto(out, self._r(isu, isv, J, x), 1, 1)
-            res = _trim(out)
-        self.tables["R"][key] = res
-        return res
+            return _trim(_addto([], self._r(iu, isv, J, x), *_R3[x]))
+        if su.__class__ is int:  # su < u
+            return self._r(su, isv, J, x)
+        # (q - 1) R_{u,sv} + q R_{su,sv}; su is numbered if su <= sv
+        a = self._r(iu, isv, J, x)
+        out = _addto(_addto([], a, 1, 1), a, -1)
+        isu = order.ids.get(su)
+        if isu is not None:
+            _addto(out, self._r(isu, isv, J, x), 1, 1)
+        return _trim(out)
 
     # -- fast path: descent recursion with mu corrections --------------------
 
-    def _kl(self, iu, iv, J, x) -> tuple:
-        if iu == iv:
-            return _ONE
-        key = (iu, iv, J, x)
-        got = self.tables["P"].get(key)
-        if got is not None:
-            return got
-        sys = self._sys()
-        order = _order(sys, J)
-        if not order.down[iv] >> iu & 1:
-            return ()
+    @_memoized("P")
+    def _kl(self, sys, order, iu, iv, J, x) -> tuple:
         lens = order.lens
         s, isv = order.words[iv][0], order.covers[iv][0]
         su = order.row(sys, iu)[s]
@@ -231,22 +235,12 @@ class KLTable:
         res = _trim(out)
         if res and 2 * (len(res) - 1) > lens[iv] - lens[iu] - 1:
             raise InvariantError("degree bound violated")
-        self.tables["P"][key] = res
         return res
 
     # -- normative path: bar-duality solver ------------------------------------
 
-    def _kl_dual(self, iu, iv, J, x) -> tuple:
-        if iu == iv:
-            return _ONE
-        key = (iu, iv, J, x)
-        got = self.tables["Pdual"].get(key)
-        if got is not None:
-            return got
-        sys = self._sys()
-        order = _order(sys, J)
-        if not order.down[iv] >> iu & 1:
-            return ()
+    @_memoized("Pdual")
+    def _kl_dual(self, sys, order, iu, iv, J, x) -> tuple:
         lens, mirrors = order.lens, self.mirrors
         lu, lv = lens[iu], lens[iv]
         # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v})
@@ -262,7 +256,6 @@ class KLTable:
         res = _truncate(rhs, (gap - 1) // 2)
         if rhs != _trim(_addto(list(res), _mirror(res, gap), -1)):
             raise InvariantError("duality right-hand side is not self-mirrored")
-        self.tables["Pdual"][key] = res
         return res
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import all_subsets
 from coxkl.cli import main
 from coxkl.invariance import ScanReport
 
@@ -277,6 +278,15 @@ def test_extend_bond_past_the_ring_bound_exits_2(capsys):
     assert out == "" and "N = 60000" in err
 
 
+def test_extend_policy_item_without_equals_sign_exits_2(capsys):
+    code, out, err = run(
+        capsys, "extend", "--system", str(CONFIGS / "a2.json"),
+        "--quotient", "s1", "--policy", "s2",
+    )
+    assert code == 2
+    assert out == "" and "must look like s1=3" in err
+
+
 def test_verify_reduction_command(capsys):
     code, out, _ = run(
         capsys, "verify-reduction", "--system", str(CONFIGS / "a2.json"),
@@ -307,6 +317,38 @@ def test_scan_bundled_a3_maximal(capsys, tmp_path):
     assert report["format"] == 1
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.splitlines()[0].startswith("system_a,")
+
+
+def test_scan_skips_oversize_intervals_and_writes_no_row_for_them(capsys, tmp_path):
+    from coxkl.bruhat import cone, interval
+    from coxkl.serialize import load_system
+
+    cap = 6
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "format": 1,
+        "systems": [json.loads((CONFIGS / "a3.json").read_text())],
+        "quotients": "all",
+        "max_length": 4,
+        "max_interval_size": cap,
+    }))
+    code, out, _ = run(capsys, "scan", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert code == 0
+    _name, a3 = load_system(CONFIGS / "a3.json")
+    pairs = [(u, v) for J in all_subsets(a3.generators)
+             for v in a3.ball(4, J) for u in cone(a3, v, J)]
+    sizes = {(u, v): interval(a3, u, v).size for u, v in pairs}
+    oversize = sum(sizes[pair] > cap for pair in pairs)
+    summary = envelope(out)["result"]["summary"]
+    assert summary["skipped_oversize"] == oversize > 0
+    assert summary["counterexamples"] == 0
+    rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    assert rows
+    for row in rows:
+        fields = row.split(",")
+        for system, u, v in ((fields[0], fields[2], fields[3]), (fields[4], fields[6], fields[7])):
+            if system == "A3":
+                assert sizes[(a3.element(u), a3.element(v))] <= cap, row
 
 
 def test_scan_empty_systems(capsys, tmp_path):
@@ -609,6 +651,58 @@ def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path, monkeypatch):
     dump = report["counterexamples"][0]
     flat = json.dumps(dump)
     assert "s1" in flat and "7" in flat
+
+
+def _poison_extension_table(monkeypatch):
+    """Every memoized P of type q of an extended system reads (7,)."""
+    import coxkl.invariance
+    from coxkl.klpoly import get_table
+
+    class Poisoned(dict):
+        def get(self, key, default=None):
+            return (7,) if key[3] == "q" else super().get(key, default)
+
+    extend_system = coxkl.invariance.extend_system
+
+    def poisoned(*args, **kwargs):
+        ext = extend_system(*args, **kwargs)
+        get_table(ext.extended).tables["P"] = Poisoned()
+        return ext
+
+    monkeypatch.setattr(coxkl.invariance, "extend_system", poisoned)
+    return "P", "1", "0"
+
+
+def _hide_lifts(monkeypatch):
+    """No case is found isomorphic to its lift."""
+    import coxkl.invariance
+
+    check = coxkl.invariance.check_hypothesis_pair
+
+    def undetected(ia, ib, *args):
+        return None if ib.system is not ia.system else check(ia, ib, *args)
+
+    monkeypatch.setattr(coxkl.invariance, "check_hypothesis_pair", undetected)
+    return "iso", "0", "0"
+
+
+@pytest.mark.parametrize("fault", [_poison_extension_table, _hide_lifts])
+def test_scan_stops_at_a_failing_lift_control(capsys, tmp_path, monkeypatch, fault):
+    """A failing control is the scan's one counterexample and its last row."""
+    kind, iso, equal = fault(monkeypatch)
+    code, out, _ = run(
+        capsys, "scan", "--config", str(CONFIGS / "a3-maximal.json"),
+        "--out", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert envelope(out)["result"]["summary"]["counterexamples"] == 1
+    report = json.loads((tmp_path / "r.json").read_text())
+    [dump] = report["counterexamples"]
+    assert dump["control"] is True and dump["kind"] == kind
+    rows = [row.split(",") for row in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    assert rows[-1] == [*dump["case_a"], *dump["case_b"], "control", iso, equal]
+    assert dump["case_b"][0] == "A3~ext"
+    assert all(row[-1] == "1" for row in rows[:-1])
 
 
 def _spec(path, **changes):

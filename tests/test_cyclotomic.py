@@ -13,6 +13,31 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(30) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
 
 
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
+    """x^n - 1 is the product of Phi_d over the divisors d of n."""
+    for n in range(1, 301):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _times(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_cyclotomic_polynomial_near_the_ring_bound():
+    phi = cyclotomic_polynomial(9240)  # 9240 = 2^3 3 5 7 11
+    assert len(phi) - 1 == 4 * 2 * 4 * 6 * 10 == 1920
+    assert sum(1 for c in phi if c) == 343
+    assert phi[0] == phi[-1] == 1
+
+
 @pytest.mark.parametrize("N", [6, 8, 10, 12, 30])
 def test_ring_axioms(N):
     ring = CyclotomicRing(N)
@@ -72,6 +97,28 @@ def test_sign_of_small_difference():
     b = ring.neg(ring.minus_two_cos_pi_over(6))
     assert ring.sign(ring.sub(a, b)) == -1  # 1.618 < 1.732
     assert ring.sign(ring.sub(b, a)) == 1
+
+
+@pytest.mark.parametrize("n, precisions", [
+    (40, [30]), (61, [30]), (80, [30, 60]), (81, [30, 60]),
+])
+def test_sign_of_a_tiny_residue_takes_the_slow_path(monkeypatch, n, precisions):
+    """F_n g - F_(n+1), with g = 2cos(pi/5) and F the Fibonacci numbers,
+    equals -(-1/g)^n: too small for the float path, so its sign (-1)^(n+1)
+    comes from the mpmath enclosure, at 60 digits once 30 do not decide."""
+    import mpmath
+
+    ring = CyclotomicRing(10)
+    g = ring.neg(ring.minus_two_cos_pi_over(5))
+    fib = [0, 1]
+    while len(fib) < n + 2:
+        fib.append(fib[-1] + fib[-2])
+    a = ring.sub(ring.mul(ring.from_int(fib[n]), g), ring.from_int(fib[n + 1]))
+    ran = []
+    workdps = mpmath.workdps
+    monkeypatch.setattr(mpmath, "workdps", lambda dps: ran.append(dps) or workdps(dps))
+    assert ring.sign(a) == (-1) ** (n + 1)
+    assert ran == precisions
 
 
 def test_nonreal_rejected():

@@ -210,3 +210,23 @@ def test_reduction_transports_nontrivial_polynomial(b3):
                     assert q == p
                     found += 1
     assert found > 0
+
+
+def _h3_policies():
+    """Every J of H3 with bond 5 on each s not in J (ring N = 30), plus
+    bonds 7 and inf, and 7 and 7, on the two others (N = 210)."""
+    for J in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
+        yield J, {s: 5 for s in range(3) if s not in J}, 30
+    yield (0,), {1: 7, 2: INF}, 210
+    yield (2,), {0: 7, 1: 7}, 210
+
+
+@pytest.mark.parametrize("J, policy, N", list(_h3_policies()))
+def test_transport_on_h3_with_non_default_bonds(h3, J, policy, N):
+    """The paper's transport on the general backend, with bonds other than
+    the default 3 on the adjoined generator."""
+    ext = extend_system(h3, J, policy=policy)
+    assert ext.extended.ring.N == N
+    summary = verify_reduction_sweep(ext, 5).summary()
+    assert summary["unequal"] == 0 < summary["records"]
+    assert lift_order_embedding_check(ext, 4)

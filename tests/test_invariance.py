@@ -170,15 +170,15 @@ def test_enumerated_intervals_equal_fresh_ones(matrix):
         for J in all_subsets(fresh.generators)
         for v in fresh.ball(5) if fresh.is_min_rep(v, J)
     )
-    assert len({(c.u, c.v) for c in cases}) < len(cases)
+    assert len({(c.interval.bottom, c.interval.top) for c in cases}) < len(cases)
     for case in cases:
-        ivl = parabolic_interval(fresh, case.u, case.v, case.J)
         got = case.interval
+        ivl = parabolic_interval(fresh, got.bottom, got.top, got.J)
         assert (got.J, got.ground, got.covers, got.marked) == (
-            case.J, ivl.ground, ivl.covers, ivl.marked)
+            ivl.J, ivl.ground, ivl.covers, ivl.marked)
         assert got.fingerprint() == ivl.fingerprint()
         assert got.marked == {i for i, z in enumerate(got.ground)
-                              if fresh.is_min_rep(z, case.J)}
+                              if fresh.is_min_rep(z, got.J)}
 
 
 def test_size_cap(affine_a2):
@@ -242,12 +242,13 @@ def test_memoized_witnesses_are_the_first_ones_found():
              for a, b in itertools.combinations(bucket, 2)]
     extensions = {}
     for case in cases:
-        key = (case.label[0], case.J)
+        ivl = case.interval
+        key = (case.label[0], ivl.J)
         if key not in extensions:
-            extensions[key] = extend_system(case.system, case.J)
+            extensions[key] = extend_system(ivl.system, ivl.J)
         ext = extensions[key]
-        pairs.append((case.interval, parabolic_interval(
-            ext.extended, lift(ext, case.u), lift(ext, case.v), ext.maximal_quotient)))
+        pairs.append((ivl, parabolic_interval(
+            ext.extended, lift(ext, ivl.bottom), lift(ext, ivl.top), ext.maximal_quotient)))
     counts = {"searches": 0, "memo_hits": 0}
     for a, b in pairs:
         got = check_hypothesis_pair(a, b, counts=counts)
