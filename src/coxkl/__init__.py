@@ -29,10 +29,6 @@ from .klpoly import (
     KLTable,
     bar_squared_check,
     get_table,
-    mu,
-    parabolic_kl,
-    parabolic_kl_duality,
-    parabolic_r,
 )
 from .invariance import (
     ClassX,

@@ -5,8 +5,11 @@ of generator indices; two elements are equal iff their tuples are equal,
 and the empty tuple is the identity.  Lengths and descents come from the
 reflection representation on root coordinates, which works uniformly for
 finite and infinite systems.  The scalar backend is exact throughout:
-integers for matrix entries in {1,2,3,4,6,inf}, residues in a real
-cyclotomic ring otherwise.  `ClassX` is a class of admissible bonds.
+integers on the crystallographic backend (entries in {1,2,3,4,6,inf});
+on the general backend, residues in Z[x]/(Phi_N) with N = lcm(2m) over
+the bonds m other than 2, 3 and inf, which are the integers 0, -1 and
+-2.  Each bond's Cartan value is computed once.  `ClassX` is a class of
+admissible bonds.
 
 Systems are immutable and safe to share; every operation here is a pure
 function of its inputs.  Each system remembers the kernel's answers
@@ -153,45 +156,36 @@ def is_class_x(matrix: CoxeterMatrix, class_x: ClassX) -> bool:
     )
 
 
-def _integer_cartan(matrix: CoxeterMatrix):
-    n = matrix.n
-    cartan = [[2] * n for _ in range(n)]
-    for s in range(n):
-        for t in range(s + 1, n):
-            m = matrix.entry(s, t)
-            a_st, a_ts = _CRYSTAL_PAIRS[m]
-            cartan[s][t] = a_st
-            cartan[t][s] = a_ts
-    return tuple(tuple(row) for row in cartan)
-
-
-#: the largest N = lcm(2m) over the bonds m that the general backend takes
+#: the largest N = lcm(2m) over the ring bonds m that the general backend takes
 MAX_RING_ORDER = 10_000
 
 
-def _general_cartan(matrix: CoxeterMatrix):
-    finite = sorted(
-        {m for row in matrix.rows for m in row if m is not INF and m >= 3}
-    )
-    N = 1
-    for m in finite:
-        N = N * 2 * m // math.gcd(N, 2 * m)
-    if N > MAX_RING_ORDER:
-        raise InputError(f"bonds {finite} need cyclotomic order N = {N} > {MAX_RING_ORDER}")
-    ring = CyclotomicRing(max(N, 2))
+def _cartan(matrix: CoxeterMatrix, backend: str):
+    """(ring, Cartan matrix) of a checked matrix on a backend.  Each bond
+    gives one pair (a(s,t), a(t,s)): the integer backend reads
+    `_CRYSTAL_PAIRS`; the general one takes bonds 2, 3 and INF as the ring
+    integers 0, -1 and -2, and -2cos(pi/m) once for every other bond m,
+    in the ring of N = lcm(2m) over those bonds (ring None: Python ints)."""
     n = matrix.n
-    cartan = [[ring.from_int(2)] * n for _ in range(n)]
+    bonds = {matrix.entry(s, t) for s in range(n) for t in range(s + 1, n)}
+    if backend == "crystallographic":
+        ring, pairs = None, _CRYSTAL_PAIRS
+    else:
+        integers = {m: a for m, (a, b) in _CRYSTAL_PAIRS.items() if a == b}
+        ring_bonds = sorted(bonds - integers.keys())
+        N = 1
+        for m in ring_bonds:
+            N = N * 2 * m // math.gcd(N, 2 * m)
+        if N > MAX_RING_ORDER:
+            raise InputError(f"bonds {ring_bonds} need cyclotomic order N = {N} > {MAX_RING_ORDER}")
+        ring = CyclotomicRing(max(N, 2))
+        pairs = {m: (ring.from_int(a),) * 2 for m, a in integers.items()}
+        pairs.update((m, (ring.minus_two_cos_pi_over(m),) * 2) for m in ring_bonds)
+    two = 2 if ring is None else ring.from_int(2)
+    cartan = [[two] * n for _ in range(n)]
     for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            m = matrix.entry(s, t)
-            if m is INF:
-                cartan[s][t] = ring.from_int(-2)
-            elif m == 2:
-                cartan[s][t] = ring.from_int(0)
-            else:
-                cartan[s][t] = ring.minus_two_cos_pi_over(m)
+        for t in range(s + 1, n):
+            cartan[s][t], cartan[t][s] = pairs[matrix.entry(s, t)]
     return ring, tuple(tuple(row) for row in cartan)
 
 
@@ -238,12 +232,8 @@ class CoxeterSystem:
                 raise InputError(
                     f"crystallographic backend does not support entries {bad}"
                 )
-            ring = None
-            cartan = _integer_cartan(matrix)
-            kernel = make_integer_kernel(cartan)
-        else:
-            ring, cartan = _general_cartan(matrix)
-            kernel = RingKernel(ring, cartan)
+        ring, cartan = _cartan(matrix, backend)
+        kernel = make_integer_kernel(cartan) if ring is None else RingKernel(ring, cartan)
         self.matrix = matrix
         self.names = names
         self.backend = backend

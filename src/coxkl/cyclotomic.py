@@ -5,7 +5,9 @@ Coxeter matrix entries outside {1,2,3,4,6,inf} force Cartan values
 in the real subfield of Q(zeta_N) for N = lcm(2m), so we compute in
 Z[x]/(Phi_N(x)) with integer coefficients: a scalar is its residue,
 which is zero exactly when the scalar is zero; powers x^k are reduced
-when asked for, subtracting only the nonzero terms of Phi_N.  Phi_n
+when asked for, subtracting only the nonzero terms of Phi_N.  With
+k = N/2m, -2cos(pi/m) = zeta^(N/2 - k) - zeta^k, since zeta^(km) = -1,
+so no value reduces a power above x^(N/2).  Phi_n
 (n > 1) is the product over the squarefree divisors e of n of
 (1 - x^(n/e))^mu(e), kept as a power series cut at degree phi(n), so
 each factor is one pass over phi(n) + 1 coefficients.  Signs are
@@ -81,11 +83,12 @@ class CyclotomicRing:
         return self._reduce([int(i == k % self.N) for i in range(self.N)])
 
     def minus_two_cos_pi_over(self, m: int) -> tuple[int, ...]:
-        """The Cartan value -2cos(pi/m) = -(zeta_{2m} + zeta_{2m}^{-1})."""
+        """The Cartan value -2cos(pi/m) = -(zeta^k + zeta^-k) for k = N/2m,
+        taken as zeta^(N/2 - k) - zeta^k, since zeta^(km) = -1."""
         if self.N % (2 * m):
             raise ValueError(f"2*{m} does not divide N={self.N}")
         k = self.N // (2 * m)
-        return self.neg(self.add(self.root_power(k), self.root_power(-k)))
+        return self.sub(self.root_power(self.N // 2 - k), self.root_power(k))
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))

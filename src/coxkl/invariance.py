@@ -265,12 +265,8 @@ class ScanReport:
     def count_tables(self, name: str, sys: CoxeterSystem) -> None:
         """Add a system's kernel kind and memo table sizes to the stats."""
         self.kernels.setdefault(name, set()).add(sys.kernel.kind)
-        memo = self.memo
-        memo["canonical"] += len(sys.canonical_memo)
-        memo["descent"] += len(sys.descent_memo)
-        memo["kernel"] += sys.kernel.table_size()
         for kind, size in memo_sizes(sys).items():
-            memo[kind] += size
+            self.memo[kind] += size
 
     CSV_HEADER = (
         "system_a,quotient_a,u_a,v_a,system_b,quotient_b,u_b,v_b,"

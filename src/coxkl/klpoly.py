@@ -1,6 +1,7 @@
 """Parabolic R-polynomials and Kazhdan-Lusztig polynomials of both types.
 
-Two independent computation paths are kept side by side:
+Two independent computation paths are kept side by side, as methods of
+the per-system `KLTable` (`get_table`):
 
 * `parabolic_kl_duality` is the normative definition: it solves the
   bar-duality identity by descending induction, splitting each right-hand
@@ -269,26 +270,16 @@ def get_table(sys: CoxeterSystem) -> KLTable:
 
 
 def memo_sizes(sys: CoxeterSystem) -> dict:
-    """Entries in the system's order indexes and polynomial memos."""
-    sizes = {kind: len(entries) for kind, entries in get_table(sys).tables.items()}
-    sizes["order"] = sum(len(o.words) for o in sys.caches.get("order", {}).values())
+    """Entries in the system's word memos, kernel tables, order indexes
+    and polynomial memos."""
+    sizes = {
+        "canonical": len(sys.canonical_memo),
+        "descent": len(sys.descent_memo),
+        "order": sum(len(o.words) for o in sys.caches.get("order", {}).values()),
+        "kernel": sys.kernel.table_size(),
+    }
+    sizes.update((kind, len(entries)) for kind, entries in get_table(sys).tables.items())
     return sizes
-
-
-def parabolic_r(sys, u, v, J, x: str) -> LaurentPoly:
-    return get_table(sys).parabolic_r(u, v, J, x)
-
-
-def parabolic_kl(sys, u, v, J, x: str) -> LaurentPoly:
-    return get_table(sys).parabolic_kl(u, v, J, x)
-
-
-def parabolic_kl_duality(sys, u, v, J, x: str) -> LaurentPoly:
-    return get_table(sys).parabolic_kl_duality(u, v, J, x)
-
-
-def mu(sys, w, v, J, x: str) -> int:
-    return get_table(sys).mu(w, v, J, x)
 
 
 def bar_squared_check(sys, u, v, J, x: str) -> bool:

@@ -60,7 +60,9 @@ def test_poly_method_both_agrees(capsys):
     assert res["agree"] is True
     assert res["polynomials"]["recursion"] == res["polynomials"]["duality"]
     memo = obj["stats"]["memo"]
-    assert set(obj["stats"]) == {"memo"} and set(memo) == {"order", "R", "P", "Pdual"}
+    assert set(obj["stats"]) == {"memo"} and set(memo) == {
+        "canonical", "descent", "kernel", "order", "R", "P", "Pdual",
+    }
     assert all(memo[k] > 0 for k in memo)
 
 
@@ -275,7 +277,7 @@ def test_extend_bond_past_the_ring_bound_exits_2(capsys):
         "--quotient", "s1", "--policy", "s2=10000",
     )
     assert code == 2
-    assert out == "" and "N = 60000" in err
+    assert out == "" and "N = 20000" in err
 
 
 def test_extend_policy_item_without_equals_sign_exits_2(capsys):

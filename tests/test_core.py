@@ -2,6 +2,8 @@
 
 import ast
 import itertools
+import json
+import math
 import random
 import re
 from pathlib import Path
@@ -10,9 +12,12 @@ import pytest
 
 from conftest import all_subsets
 import coxkl
-from coxkl import INF, CoxeterSystem, InputError, validate_system
-from coxkl.core import CoxeterMatrix
+from coxkl import INF, CoxeterSystem, InputError, PreconditionError, validate_system
+from coxkl.core import ClassX, CoxeterMatrix
+from coxkl.cyclotomic import CyclotomicRing
 from oracles import project_to_quotient
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # -- validation ---------------------------------------------------------------
@@ -50,10 +55,61 @@ def test_crystallographic_backend_rejects_m5():
 
 
 def test_general_backend_bounds_the_ring():
-    """N = lcm(2m) over the bonds sizes the cyclotomic ring; an N above
-    MAX_RING_ORDER is refused before the ring is built."""
-    with pytest.raises(InputError, match=re.escape("bonds [3, 10000] need cyclotomic order N = 60000 > 10000")):
+    """N = lcm(2m) over the bonds other than 2, 3 and inf sizes the
+    cyclotomic ring; an N above MAX_RING_ORDER is refused before the ring
+    is built."""
+    with pytest.raises(InputError, match=re.escape("bonds [10000] need cyclotomic order N = 20000 > 10000")):
         validate_system([[1, 3, 2], [3, 1, 10000], [2, 10000, 1]])
+
+
+def test_h3_ring_holds_only_bond_5():
+    """Bond 3 gives the integer -1, so H3's ring is Z[x]/Phi_10."""
+    h3 = validate_system([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
+    assert h3.ring.N == 10 and h3.ring.degree == 4
+
+
+@pytest.mark.parametrize("matrix, calls", [
+    ([[1, 5, 2], [5, 1, 3], [2, 3, 1]], [5]),
+    ([[1, 5, 3, 2], [5, 1, 3, 2], [3, 3, 1, 5], [2, 2, 5, 1]], [5]),
+    ([[1, 4, INF], [4, 1, 7], [INF, 7, 1]], [4, 7]),
+    ([[1, 3, INF], [3, 1, 2], [INF, 2, 1]], []),
+])
+def test_general_cartan_computes_each_ring_bond_once(monkeypatch, matrix, calls):
+    """One Cartan value per distinct bond outside {2, 3, inf}, however
+    many generator pairs carry it."""
+    seen = []
+    value = CyclotomicRing.minus_two_cos_pi_over
+
+    def counted(ring, m):
+        seen.append(m)
+        return value(ring, m)
+
+    monkeypatch.setattr(CyclotomicRing, "minus_two_cos_pi_over", counted)
+    validate_system(matrix, backend="general")
+    assert sorted(seen) == calls
+
+
+def _bundled_matrices():
+    for path in sorted(CONFIGS.glob("*.json")):
+        spec = json.loads(path.read_text())
+        if "matrix" in spec:
+            yield path.stem, [[INF if m == "inf" else m for m in row] for row in spec["matrix"]]
+    yield "bonds 4, 6, 7, inf", [[1, 4, INF, 2], [4, 1, 6, 2], [INF, 6, 1, 7], [2, 2, 7, 1]]
+
+
+@pytest.mark.parametrize("name, matrix", list(_bundled_matrices()))
+def test_general_cartan_values_at_the_root_of_unity(name, matrix):
+    """Each general-backend Cartan entry, evaluated at zeta_N, is 2 on the
+    diagonal and -2cos(pi/m) off it: 0 for bond 2, -2 for inf."""
+    sys = validate_system(matrix, backend="general")
+    N = sys.ring.N
+    for s, t in itertools.product(range(sys.n), repeat=2):
+        m = sys.matrix.entry(s, t)
+        want = 2.0 if s == t else -2.0 if m is INF else -2 * math.cos(math.pi / m)
+        a = sys.cartan[s][t]
+        re_ = sum(c * math.cos(2 * math.pi * k / N) for k, c in enumerate(a))
+        im = sum(c * math.sin(2 * math.pi * k / N) for k, c in enumerate(a))
+        assert abs(re_ - want) < 1e-9 and abs(im) < 1e-9, (name, s, t)
 
 
 def test_pairing_policy_table():
@@ -303,6 +359,11 @@ def test_general_backend_matches_crystallographic_on_b3(b3):
         assert gen.canonicalize(word) == b3.canonicalize(word)
 
 
+def test_all_elements_of_an_infinite_group_stops_at_the_cap(affine_a2):
+    with pytest.raises(PreconditionError, match="more than 50 elements"):
+        affine_a2.all_elements(cap=50)
+
+
 def test_ball_of_infinite_group(affine_a2):
     ball = affine_a2.ball(8)
     assert len(ball) == 109  # 1 + 3 + 6 + ... : three k-step layers per length
@@ -352,6 +413,15 @@ def test_matrix_equality_helpers():
     assert m.entry(0, 1) == 3
     assert m.is_crystallographic()
     assert not CoxeterMatrix([[1, 5], [5, 1]]).is_crystallographic()
+
+
+def test_matrix_and_class_compare_and_hash_by_value():
+    m = CoxeterMatrix([[1, 3], [3, 1]])
+    assert m == CoxeterMatrix(((1, 3), (3, 1))) and m != CoxeterMatrix([[1, 4], [4, 1]])
+    assert m != m.rows and len({m, CoxeterMatrix([[1, 3], [3, 1]])}) == 1
+    c = ClassX([3, 5, INF])
+    assert c == ClassX([INF, 5, 3, 5]) and c != ClassX([3, 5]) and c != c.values
+    assert len({c, ClassX((5, INF, 3))}) == 1
 
 
 # -- the shipped API ----------------------------------------------------------------------

@@ -78,6 +78,12 @@ def test_two_cos_values_match_floats():
         assert abs(approx - (-2 * math.cos(math.pi / m))) < 1e-9
 
 
+@pytest.mark.parametrize("N, m", [(10, 3), (30, 4), (12, 4), (2, 2)])
+def test_two_cos_needs_2m_to_divide_n(N, m):
+    with pytest.raises(ValueError, match=f"2\\*{m} does not divide N={N}"):
+        CyclotomicRing(N).minus_two_cos_pi_over(m)
+
+
 def test_sign_and_zero():
     ring = CyclotomicRing(10)
     c = ring.minus_two_cos_pi_over(5)  # about -1.618

@@ -79,6 +79,18 @@ def test_extend_rejects_bool_policy_key(a3):
         extend_system(a3, [0], policy={True: 4})
 
 
+@pytest.mark.parametrize("bond", [2.5, True, 3.0, "3"])
+def test_extend_rejects_a_bond_that_is_not_an_integer(a2, bond):
+    with pytest.raises(InputError, match="bond for s1 must be >= 3 or INF"):
+        extend_system(a2, {1}, policy={0: bond})
+
+
+def test_extend_names_the_new_generator_past_the_taken_names():
+    sys = validate_system([[1, 3], [3, 1]], names=["s3", "s1"])
+    ext = extend_system(sys, {1})
+    assert ext.extended.names == ("s3", "s1", "s3~")
+
+
 def test_extend_class_x(a2):
     ext = extend_system(a2, {1}, class_x=ClassX({3}))
     assert ext.extended.matrix.rows[2][0] == 3
@@ -213,20 +225,22 @@ def test_reduction_transports_nontrivial_polynomial(b3):
 
 
 def _h3_policies():
-    """Every J of H3 with bond 5 on each s not in J (ring N = 30), plus
-    bonds 7 and inf, and 7 and 7, on the two others (N = 210)."""
+    """Every J of H3 with bond 5 on each s not in J, plus bonds 7 and inf,
+    and 7 and 7, on the two others; each with lcm(2m) over all of its
+    bonds m >= 3 (30 and 210)."""
     for J in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
         yield J, {s: 5 for s in range(3) if s not in J}, 30
     yield (0,), {1: 7, 2: INF}, 210
     yield (2,), {0: 7, 1: 7}, 210
 
 
-@pytest.mark.parametrize("J, policy, N", list(_h3_policies()))
-def test_transport_on_h3_with_non_default_bonds(h3, J, policy, N):
+@pytest.mark.parametrize("J, policy, lcm_all", list(_h3_policies()))
+def test_transport_on_h3_with_non_default_bonds(h3, J, policy, lcm_all):
     """The paper's transport on the general backend, with bonds other than
-    the default 3 on the adjoined generator."""
+    the default 3 on the adjoined generator.  Bond 3 is the integer -1, so
+    the ring drops its factor 3: N = 10 and 70."""
     ext = extend_system(h3, J, policy=policy)
-    assert ext.extended.ring.N == N
+    assert ext.extended.ring.N == lcm_all // 3
     summary = verify_reduction_sweep(ext, 5).summary()
     assert summary["unequal"] == 0 < summary["records"]
     assert lift_order_embedding_check(ext, 4)

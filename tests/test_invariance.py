@@ -306,9 +306,10 @@ def test_class_x_validation():
     {"max_interval_size": -1},
     {"class_x": [3]},
     {"entries": [("A2", validate_system([[1, 3], [3, 1]]), {})]},
+    {"quotients": "bogus"},
 ], ids=["types-empty", "types-str", "include_r", "lift_controls", "max_rank_gap",
         "max_length-bool", "max_interval_size-negative", "class_x-list",
-        "entries-triple"])
+        "entries-triple", "quotients-bogus"])
 def test_scan_config_rejects_malformed_values(a2, kwargs):
     """ScanConfig checks every value it holds, from a file or from Python."""
     kwargs.setdefault("entries", [("A2", a2)])

@@ -265,6 +265,17 @@ def test_mu_examples(a2):
     assert t.mu(v, v, frozenset(), "q") == 0
 
 
+def test_mu_and_bar_squared_below_no_top(a3):
+    """mu(w, v) is 0 and the bar-squared identity holds trivially when the
+    bottom is not below the top."""
+    t = get_table(a3)
+    w, v = a3.element("s1 s2"), a3.element("s3 s2 s1")
+    assert not bruhat_leq(a3, w, v)
+    for x in ("q", "-1"):
+        assert t.mu(w, v, frozenset(), x) == 0
+        assert bar_squared_check(a3, w, v, frozenset(), x) is True
+
+
 def test_mu_even_gap_is_zero(a3):
     t = get_table(a3)
     elems = a3.all_elements()

@@ -2,7 +2,9 @@
 
 Bonds are drawn from {2, 3, 4, 5, 6, 7, inf}.  Every system runs on the
 general backend, and a crystallographic one on the integer backend too;
-both backends must give the same polynomials.  Witness verification,
+both backends must give the same polynomials.  The paper's transport
+z -> z st is checked over random J and random bond policies on the
+adjoined generator, also inside a random class X.  Witness verification,
 which compares the image of the source's cover set with the target's
 cover set, is checked against a pairwise comparison of the two orders,
 each the transitive closure of its covers.
@@ -10,16 +12,23 @@ each the transitive closure of its covers.
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkl import INF, validate_system
+from coxkl import INF, InputError, validate_system
 from coxkl.bruhat import IntervalPoset, bruhat_leq, parabolic_interval
-from coxkl.extension import extend_system, lift
-from coxkl.invariance import IsoWitness, find_isomorphisms
+from coxkl.extension import (
+    extend_system,
+    lift,
+    lift_order_embedding_check,
+    verify_reduction_sweep,
+)
+from coxkl.invariance import ClassX, IsoWitness, find_isomorphisms, is_class_x
 from coxkl.klpoly import KLTable
 
 BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INF])
+POLICY_BONDS = st.sampled_from([3, 4, 5, 6, INF])
 
 
 def _check_recursion_equals_duality(matrix, J, radius):
@@ -57,6 +66,43 @@ def test_recursion_equals_duality_on_random_rank4(bonds, J):
     a, b, c, d, e, f = bonds
     matrix = [[1, a, b, c], [a, 1, d, e], [b, d, 1, f], [c, e, f, 1]]
     _check_recursion_equals_duality(matrix, J, 3)
+
+
+@st.composite
+def _extensions(draw):
+    """A rank-3 matrix, a J, a bond policy on the generators outside J,
+    and a class X holding the matrix's bonds."""
+    a, b, c = draw(BONDS), draw(BONDS), draw(BONDS)
+    J = draw(st.frozensets(st.integers(0, 2)))
+    policy = {s: draw(POLICY_BONDS) for s in range(3) if s not in J}
+    extra = draw(st.frozensets(POLICY_BONDS, min_size=1))
+    class_x = ClassX(extra | {a, b, c} - {2})
+    return [[1, a, b], [a, 1, c], [b, c, 1]], J, policy, class_x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_extensions(), st.data())
+def test_transport_over_random_bond_policies(extension, data):
+    """For any J and any bonds >= 3 or inf on the adjoined generator,
+    z -> z st carries [u, v]^J onto its lift in the maximal quotient
+    (`lift_interval` certifies every pair in the sweep) and carries P and
+    R of both types; it embeds W^J in order.  Inside a class X the
+    extended matrix stays in the class, and a bond outside it is refused."""
+    matrix, J, policy, class_x = extension
+    sys = validate_system(matrix)
+    ext = extend_system(sys, J, policy=policy)
+    summary = verify_reduction_sweep(ext, 3).summary()
+    assert summary["unequal"] == 0 < summary["records"]
+    assert lift_order_embedding_check(ext, 3)
+
+    values = sorted(class_x.values)
+    inside = {s: data.draw(st.sampled_from(values)) for s in policy}
+    ext = extend_system(sys, J, policy=inside, class_x=class_x)
+    assert is_class_x(ext.extended.matrix, class_x)
+    if policy:
+        outside = min(m for m in range(3, 12) if m not in class_x.values)
+        with pytest.raises(InputError, match="outside the class constraint"):
+            extend_system(sys, J, policy={min(policy): outside}, class_x=class_x)
 
 
 def _without_cover(ivl, cover):
