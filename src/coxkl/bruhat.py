@@ -12,8 +12,9 @@ of the larger element (the first letter of its canonical word), since
 numbering the cone of a long word can cost exponentially many elements.
 Intervals with equal labeled shape (ranks, covers), in any system, share
 one weakly registered record of immutable tables, and one sub-record per
-marking, which also holds the memo of found isomorphisms.  `IsoWitness`
-certifies an isomorphism of two intervals by their covers.
+marking, which also holds the memo of found isomorphisms (the identity,
+between two intervals that share one).  `IsoWitness` certifies an
+isomorphism of two intervals by their covers.
 """
 
 from __future__ import annotations
@@ -173,6 +174,7 @@ class _Shape:
         for i, j in reversed(covers):  # sorted, and i < j
             bits[i] |= bits[j]
         self.ranks, self.covers = ranks, covers
+        self.identity = tuple(range(len(ranks)))
         self.adj = (tuple(map(tuple, down)), tuple(map(tuple, up)))
         self.up_bits = tuple(bits)
         self.element_shape = tuple(

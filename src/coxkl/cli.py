@@ -3,11 +3,12 @@
 Subcommands: poly, interval, extend, verify-reduction, scan.  Every
 command prints a JSON envelope {format, command, inputs, result, timing}
 to stdout; scan adds "stats" (per-phase wall seconds, work counts,
-kernel kinds and memo table sizes) and poly adds "stats" with the same
-memo table sizes, which no report file carries.  Exit codes: 0 success, 1 mathematical
-disagreement found (including a failed internal invariant), 2 malformed
-input or configuration (an unwritable output path included, refused
-before any work), 3 precondition violation.
+kernel kinds and memo table sizes), and poly and verify-reduction (base
+plus extension) add "stats" with the memo table sizes; no report file
+carries them.  Exit codes: 0 success, 1 mathematical disagreement found
+(including a failed internal invariant), 2 malformed input or
+configuration (an unwritable output path included, refused before any
+work), 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -216,7 +217,10 @@ def cmd_verify_reduction(args) -> int:
         "summary": report.summary(),
         "records": records,
     }
-    _emit("verify-reduction", {"system": name}, result, started)
+    memo = memo_sizes(sys)
+    for kind, size in memo_sizes(ext.extended).items():
+        memo[kind] += size
+    _emit("verify-reduction", {"system": name}, result, started, {"memo": memo})
     return EXIT_OK if report.all_equal else EXIT_DISAGREEMENT
 
 

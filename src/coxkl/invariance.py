@@ -4,8 +4,10 @@ that matched pairs carry equal polynomials.
 The hypothesis test is a single search for a rank-preserving isomorphism
 of full intervals that maps marked subset onto marked subset, which is
 equivalent to asking for an isomorphism of the marked subposets that
-extends to the full intervals.  Witnesses, found or remembered, are
-verified (`IsoWitness.verify`) before they are trusted.  Scans are
+extends to the full intervals.  Two intervals that share one marking
+record have equal ranks, covers and marked sets, so the identity maps
+one onto the other; every other witness, found or remembered, is
+verified (`IsoWitness.verify`) before it is trusted.  Scans are
 deterministic: no randomness, all iteration in canonical orders.
 """
 
@@ -98,13 +100,15 @@ def find_isomorphisms(
 
 class ScanCase:
     """One scan instance: its marked interval [u, v]^J, which holds the
-    system, J, u and v, and its report label (system name, J names, u, v)."""
+    system, J, u and v, its report label (system name, J names, u, v) and
+    its polynomials (`_polys`)."""
 
-    __slots__ = ("interval", "label")
+    __slots__ = ("interval", "label", "polys")
 
     def __init__(self, name, interval):
         sys = interval.system
         self.interval = interval
+        self.polys = None
         self.label = (
             name,
             " ".join(sorted(sys.names[s] for s in interval.J)),
@@ -115,14 +119,19 @@ class ScanCase:
 
 def check_hypothesis_pair(ia, ib, cap: int = DEFAULT_SIZE_CAP, counts=None):
     """First isomorphism of the marked intervals ia, ib that maps marked
-    onto marked, if any.  The search reads only sizes, ranks, covers and
+    onto marked, if any: the identity, unverified, if they share one
+    marking record.  Else the search reads only sizes, ranks, covers and
     markings, so its first mapping is memoized per pair of marked shapes
-    and verified again on reuse; counts, if given, counts "searches" and
-    "memo_hits"."""
+    and verified again on reuse; counts, if given, counts "shared",
+    "searches" and "memo_hits"."""
     if ia.fingerprint() != ib.fingerprint():
         return None
     if ia.size > cap:  # equal fingerprints, equal sizes
         raise PreconditionError(f"interval size exceeds the cap of {cap}")
+    if ia._marking is ib._marking:
+        if counts is not None:
+            counts["shared"] += 1
+        return IsoWitness(ia, ib, ia._shape.identity, True)
     memo, key = ia._marking.witnesses, ib._marking
     hit = key in memo
     if counts is not None:
@@ -220,7 +229,7 @@ class ScanReport:
         self.memo = dict.fromkeys(
             ("canonical", "descent", "order", "kernel", "R", "P", "Pdual"), 0
         )
-        self.iso = {"searches": 0, "memo_hits": 0}
+        self.iso = {"searches": 0, "memo_hits": 0, "shared": 0}
         self.shapes = 0  # distinct marked shapes among the cases
 
     @property
@@ -289,6 +298,18 @@ def _quotient_list(sys: CoxeterSystem, mode: str):
     return subsets
 
 
+def _polys(case, config) -> tuple:
+    """The case's configured P for each type, then R for each type, read
+    from its table once."""
+    if case.polys is None:
+        ivl = case.interval
+        table = get_table(ivl.system)
+        ids = table._ids(ivl.bottom, ivl.top, ivl.J)
+        kinds = (table._kl, table._r) if config.include_r else (table._kl,)
+        case.polys = tuple(poly(*ids, x) for poly in kinds for x in config.types)
+    return case.polys
+
+
 def _poly_equal_check(report, case_a, case_b, config, control=False):
     """Compare the configured polynomials of two matched cases.
 
@@ -296,33 +317,25 @@ def _poly_equal_check(report, case_a, case_b, config, control=False):
     W^J, u <= v) and the config checked the types, so this compares the
     tables' coefficient tuples without the entry points' validation.
     """
-    ia, ib = case_a.interval, case_b.interval
-    ta, tb = get_table(ia.system), get_table(ib.system)
-    ids_a = ta._ids(ia.bottom, ia.top, ia.J)
-    ids_b = tb._ids(ib.bottom, ib.top, ib.J)
-    kinds = [("P", ta._kl, tb._kl)]
-    if config.include_r:
-        kinds.append(("R", ta._r, tb._r))
-    all_equal = True
-    for kind, poly_a, poly_b in kinds:
-        for x in config.types:
-            pa = poly_a(*ids_a, x)
-            pb = poly_b(*ids_b, x)
-            report.equalities_verified += 1
-            if pa != pb:
-                all_equal = False
-                report.counterexamples.append(
-                    {
-                        "control": control,
-                        "kind": kind,
-                        "type": x,
-                        "case_a": case_a.label,
-                        "case_b": case_b.label,
-                        "poly_a": str(LaurentPoly(pa)),
-                        "poly_b": str(LaurentPoly(pb)),
-                    }
-                )
-    return all_equal
+    polys_a, polys_b = _polys(case_a, config), _polys(case_b, config)
+    report.equalities_verified += len(polys_a)
+    if polys_a == polys_b:
+        return True
+    labels = [(kind, x) for kind in ("P", "R") for x in config.types]
+    for (kind, x), pa, pb in zip(labels, polys_a, polys_b):
+        if pa != pb:
+            report.counterexamples.append(
+                {
+                    "control": control,
+                    "kind": kind,
+                    "type": x,
+                    "case_a": case_a.label,
+                    "case_b": case_b.label,
+                    "poly_a": str(LaurentPoly(pa)),
+                    "poly_b": str(LaurentPoly(pb)),
+                }
+            )
+    return False
 
 
 def _row(report, case_a, case_b, kind, iso, equal):

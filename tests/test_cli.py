@@ -23,7 +23,7 @@ def envelope(out):
     obj = json.loads(out)
     assert obj["format"] == 1
     keys = {"format", "command", "inputs", "result", "timing"}
-    if obj["command"] in ("scan", "poly"):
+    if obj["command"] in ("scan", "poly", "verify-reduction"):
         keys.add("stats")
     assert set(obj) == keys
     return obj
@@ -553,11 +553,13 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
     assert stats["phase_seconds"]["controls"] > 0
     for key in ("cases", "pairs_checked", "controls_checked"):
         assert stats[key] == summary[key]
-    # one search per pair of marked shapes; every other check is a memo hit
+    # a pair that shares one marking record is matched by the identity;
+    # otherwise one search per pair of marked shapes, and memo hits after it.
+    # Every pair that a passing scan checks has equal fingerprints.
     iso = stats["iso"]
-    assert set(iso) == {"searches", "memo_hits"}
-    assert iso["searches"] > 0 and iso["memo_hits"] > 0
-    assert iso["searches"] + iso["memo_hits"] <= (
+    assert set(iso) == {"searches", "memo_hits", "shared"}
+    assert iso["searches"] > 0 and iso["memo_hits"] > 0 and iso["shared"] > 0
+    assert iso["searches"] + iso["memo_hits"] + iso["shared"] == (
         summary["pairs_checked"] + summary["controls_checked"])
     assert 0 < stats["shapes"] < summary["cases"]
     assert "stats" not in (tmp_path / "r.json").read_text()
@@ -588,6 +590,31 @@ def test_scan_bad_class_x_entry_exits_2(capsys, tmp_path, class_x):
                          str(tmp_path / "r"))
     assert code == 2
     assert out == "" and "class_x entry must be an int or 'inf'" in err
+
+
+def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
+    """stats.memo holds the seven memo counts of the base system plus
+    those of the extended system."""
+    import coxkl.cli
+
+    seen = []
+    memo_sizes = coxkl.cli.memo_sizes
+
+    def recorded(sys):
+        seen.append(memo_sizes(sys))
+        return dict(seen[-1])
+
+    monkeypatch.setattr(coxkl.cli, "memo_sizes", recorded)
+    code, out, _ = run(
+        capsys, "verify-reduction", "--system", str(CONFIGS / "b3.json"),
+        "--quotient", "s1", "--max-length", "4",
+    )
+    assert code == 0
+    memo = envelope(out)["stats"]["memo"]
+    assert len(seen) == 2
+    assert memo == {kind: seen[0][kind] + seen[1][kind] for kind in seen[0]}
+    assert set(memo) == {"canonical", "descent", "order", "kernel", "R", "P", "Pdual"}
+    assert all(memo[kind] > 0 for kind in ("order", "R", "P", "Pdual"))
 
 
 def test_verify_reduction_has_no_hidden_length_cap(capsys, tmp_path):
@@ -704,6 +731,48 @@ def test_scan_stops_at_a_failing_lift_control(capsys, tmp_path, monkeypatch, fau
     rows = [row.split(",") for row in (tmp_path / "r.csv").read_text().splitlines()[1:]]
     assert rows[-1] == [*dump["case_a"], *dump["case_b"], "control", iso, equal]
     assert dump["case_b"][0] == "A3~ext"
+    assert all(row[-1] == "1" for row in rows[:-1])
+
+
+def test_scan_records_each_unequal_polynomial_of_a_failing_control(
+        capsys, tmp_path, monkeypatch):
+    """With the extension's P of type q and its R of type -1 poisoned,
+    the first failing control writes two records, (P, q) then (R, -1),
+    and its row is the last one."""
+    import coxkl.invariance
+    from coxkl.klpoly import get_table
+
+    class Poisoned(dict):
+        def __init__(self, x):
+            super().__init__()
+            self.x = x
+
+        def get(self, key, default=None):
+            return (7,) if key[3] == self.x else super().get(key, default)
+
+    extend_system = coxkl.invariance.extend_system
+
+    def poisoned(*args, **kwargs):
+        ext = extend_system(*args, **kwargs)
+        tables = get_table(ext.extended).tables
+        tables["P"], tables["R"] = Poisoned("q"), Poisoned("-1")
+        return ext
+
+    monkeypatch.setattr(coxkl.invariance, "extend_system", poisoned)
+    code, out, _ = run(
+        capsys, "scan", "--config", str(CONFIGS / "a3-maximal.json"),
+        "--out", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert envelope(out)["result"]["summary"]["counterexamples"] == 2
+    report = json.loads((tmp_path / "r.json").read_text())
+    first, second = report["counterexamples"]
+    assert [(d["kind"], d["type"]) for d in (first, second)] == [("P", "q"), ("R", "-1")]
+    assert first["case_a"] == second["case_a"] and first["case_b"] == second["case_b"]
+    assert first["control"] is second["control"] is True
+    assert first["poly_b"] == second["poly_b"] == "7"
+    rows = [row.split(",") for row in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    assert rows[-1] == [*first["case_a"], *first["case_b"], "control", "1", "0"]
     assert all(row[-1] == "1" for row in rows[:-1])
 
 

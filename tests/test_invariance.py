@@ -9,7 +9,7 @@ import pytest
 
 from conftest import all_subsets
 from coxkl import INF, InputError, InvariantError, PreconditionError, validate_system
-from coxkl.bruhat import bruhat_leq, cone, interval, parabolic_interval
+from coxkl.bruhat import IsoWitness, bruhat_leq, cone, interval, parabolic_interval
 from coxkl.core import CoxeterMatrix
 from coxkl.extension import extend_system, lift
 from coxkl.invariance import (
@@ -224,16 +224,22 @@ def test_check_hypothesis_pair_mismatch(a2):
     assert check_hypothesis_pair(ia, ib) is None
 
 
+def _a3b3_len3():
+    """The scan config of scan_a3b3_all at max_length 3."""
+    obj = json.loads((CONFIGS / "scan_a3b3_all.json").read_text())
+    obj["max_length"] = 3
+    return scan_config_from_jsonable(obj)
+
+
 def test_memoized_witnesses_are_the_first_ones_found():
-    """check_hypothesis_pair searches once per pair of marked shapes.  On
-    every pair that the scan of scan_a3b3_all at max_length 3 can check
+    """check_hypothesis_pair searches once per pair of marked shapes, and
+    returns the identity for two intervals that share one marking record.
+    On every pair that the scan of scan_a3b3_all at max_length 3 can check
     (a case and an earlier one with an equal fingerprint, and each case
     with its lift),
     it returns the first mapping of a fresh search, and the same mapping
     again on a second call."""
-    obj = json.loads((CONFIGS / "scan_a3b3_all.json").read_text())
-    obj["max_length"] = 3
-    cases = _enumerate_cases(ScanReport({}), scan_config_from_jsonable(obj))
+    cases = _enumerate_cases(ScanReport({}), _a3b3_len3())
     buckets = {}
     for case in cases:
         buckets.setdefault(case.interval.fingerprint(), []).append(case.interval)
@@ -249,7 +255,7 @@ def test_memoized_witnesses_are_the_first_ones_found():
         ext = extensions[key]
         pairs.append((ivl, parabolic_interval(
             ext.extended, lift(ext, ivl.bottom), lift(ext, ivl.top), ext.maximal_quotient)))
-    counts = {"searches": 0, "memo_hits": 0}
+    counts = {"searches": 0, "memo_hits": 0, "shared": 0}
     for a, b in pairs:
         got = check_hypothesis_pair(a, b, counts=counts)
         fresh = next(find_isomorphisms(a, b, respect_marking=True), None)
@@ -257,25 +263,69 @@ def test_memoized_witnesses_are_the_first_ones_found():
         again = check_hypothesis_pair(a, b, counts=counts)
         assert (again and again.mapping) == (got and got.mapping)
         assert got is None or (got.source, got.target) == (again.source, again.target) == (a, b)
-    assert counts["searches"] + counts["memo_hits"] == 2 * len(pairs)
-    assert 0 < counts["searches"] < len(pairs) < counts["memo_hits"]
+    assert counts["searches"] + counts["memo_hits"] + counts["shared"] == 2 * len(pairs)
+    assert all(n > 0 for n in counts.values())
 
 
-def test_memoized_witness_is_verified_again(a3):
+def test_memoized_witness_is_verified_again():
     """A remembered mapping that does not verify on the actual pair
-    raises InvariantError instead of being returned."""
-    v = a3.element("s1 s2 s1 s3")
-    ia = parabolic_interval(a3, (), v, frozenset({1}))
-    ib = parabolic_interval(a3, (), v, frozenset({1}))
+    raises InvariantError instead of being returned.  The pair has equal
+    fingerprints and two marking records, so the memo is read."""
+    cases = [case.interval for case in _enumerate_cases(ScanReport({}), _a3b3_len3())]
+    ia, ib = next(
+        (a, b) for a, b in itertools.combinations(cases, 2)
+        if a.fingerprint() == b.fingerprint() and a._marking is not b._marking
+        and check_hypothesis_pair(a, b) is not None
+    )
     witness = check_hypothesis_pair(ia, ib)
-    assert witness is not None and witness.mapping == tuple(range(ia.size))
     memo = ia._marking.witnesses
-    memo[ib._marking] = (1, 0) + tuple(range(2, ia.size))
+    assert memo[ib._marking] == witness.mapping
+    # the bottom (rank 0) goes where a rank-1 element went: not rank-preserving
+    bad = list(witness.mapping)
+    bad[0], bad[1] = bad[1], bad[0]
+    memo[ib._marking] = tuple(bad)
     try:
         with pytest.raises(InvariantError):
             check_hypothesis_pair(ia, ib)
     finally:
         del memo[ib._marking]
+
+
+def test_shared_marking_is_an_identity_witness(monkeypatch):
+    """Every pair that the scans of scan_a3b3_all (max_length 3) and
+    scan_rank4_maximal check and that shares one marking record has the
+    identity as a verified witness, and every lift control shares its
+    case's record: s~ is the last generator, so appending it keeps the
+    (length, word) order of the ground set."""
+    import coxkl.invariance
+
+    checked = []
+    check = coxkl.invariance.check_hypothesis_pair
+
+    def recorded(ia, ib, *args):
+        checked.append((ia, ib))
+        return check(ia, ib, *args)
+
+    monkeypatch.setattr(coxkl.invariance, "check_hypothesis_pair", recorded)
+    rank4 = scan_config_from_jsonable(
+        json.loads((CONFIGS / "scan_rank4_maximal.json").read_text()))
+    for config in (_a3b3_len3(), rank4):
+        del checked[:]
+        report = scan(config)
+        assert report.ok and len(checked) == report.pairs_checked + report.controls_checked
+        controls = checked[report.pairs_checked:]  # the matching phase runs first
+        assert all(a._marking is b._marking for a, b in controls)
+        shared = [(a, b) for a, b in checked if a._marking is b._marking]
+        assert len(controls) < len(shared) == report.iso["shared"]
+        for a, b in shared:
+            assert IsoWitness(a, b, tuple(range(a.size)), True).verify()
+
+
+def test_shared_marking_still_meets_the_size_cap(a3):
+    ivl = parabolic_interval(a3, (), a3.element("s1 s2 s1 s3"), frozenset({1}))
+    assert check_hypothesis_pair(ivl, ivl, cap=ivl.size) is not None
+    with pytest.raises(PreconditionError):
+        check_hypothesis_pair(ivl, ivl, cap=ivl.size - 1)
 
 
 def test_is_class_x():
