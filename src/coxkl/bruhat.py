@@ -6,10 +6,12 @@ one-letter deletions of its word that stay in W^J), and bitmasks of the
 ids below and above it, so u <= v is a bit test and [u, v]^J is
 up[u] & down[v].  Cones, intervals and their covers, and the polynomial
 recursions (with its left action s·z) all read it.  The public
-`bruhat_leq` walks the lifting recursion instead (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, Prop. 2.2.7), on the least left descent
-of the larger element (the first letter of its canonical word), since
-numbering the cone of a long word can cost exponentially many elements.
+`bruhat_leq` reads the index of W when it already holds v, since v's
+whole lower cone is numbered then.  Otherwise it walks the lifting
+recursion (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7),
+on the least left descent of the larger element (the first letter of its
+canonical word), and never numbers a cone itself, since numbering the
+cone of a long word can cost exponentially many elements.
 Intervals with equal labeled shape (ranks, covers), in any system, share
 one weakly registered record of immutable tables, and one sub-record per
 marking, which also holds the memo of found isomorphisms (the identity,
@@ -28,10 +30,25 @@ from .core import CoxeterSystem, PreconditionError
 #: the longest top that the public `interval` and `parabolic_interval` take
 INTERVAL_CUTOFF = 18
 
+#: J = {}, whose index numbers W itself
+_W = frozenset()
+
 
 def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
-    """Whether u <= v in Bruhat order, for canonical words u and v."""
-    return _leq(sys, sys._check_rep(u, 0, "u"), sys._check_rep(v, 0, "v"))
+    """Whether u <= v in Bruhat order, for canonical words u and v.
+
+    When v has an id in the system's index of W, u <= v iff u has one
+    too and its bit is set in down[v].  Otherwise the lifting recursion
+    answers, and no cone is numbered: the cone of a long v can have
+    exponentially many elements, while the walk is linear in l(v)."""
+    u = sys._check_rep(u, 0, "u")
+    v = sys._check_rep(v, 0, "v")
+    order = _order(sys, _W)
+    iv = order.ids.get(v)
+    if iv is None:
+        return _leq(sys, u, v)
+    iu = order.ids.get(u)
+    return iu is not None and order.down[iv] >> iu & 1 == 1
 
 
 def _leq(sys: CoxeterSystem, u: tuple, v: tuple) -> bool:
@@ -77,11 +94,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+_UNSET = object()  # an entry of a left-action row not computed yet
+
+
 class _Order:
     """W^J elements, numbered as met: words[i] has id i, length lens[i],
     lower covers[i] (the first is words[i][1:]) and bitmasks down[i] (ids
     <= it) and up[i] (ids >= it).  An id is published under the lock,
-    after its bits.  left[i], filled on first use, gives s·z for each s:
+    after its bits.  left[i][s] is s·z, filled on first use by `act`:
     a lower cover's id, a higher word in W^J, or None outside W^J."""
 
     def __init__(self, jmask: int):
@@ -108,19 +128,20 @@ class _Order:
         """[u, v]^J, for numbered u and v."""
         return map(self.words.__getitem__, _bits(self.up[self.ids[u]] & self.down[self.ids[v]]))
 
-    def row(self, sys, i) -> tuple:
-        """left[i], made on first use."""
-        got = self.left.get(i)
-        if got is None:
-            z, act = self.words[i], []
-            for s in sys.generators:
-                sz = sys._left_mul(s, z)
-                if len(sz) < len(z):
-                    sz = self.ids[sz]
-                elif self.jmask and sys._right_descents(sz) & self.jmask:
-                    sz = None
-                act.append(sz)
-            got = self.left[i] = tuple(act)
+    def act(self, sys, i, s):
+        """left[i][s], computed on first use."""
+        row = self.left.get(i)
+        if row is None:
+            row = self.left.setdefault(i, [_UNSET] * sys.matrix.n)
+        got = row[s]
+        if got is _UNSET:
+            z = self.words[i]
+            got = sys._left_mul(s, z)
+            if len(got) < len(z):
+                got = self.ids[got]
+            elif self.jmask and sys._right_descents(got) & self.jmask:
+                got = None
+            row[s] = got
         return got
 
     def _number(self, sys, v):

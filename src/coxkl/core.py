@@ -18,10 +18,13 @@ about a word is computed once per system.  The memo holds only these
 deterministic answers: an entry lost or inserted twice by concurrent
 callers changes nothing.
 
-Public methods validate their arguments on every call.  The private
-lookups `_right_descents` and `_left_mul` skip that step: they take only
-words that coxkl itself produced (out of `canonicalize`, a cone, or an
-earlier lookup) or has already passed through `_check_word`.
+Public methods validate their arguments on every call.  A word object
+that has passed the canonical check is kept in the system's `checked`
+table, so the same object passed again is accepted by identity
+(`_check_rep`).  The private lookups `_right_descents` and `_left_mul`
+skip validation: they take only words that coxkl itself produced (out
+of `canonicalize`, a cone, or an earlier lookup) or has already passed
+through `_check_word`.
 """
 
 from __future__ import annotations
@@ -245,6 +248,8 @@ class CoxeterSystem:
         #: right-descent masks (left descents of w are keyed by reversed w)
         self.canonical_memo: dict = {}
         self.descent_memo: dict = {}
+        #: canonical words that passed `_check_rep`, each mapped to itself
+        self.checked: dict = {}
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -301,10 +306,20 @@ class CoxeterSystem:
     def _check_rep(self, w, jmask: int, name: str) -> Word:
         """w as a tuple, after checking that it is a canonical word (else
         InputError) in W^J, for J given as a bit mask (else
-        PreconditionError)."""
-        w = tuple(w)
-        if self.canonicalize(w)[0] != w:
-            raise InputError(f"{name} is not a canonical reduced word")
+        PreconditionError).
+
+        The first tuple of each value that passes the canonical check is
+        kept in `checked` (insert-only), and the same object passed again
+        skips that check.  The test is by identity, not equality: (1.0,)
+        and (True,) equal (1,) and find its entry, but they are other
+        objects, so they take the full check and fail it.  A list or a
+        tuple subclass always takes it.  The table holds each object, so
+        its id is never reused.  The W^J test runs on every call."""
+        if not (w.__class__ is tuple and self.checked.get(w) is w):
+            w = tuple(w)
+            if self.canonicalize(w)[0] != w:
+                raise InputError(f"{name} is not a canonical reduced word")
+            self.checked.setdefault(w, w)
         if jmask and self._right_descents(w) & jmask:
             raise PreconditionError(f"{name} = '{self.word_str(w)}' is not in W^J")
         return w

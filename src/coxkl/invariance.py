@@ -227,7 +227,7 @@ class ScanReport:
         )
         self.kernels: dict = {}  # system name -> set of kernel kinds
         self.memo = dict.fromkeys(
-            ("canonical", "descent", "order", "kernel", "R", "P", "Pdual"), 0
+            ("canonical", "descent", "checked", "order", "kernel", "R", "P", "Pdual"), 0
         )
         self.iso = {"searches": 0, "memo_hits": 0, "shared": 0}
         self.shapes = 0  # distinct marked shapes among the cases

@@ -89,11 +89,14 @@ def _truncate(p: tuple, k: int) -> tuple:
 
 
 def _memoized(kind: str):
-    """A recursion step (self, iu, iv, J, x) memoized in tables[kind]: 1 at
-    u = v, 0 unless u <= v, else body(self, sys, order, iu, iv, J, x)."""
+    """A recursion step (self, sys, order, iu, iv, J, x), on ids in the
+    index order = `bruhat._order(sys, J)`, memoized in tables[kind] by
+    (iu, iv, J, x): 1 at u = v, 0 unless u <= v, else body(...) on the
+    same arguments.  sys and order are fixed for a whole recursion, so
+    they are passed down rather than looked up on each step."""
 
     def wrap(body):
-        def step(self, iu, iv, J, x):
+        def step(self, sys, order, iu, iv, J, x):
             if iu == iv:
                 return _ONE
             key = (iu, iv, J, x)
@@ -101,8 +104,6 @@ def _memoized(kind: str):
             got = memo.get(key)
             if got is not None:
                 return got
-            sys = self._sys()
-            order = _order(sys, J)
             if not order.down[iv] >> iu & 1:
                 return ()
             res = memo[key] = body(self, sys, order, iu, iv, J, x)
@@ -111,6 +112,15 @@ def _memoized(kind: str):
         return step
 
     return wrap
+
+
+def _step_args(sys, order, u, v, J):
+    """The arguments (sys, order, iu, iv, J) of a recursion step, for
+    canonical words u and v in W^J, numbering v's cone first; None when
+    u is not numbered, so not <= v."""
+    iv = order.id(sys, v)
+    iu = order.ids.get(u)
+    return None if iu is None else (sys, order, iu, iv, J)
 
 
 class KLTable:
@@ -125,7 +135,8 @@ class KLTable:
 
     The table refers to its system weakly: the system's `caches` hold the
     table, so a strong reference back would be a cycle that only the
-    garbage collector frees.  The recursions dereference it once per call.
+    garbage collector frees.  An entry point dereferences it once per call
+    and passes the system down the recursion, with the order index.
     """
 
     def __init__(self, sys: CoxeterSystem):
@@ -143,20 +154,19 @@ class KLTable:
     # -- public, validated entry points -----------------------------------
 
     def _check_pair(self, u, v, J, x):
+        """`_step_args` of u and v, after checking J, x and the words."""
         sys = self.sys
         J = sys.check_subset(J)
         check_kl_type(x)
-        jmask = _order(sys, J).jmask
-        return self._ids(sys._check_rep(u, jmask, "u"), sys._check_rep(v, jmask, "v"), J)
+        order = _order(sys, J)
+        u = sys._check_rep(u, order.jmask, "u")
+        return _step_args(sys, order, u, sys._check_rep(v, order.jmask, "v"), J)
 
     def _ids(self, u, v, J):
-        """(iu, iv, J) for canonical words in W^J, numbering v's cone first;
-        None when u is not numbered, so not <= v."""
+        """`_step_args` for canonical words u and v in W^J that the caller
+        checked (the scan's cases)."""
         sys = self.sys
-        order = _order(sys, J)
-        iv = order.id(sys, v)
-        iu = order.ids.get(u)
-        return None if iu is None else (iu, iv, J)
+        return _step_args(sys, _order(sys, J), u, v, J)
 
     def parabolic_r(self, u, v, J, x: str) -> LaurentPoly:
         ids = self._check_pair(u, v, J, x)
@@ -175,8 +185,8 @@ class KLTable:
         ids = self._check_pair(w, v, J, x)
         if ids is None:
             return 0
-        lens = _order(self.sys, ids[2]).lens
-        gap = lens[ids[1]] - lens[ids[0]]
+        _, order, iw, iv, _ = ids
+        gap = order.lens[iv] - order.lens[iw]
         p = self._kl(*ids, x) if gap % 2 else ()
         k = (gap - 1) // 2
         return p[k] if 0 <= k < len(p) else 0
@@ -186,17 +196,17 @@ class KLTable:
     @_memoized("R")
     def _r(self, sys, order, iu, iv, J, x) -> tuple:
         isv = order.covers[iv][0]
-        su = order.row(sys, iu)[order.words[iv][0]]
+        su = order.act(sys, iu, order.words[iv][0])
         if su is None:  # su leaves W^J
-            return _trim(_addto([], self._r(iu, isv, J, x), *_R3[x]))
+            return _trim(_addto([], self._r(sys, order, iu, isv, J, x), *_R3[x]))
         if su.__class__ is int:  # su < u
-            return self._r(su, isv, J, x)
+            return self._r(sys, order, su, isv, J, x)
         # (q - 1) R_{u,sv} + q R_{su,sv}; su is numbered if su <= sv
-        a = self._r(iu, isv, J, x)
+        a = self._r(sys, order, iu, isv, J, x)
         out = _addto(_addto([], a, 1, 1), a, -1)
         isu = order.ids.get(su)
         if isu is not None:
-            _addto(out, self._r(isu, isv, J, x), 1, 1)
+            _addto(out, self._r(sys, order, isu, isv, J, x), 1, 1)
         return _trim(out)
 
     # -- fast path: descent recursion with mu corrections --------------------
@@ -205,34 +215,34 @@ class KLTable:
     def _kl(self, sys, order, iu, iv, J, x) -> tuple:
         lens = order.lens
         s, isv = order.words[iv][0], order.covers[iv][0]
-        su = order.row(sys, iu)[s]
+        su = order.act(sys, iu, s)
         if su is None:
             # (q + 1) P_{u,sv} for x = q, else 0
-            a = self._kl(iu, isv, J, x) if x == "q" else ()
+            a = self._kl(sys, order, iu, isv, J, x) if x == "q" else ()
             out = _addto(list(a), a, 1, 1)
         elif su.__class__ is int:
-            out = list(self._kl(su, isv, J, x))
-            _addto(out, self._kl(iu, isv, J, x), 1, 1)
+            out = list(self._kl(sys, order, su, isv, J, x))
+            _addto(out, self._kl(sys, order, iu, isv, J, x), 1, 1)
         else:
             isu = order.ids.get(su)
-            out = [] if isu is None else _addto([], self._kl(isu, isv, J, x), 1, 1)
-            _addto(out, self._kl(iu, isv, J, x))
+            out = [] if isu is None else _addto([], self._kl(sys, order, isu, isv, J, x), 1, 1)
+            _addto(out, self._kl(sys, order, iu, isv, J, x))
         lsv = lens[isv]
         for w in _bits(order.up[iu] & order.down[isv]):
             # mu(w, sv) is 0 unless l(sv) - l(w) is odd (w == sv included)
             if not (lsv - lens[w]) % 2:
                 continue
             # w counts when sw < w, or for x = q when sw leaves W^J
-            sw = order.row(sys, w)[s]
+            sw = order.act(sys, w, s)
             if not (sw.__class__ is int or sw is None and x == "q"):
                 continue
-            p = self._kl(w, isv, J, x)
+            p = self._kl(sys, order, w, isv, J, x)
             k = (lsv - lens[w] - 1) // 2
             if k < len(p) and p[k]:
                 gap = lens[iv] - lens[w]
                 if gap % 2:
                     raise InvariantError("mu correction at odd length gap")
-                _addto(out, self._kl(iu, w, J, x), -p[k], gap // 2)
+                _addto(out, self._kl(sys, order, iu, w, J, x), -p[k], gap // 2)
         res = _trim(out)
         if res and 2 * (len(res) - 1) > lens[iv] - lens[iu] - 1:
             raise InvariantError("degree bound violated")
@@ -250,8 +260,10 @@ class KLTable:
             wkey = (w, iv, J, x)
             mirrored = mirrors.get(wkey)
             if mirrored is None:
-                mirrored = mirrors[wkey] = _mirror(self._kl_dual(w, iv, J, x), lv - lens[w])
-            _addmul(rhs, mirrored, self._r(iu, w, J, x), -1 if (lens[w] - lu) % 2 else 1)
+                p = self._kl_dual(sys, order, w, iv, J, x)
+                mirrored = mirrors[wkey] = _mirror(p, lv - lens[w])
+            r = self._r(sys, order, iu, w, J, x)
+            _addmul(rhs, mirrored, r, -1 if (lens[w] - lu) % 2 else 1)
         rhs = _trim(rhs)
         gap = lv - lu
         res = _truncate(rhs, (gap - 1) // 2)
@@ -270,11 +282,12 @@ def get_table(sys: CoxeterSystem) -> KLTable:
 
 
 def memo_sizes(sys: CoxeterSystem) -> dict:
-    """Entries in the system's word memos, kernel tables, order indexes
-    and polynomial memos."""
+    """Entries in the system's word memos, checked words, kernel tables,
+    order indexes and polynomial memos."""
     sizes = {
         "canonical": len(sys.canonical_memo),
         "descent": len(sys.descent_memo),
+        "checked": len(sys.checked),
         "order": sum(len(o.words) for o in sys.caches.get("order", {}).values()),
         "kernel": sys.kernel.table_size(),
     }
@@ -292,12 +305,12 @@ def bar_squared_check(sys, u, v, J, x: str) -> bool:
     ids = table._check_pair(u, v, J, x)
     if ids is None:
         return True
-    iu, iv, J = ids
-    order = _order(sys, J)
+    _, order, iu, iv, J = ids
     lens = order.lens
     total = ZERO
     for w in _bits(order.up[iu] & order.down[iv]):
-        term = LaurentPoly(table._r(w, iv, J, x)).bar() * LaurentPoly(table._r(iu, w, J, x))
+        term = (LaurentPoly(table._r(sys, order, w, iv, J, x)).bar()
+                * LaurentPoly(table._r(sys, order, iu, w, J, x)))
         total = total + term.shift(lens[iv] - lens[w])
     total = (-1 if (lens[iv] - lens[iu]) % 2 else 1) * total
     return total == (ONE if iu == iv else ZERO)

@@ -25,7 +25,8 @@ from coxkl.bruhat import (
     parabolic_interval,
 )
 from coxkl.extension import extend_system, lift
-from coxkl.klpoly import KLTable
+from coxkl.klpoly import KLTable, get_table
+from coxkl.laurent import ONE
 from oracles import deodhar_criterion, project_to_quotient, subword_leq_oracle
 
 
@@ -125,6 +126,68 @@ def test_leq_checks_words_on_a_memo_hit(u):
     assert bruhat_leq(a3, (1,), (0, 1))
     with pytest.raises(InputError, match="invalid generator index"):
         bruhat_leq(a3, u, (0, 1))
+
+
+@pytest.mark.parametrize("u", [(1.0,), (True,)])
+def test_checked_words_pass_only_as_the_same_object(a3, u):
+    """Once (1,) has passed the check, (1.0,) and (True,) find its entry in
+    the table of checked words, but they are other objects: every public
+    entry point still refuses them, in either position.  A list word
+    takes the full check and is accepted."""
+    sys_ = validate_system(a3.matrix)
+    s2, s1s2 = (1,), (0, 1)
+    table = get_table(sys_)
+    assert bruhat_leq(sys_, s2, s1s2) and bruhat_leq(sys_, s2, s2)
+    assert table.parabolic_kl(s2, s1s2, (), "q") == ONE
+    assert interval(sys_, s2, s1s2).size == 2
+    assert sys_.checked[s2] is s2 and sys_.checked[s1s2] is s1s2
+    calls = [
+        lambda a, b: bruhat_leq(sys_, a, b),
+        lambda a, b: table.parabolic_kl(a, b, (), "q"),
+        lambda a, b: interval(sys_, a, b),
+    ]
+    for call in calls:
+        for a, b in ((u, s1s2), (s2, u)):
+            with pytest.raises(InputError, match="invalid generator index"):
+                call(a, b)
+    assert sys_.checked[s2] is s2
+    assert bruhat_leq(sys_, [1], [0, 1]) and not bruhat_leq(sys_, [0, 1], [1])
+    assert table.parabolic_kl([1], [0, 1], (), "q") == ONE
+    assert interval(sys_, [1], [0, 1]).size == 2
+
+
+def test_a_checked_word_outside_the_quotient_is_refused(a3):
+    """s1 s2 has the right descent s2; having passed the canonical check
+    does not let it pass as a member of W^{s2}."""
+    sys_ = validate_system(a3.matrix)
+    v = (0, 1)
+    assert bruhat_leq(sys_, (), v) and sys_.checked[v] is v
+    J = frozenset({1})
+    for call in (
+        lambda: get_table(sys_).parabolic_kl((), v, J, "q"),
+        lambda: cone(sys_, v, J),
+        lambda: parabolic_interval(sys_, (), v, J),
+    ):
+        with pytest.raises(PreconditionError, match="not in W\\^J"):
+            call()
+
+
+@pytest.mark.parametrize("fixture, radius", [("a3", None), ("b3", None), ("h3", 5)])
+def test_leq_equals_the_walk_before_and_after_the_top_is_numbered(fixture, radius, request):
+    """bruhat_leq against the lifting walk on every pair of a fresh system,
+    tops taken by length: first while the index does not hold the top
+    (asking must not number it), then after its cone is numbered, when
+    the answer is a bit test."""
+    sys_ = validate_system(request.getfixturevalue(fixture).matrix)
+    elems = sys_.all_elements() if radius is None else sys_.ball(radius)
+    order = _order(sys_, frozenset())
+    for v in elems:
+        walk = [_leq(sys_, u, v) for u in elems]
+        assert v not in order.ids
+        assert [bruhat_leq(sys_, u, v) for u in elems] == walk
+        assert v not in order.ids
+        order.id(sys_, v)
+        assert [bruhat_leq(sys_, u, v) for u in elems] == walk
 
 
 def test_leq_implies_length(b3):
@@ -384,9 +447,9 @@ def test_order_index_matches_leq(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["a3", "b3", "h3", "affine_a2"])
 def test_left_action_matches_kernel(fixture, request):
-    """The left-action rows of a fresh index per J, filled at radius 5 in a
-    shuffled order and read in another: s·z is the id of a lower cover when
-    the kernel's s·z is shorter, None when it leaves W^J, and else its
+    """The left-action entries of a fresh index per J, filled at radius 5
+    in a shuffled order and read in another: s·z is the id of a lower cover
+    when the kernel's s·z is shorter, None when it leaves W^J, and else its
     canonical word; the first letter of z gives the suffix cover."""
     w = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
@@ -397,8 +460,8 @@ def test_left_action_matches_kernel(fixture, request):
         for v in rng.sample(ball, len(ball)):
             order.id(w, v)
         for i in rng.sample(range(len(order.words)), len(order.words)):
-            z, row = order.words[i], order.row(w, i)
-            assert len(row) == w.n and order.row(w, i) is row
+            z, row = order.words[i], tuple(order.act(w, i, s) for s in w.generators)
+            assert len(row) == w.n and all(order.act(w, i, s) is got for s, got in enumerate(row))
             for s, got in enumerate(row):
                 sz = w._left_mul(s, z)
                 if len(sz) < len(z):
@@ -414,7 +477,8 @@ def test_left_action_matches_kernel(fixture, request):
 
 def _action(order, system, i):
     """The left-action row of id i, with ids read back as words."""
-    return tuple(order.words[t] if t.__class__ is int else t for t in order.row(system, i))
+    row = (order.act(system, i, s) for s in system.generators)
+    return tuple(order.words[t] if t.__class__ is int else t for t in row)
 
 
 class _CheckedIds(dict):
@@ -440,7 +504,7 @@ def test_threads_fill_one_order_index_consistently():
     number the same cones and fill the same left-action rows at once.
     Every id must be published under the index's lock and after its bits,
     every answer must equal a serial one, and the filled index and its
-    rows must be consistent."""
+    rows and its table of checked words must be consistent."""
     matrix = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
     shared, serial = validate_system(matrix), validate_system(matrix)
     subsets = all_subsets(range(3))
@@ -470,6 +534,8 @@ def test_threads_fill_one_order_index_consistently():
         sys.setswitchinterval(switch)
     assert all(got == expected for got in results)
     assert any(_order(shared, J).left for J in subsets)
+    # insert-only: each checked word maps to the very object it is keyed by
+    assert shared.checked and all(k is w for k, w in shared.checked.items())
     for J in subsets:
         order = _order(shared, J)
         _check_index(order)

@@ -61,7 +61,7 @@ def test_poly_method_both_agrees(capsys):
     assert res["polynomials"]["recursion"] == res["polynomials"]["duality"]
     memo = obj["stats"]["memo"]
     assert set(obj["stats"]) == {"memo"} and set(memo) == {
-        "canonical", "descent", "kernel", "order", "R", "P", "Pdual",
+        "canonical", "descent", "checked", "kernel", "order", "R", "P", "Pdual",
     }
     assert all(memo[k] > 0 for k in memo)
 
@@ -542,8 +542,8 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
     assert set(stats) == {"phase_seconds", "cases", "pairs_checked",
                           "controls_checked", "kernels", "memo", "iso", "shapes"}
     assert stats["kernels"] == {"A3": "ring:int", "A3~ext": "ring:int"}
-    assert set(stats["memo"]) == {"canonical", "descent", "order", "kernel", "R", "P",
-                                  "Pdual"}
+    assert set(stats["memo"]) == {"canonical", "descent", "checked", "order", "kernel",
+                                  "R", "P", "Pdual"}
     assert all(stats["memo"][k] > 0 for k in ("canonical", "order", "kernel", "P"))
     # one entry per computed pair and type; pinned so that entry counting cannot drift
     assert [stats["memo"][k] for k in ("R", "P", "Pdual")] == [104, 104, 0]
@@ -613,7 +613,8 @@ def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
     memo = envelope(out)["stats"]["memo"]
     assert len(seen) == 2
     assert memo == {kind: seen[0][kind] + seen[1][kind] for kind in seen[0]}
-    assert set(memo) == {"canonical", "descent", "order", "kernel", "R", "P", "Pdual"}
+    assert set(memo) == {"canonical", "descent", "checked", "order", "kernel", "R", "P",
+                         "Pdual"}
     assert all(memo[kind] > 0 for kind in ("order", "R", "P", "Pdual"))
 
 
