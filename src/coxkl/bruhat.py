@@ -1,17 +1,18 @@
 """Bruhat order and interval posets.
 
+Each element's lower covers are found once per system (`_lower_covers`).
 Order facts live in one numbered index per (system, J) (`_Order`): each
-element of W^J met gets an id after its lower covers in W^J (the reduced
-one-letter deletions of its word that stay in W^J), and bitmasks of the
-ids below and above it, so u <= v is a bit test and [u, v]^J is
-up[u] & down[v].  Cones, intervals and their covers, and the polynomial
-recursions (with its left action s·z) all read it.  The public
+element of W^J met gets an id after its lower covers in W^J, and
+bitmasks of the ids below and above it, so u <= v is a bit test and
+[u, v]^J is up[u] & down[v].  `bruhat_leq`, cones and the polynomial
+recursions (with its left action s·z) read it.  The public
 `bruhat_leq` reads the index of W when it already holds v, since v's
 whole lower cone is numbered then.  Otherwise it walks the lifting
 recursion (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7),
 on the least left descent of the larger element (the first letter of its
 canonical word), and never numbers a cone itself, since numbering the
-cone of a long word can cost exponentially many elements.
+cone of a long word can cost exponentially many elements.  An interval
+[u, v] comes from a shell of v that reaches l(u) (`_Shell`), not a cone.
 Intervals with equal labeled shape (ranks, covers), in any system, share
 one weakly registered record of immutable tables, and one sub-record per
 marking, which also holds the memo of found isomorphisms (the identity,
@@ -119,11 +120,6 @@ class _Order:
             got = self.ids[v]
         return got
 
-    def leq(self, sys, u, v) -> bool:
-        down = self.down[self.id(sys, v)]
-        i = self.ids.get(u)
-        return i is not None and down >> i & 1 == 1
-
     def between(self, u, v):
         """[u, v]^J, for numbered u and v."""
         return map(self.words.__getitem__, _bits(self.up[self.ids[u]] & self.down[self.ids[v]]))
@@ -145,19 +141,16 @@ class _Order:
         return got
 
     def _number(self, sys, v):
-        # W^J is graded (Bjorner-Brenti 2.5.5): z covers the reduced
-        # one-letter deletions of its word in W^J
-        ids, below, todo = self.ids, {v: None}, [v]
+        # W^J is graded (Bjorner-Brenti 2.5.5): z covers its lower covers in W^J
+        ids, below, todo, jmask = self.ids, {v: None}, [v], self.jmask
         while todo:
             z = todo.pop()
-            below[z] = []
-            for k in range(len(z)):
-                y, reduced = sys._canonical(z[:k] + z[k + 1:])
-                if reduced and not (self.jmask and sys._right_descents(y) & self.jmask):
-                    below[z].append(y)
-                    if y not in ids and y not in below:
-                        below[y] = None
-                        todo.append(y)
+            below[z] = [y for y in _lower_covers(sys, z)
+                        if not (jmask and sys._right_descents(y) & jmask)]
+            for y in below[z]:
+                if y not in ids and y not in below:
+                    below[y] = None
+                    todo.append(y)
         for z in sorted(below, key=len):
             i = len(self.words)
             covers = tuple(ids[y] for y in below[z])
@@ -251,14 +244,11 @@ class IntervalPoset:
 
     def with_marking(self, J) -> IntervalPoset:
         """A copy with [u, v]^J marked, for a frozenset J."""
-        jmask = sum(1 << s for s in J)
+        jmask, descents = sum(1 << s for s in J), self.system._right_descents
         ivl = object.__new__(IntervalPoset)
         ivl.__dict__.update(self.__dict__)
         ivl.J = J
-        ivl.marked = frozenset(
-            i for i, z in enumerate(self.ground)
-            if not self.system._right_descents(z) & jmask
-        )
+        ivl.marked = frozenset(i for i, z in enumerate(self.ground) if not descents(z) & jmask)
         ivl._marking = self._shape.marking(ivl.marked)
         return ivl
 
@@ -327,14 +317,84 @@ class IsoWitness(NamedTuple):
         return True
 
 
-def _build_interval(sys, u, v, J):
-    """[u, v], marked with J unless J is None, after checking its ends."""
+def _lower_covers(sys, z) -> tuple:
+    """The lower covers of a canonical word z, memoized per system: z[1:],
+    and s·y for each lower cover y of z[1:] with s·y > y, s = z[0] (the
+    lifting property).  A non-reduced s·y stays out of the canonical memo."""
+    memo = sys.caches.get("covers") or sys.caches.setdefault("covers", {(): ()})
+    words, canonicalize = sys.canonical_memo, sys.kernel.canonicalize
+    todo, w = [], z
+    while w not in memo:
+        todo.append(w)
+        w = w[1:]
+    for w in reversed(todo):
+        got = [w[1:]]
+        for y in memo[w[1:]]:
+            sy = w[:1] + y
+            hit = words.get(sy) or canonicalize(sy)
+            if hit[1]:  # s·y > y
+                got.append(hit[0])
+                words[sy] = hit
+        memo[w] = tuple(got)
+    return memo[z]
+
+
+class _Shell:
+    """The z <= v with l(v) - l(z) <= depth, found down lower covers (the
+    subword property): words in (length, word) order, their right-descent
+    masks, above (the indexes of each one's upper covers) and up (bitmasks
+    of the indexes above), so [u, v] is up[u].  caches["shells"] counts
+    the system's shells, their elements and the largest."""
+
+    __slots__ = ("top", "depth", "words", "pos", "masks", "above", "up")
+
+    def __init__(self, sys, v, depth):
+        levels, below, known = [[v]], {}, sys.caches.get("covers", {}).get
+        for _ in range(min(depth, len(v))):
+            level = set()
+            for z in levels[-1]:
+                below[z] = got = known(z) or _lower_covers(sys, z)
+                level.update(got)
+            levels.append(sorted(level))
+        self.top, self.depth = v, depth
+        self.words = words = [z for level in reversed(levels) for z in level]
+        self.pos = pos = {z: i for i, z in enumerate(words)}
+        self.masks = list(map(sys._right_descents, words))
+        self.above = above = [[] for _ in words]
+        self.up = up = [1 << i for i in range(len(words))]
+        for i in reversed(range(len(words))):
+            for y in below.get(words[i], ()):
+                c = pos[y]
+                up[c] |= up[i]
+                above[c].append(i)
+        n, stats = len(words), sys.caches.setdefault("shells", [0, 0, 0])
+        stats[:] = stats[0] + 1, stats[1] + n, max(stats[2], n)
+
+    def interval(self, sys, u):
+        """The unmarked [u, v], or None if u is not in the shell."""
+        i = self.pos.get(u)
+        if i is None:
+            return None
+        ids = list(_bits(self.up[i]))
+        at = {j: k for k, j in enumerate(ids)}
+        covers = [(k, at[j]) for k, p in enumerate(ids) for j in self.above[p]]
+        ground = map(self.words.__getitem__, ids)
+        return IntervalPoset(sys, u, self.top, None, ground, covers, None)
+
+
+def _build_interval(sys, u, v, J, depth=0):
+    """[u, v], marked with J unless J is None, after checking its ends: from
+    the system's latest shell if its top is v and it reaches u, else from a
+    new one at least depth deep, which takes its place."""
     jmask = 0 if J is None else sum(1 << s for s in J)
     u = sys._check_rep(u, jmask, "u")
     v = sys._check_rep(v, jmask, "v")
-    if not _order(sys, frozenset()).leq(sys, u, v):
+    shell = sys.caches.get("shell")
+    if shell is None or shell.top != v or shell.depth < len(v) - len(u):
+        shell = sys.caches["shell"] = _Shell(sys, v, max(depth, len(v) - len(u)))
+    ivl = shell.interval(sys, u)
+    if ivl is None:
         raise PreconditionError("u is not <= v in Bruhat order")
-    ivl = _interval(sys, u, v)
     return ivl if J is None else ivl.with_marking(J)
 
 
@@ -343,17 +403,6 @@ def _cutoff(v):
     if len(v) > INTERVAL_CUTOFF:
         raise PreconditionError(f"top element has length {len(v)} > cutoff {INTERVAL_CUTOFF}")
     return v
-
-
-def _interval(sys, u, v) -> IntervalPoset:
-    """The unmarked interval [u, v], for canonical words u <= v."""
-    order = _order(sys, frozenset())
-    words = order.words
-    span = order.down[order.id(sys, v)] & order.up[order.ids[u]]
-    ids = sorted(_bits(span), key=lambda i: _by_length(words[i]))
-    pos = {i: k for k, i in enumerate(ids)}
-    covers = [(pos[c], k) for k, i in enumerate(ids) for c in order.covers[i] if span >> c & 1]
-    return IntervalPoset(sys, u, v, None, map(words.__getitem__, ids), covers, None)
 
 
 def interval(sys: CoxeterSystem, u, v) -> IntervalPoset:

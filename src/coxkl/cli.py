@@ -3,9 +3,9 @@
 Subcommands: poly, interval, extend, verify-reduction, scan.  Every
 command prints a JSON envelope {format, command, inputs, result, timing}
 to stdout; scan adds "stats" (per-phase wall seconds, work counts,
-kernel kinds and memo table sizes), and poly and verify-reduction (base
-plus extension) add "stats" with the memo table sizes; no report file
-carries them.  Exit codes: 0 success, 1 mathematical disagreement found
+kernel kinds, memo table sizes and shells), and poly and
+verify-reduction (base plus extension) add "stats" with the memo table
+sizes; no report file carries them.  Exit codes: 0 success, 1 mathematical disagreement found
 (including a failed internal invariant), 2 malformed input or
 configuration (an unwritable output path included, refused before any
 work), 3 precondition violation.

@@ -17,7 +17,7 @@ import time
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .bruhat import IntervalPoset, IsoWitness, _build_interval, _interval, cone
+from .bruhat import IntervalPoset, IsoWitness, _build_interval, _by_length, _Shell
 from .core import (
     INF,
     ClassX,
@@ -227,8 +227,9 @@ class ScanReport:
         )
         self.kernels: dict = {}  # system name -> set of kernel kinds
         self.memo = dict.fromkeys(
-            ("canonical", "descent", "checked", "order", "kernel", "R", "P", "Pdual"), 0
+            ("canonical", "descent", "checked", "order", "covers", "kernel", "R", "P", "Pdual"), 0
         )
+        self.shells = [0, 0, 0]  # shells made, their elements, the largest
         self.iso = {"searches": 0, "memo_hits": 0, "shared": 0}
         self.shapes = 0  # distinct marked shapes among the cases
 
@@ -257,7 +258,7 @@ class ScanReport:
 
     def stats(self) -> dict:
         """Wall seconds per phase, work counts, the kernel kind of each
-        system and the summed entries of each memo table.  Timings vary
+        system, the summed entries of each memo table and the shells.  Timings vary
         from run to run, so they belong in the stdout envelope, never in
         the report files."""
         return {
@@ -269,13 +270,17 @@ class ScanReport:
             "memo": dict(self.memo),
             "iso": dict(self.iso),
             "shapes": self.shapes,
+            "shells": dict(zip(("count", "elements", "largest"), self.shells)),
         }
 
     def count_tables(self, name: str, sys: CoxeterSystem) -> None:
-        """Add a system's kernel kind and memo table sizes to the stats."""
+        """Add a system's kernel kind, memo table sizes and shells to the stats."""
         self.kernels.setdefault(name, set()).add(sys.kernel.kind)
         for kind, size in memo_sizes(sys).items():
             self.memo[kind] += size
+        count, size, largest = sys.caches.get("shells", (0, 0, 0))
+        shells = self.shells
+        shells[:] = shells[0] + count, shells[1] + size, max(shells[2], largest)
 
     CSV_HEADER = (
         "system_a,quotient_a,u_a,v_a,system_b,quotient_b,u_b,v_b,"
@@ -343,42 +348,55 @@ def _row(report, case_a, case_b, kind, iso, equal):
 
 
 def _enumerate_cases(report, config):
+    """The cases in (system, J, v, u) order.  A top v's shell gives its
+    bottoms u in W^J for every J at once; each [u, v] is built once, and
+    every J marks a copy."""
     cases = []
     for name, sys in config.entries:
         if config.class_x is not None and not is_class_x(sys.matrix, config.class_x):
             report.skipped_systems.append(name)
             continue
-        # each full interval [u, v] is built once; every J marks a copy
-        full: dict = {}
-        for J in _quotient_list(sys, config.quotients):
-            for v in sys.ball(config.max_length, J):
-                for u in cone(sys, v, J):
-                    if len(v) - len(u) > config.max_rank_gap:
+        quotients = {J: [] for J in _quotient_list(sys, config.quotients)}
+        tops = {v for J in quotients for v in sys.ball(config.max_length, J)}
+        for v in sorted(tops, key=_by_length):
+            shell = _Shell(sys, v, config.max_rank_gap)
+            full: dict = {}
+            for J, got in quotients.items():
+                jmask = sum(1 << s for s in J)
+                if shell.masks[-1] & jmask:
+                    continue
+                for u, mask in zip(shell.words, shell.masks):
+                    if mask & jmask:
                         continue
-                    ivl = full.get((u, v))
-                    if ivl is None:
-                        ivl = full[(u, v)] = _interval(sys, u, v)
+                    ivl = full.get(u) or full.setdefault(u, shell.interval(sys, u))
                     if ivl.size > config.max_interval_size:
                         report.skipped_oversize += 1
                         continue
-                    cases.append(ScanCase(name, ivl.with_marking(J)))
+                    got.append(ScanCase(name, ivl.with_marking(J)))
+        for got in quotients.values():
+            cases.extend(got)
     return cases
 
 
 def _run_controls(report, cases, config, extensions):
     """Match each case with its lift; extensions collects the extended
-    system of each (system name, J)."""
+    system of each (system name, J).  Each base word is lifted once per
+    extension.  The cases of one top are contiguous, so they share the
+    shell of its lift, until the next top's replaces it."""
+    lifts: dict = {}  # (system name, J) -> (S, {base word: lifted word})
     for case in cases:
         ivl = case.interval
         key = (case.label[0], ivl.J)
         ext = extensions.get(key)
         if ext is None:
-            ext = extend_system(ivl.system, ivl.J, class_x=config.class_x)
-            extensions[key] = ext
-        lu, lv = lift(ext, ivl.bottom), lift(ext, ivl.top)
+            ext = extensions[key] = extend_system(ivl.system, ivl.J, class_x=config.class_x)
+            lifts[key] = ext.maximal_quotient, {}
+        S, lifted_of = lifts[key]
+        lu = lifted_of.get(ivl.bottom) or lifted_of.setdefault(ivl.bottom, lift(ext, ivl.bottom))
+        lv = lifted_of.get(ivl.top) or lifted_of.setdefault(ivl.top, lift(ext, ivl.top))
         lifted = ScanCase(
             case.label[0] + "~ext",
-            _build_interval(ext.extended, lu, lv, ext.maximal_quotient),
+            _build_interval(ext.extended, lu, lv, S, config.max_rank_gap),
         )
         witness = check_hypothesis_pair(
             case.interval, lifted.interval, config.max_interval_size, report.iso

@@ -283,12 +283,13 @@ def get_table(sys: CoxeterSystem) -> KLTable:
 
 def memo_sizes(sys: CoxeterSystem) -> dict:
     """Entries in the system's word memos, checked words, kernel tables,
-    order indexes and polynomial memos."""
+    order indexes, lower covers and polynomial memos."""
     sizes = {
         "canonical": len(sys.canonical_memo),
         "descent": len(sys.descent_memo),
         "checked": len(sys.checked),
         "order": sum(len(o.words) for o in sys.caches.get("order", {}).values()),
+        "covers": len(sys.caches.get("covers", ())),
         "kernel": sys.kernel.table_size(),
     }
     sizes.update((kind, len(entries)) for kind, entries in get_table(sys).tables.items())

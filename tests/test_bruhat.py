@@ -16,9 +16,11 @@ from conftest import all_subsets, naive_closure
 from coxkl import InputError, PreconditionError, validate_system
 from coxkl.bruhat import (
     _bits,
+    _build_interval,
     _leq,
     _Order,
     _order,
+    _Shell,
     bruhat_leq,
     cone,
     interval,
@@ -321,17 +323,19 @@ def test_parabolic_interval_requires_min_reps(a2):
         parabolic_interval(a2, (), (1,), frozenset({1}))
 
 
-def _check_intervals_against_subwords(sys, pairs):
-    """Each interval [u, v]: the ground set and the covers (length-one
-    steps) against the order of subword products."""
+def _check_intervals_against_subwords(sys, intervals, subsets=()):
+    """Each interval [u, v]: the ground set in (length, word) order and the
+    covers (length-one steps) against the order of subword products, and
+    the marks of each J in subsets against right multiplication."""
     lower = {}
-    for u, v in pairs:
+    for ivl in intervals:
+        u, v = ivl.bottom, ivl.top
         if v not in lower:
             for z in naive_closure(sys, v):
                 if z not in lower:
                     lower[z] = naive_closure(sys, z)
-        ivl = interval(sys, u, v)
-        assert set(ivl.ground) == {z for z in lower[v] if u in lower[z]}
+        assert list(ivl.ground) == sorted({z for z in lower[v] if u in lower[z]},
+                                          key=lambda z: (len(z), z))
         expected = [
             (i, j)
             for i, zi in enumerate(ivl.ground)
@@ -339,22 +343,52 @@ def _check_intervals_against_subwords(sys, pairs):
             if len(zj) == len(zi) + 1 and zi in lower[zj]
         ]
         assert ivl.covers == tuple(sorted(expected))
+        for J in subsets:
+            assert ivl.with_marking(J).marked == {
+                i for i, z in enumerate(ivl.ground)
+                if all(len(sys.multiply_gen(z, s)) > len(z) for s in J)}
 
 
 def test_covers_match_naive_order(b3, h3, affine_a2):
     """Every interval [u, v] with l(v) <= 5 of B3, of H3 on the general
     backend and of the affine group A2~, and a case and its lift in an
-    extended system: ground sets and covers come from the order index."""
+    extended system: ground sets and covers match the subword order."""
     for sys in (b3, h3, affine_a2):
         elems = sys.ball(5)
         _check_intervals_against_subwords(
-            sys, [(u, v) for v in elems for u in naive_closure(sys, v)])
+            sys, [interval(sys, u, v) for v in elems for u in naive_closure(sys, v)])
     J = frozenset({1})
     v = b3.ball(5, J)[-1]
     u = cone(b3, v, J)[1]
     ext = extend_system(b3, J)
-    _check_intervals_against_subwords(b3, [(u, v)])
-    _check_intervals_against_subwords(ext.extended, [(lift(ext, u), lift(ext, v))])
+    _check_intervals_against_subwords(b3, [interval(b3, u, v)])
+    _check_intervals_against_subwords(
+        ext.extended, [interval(ext.extended, lift(ext, u), lift(ext, v))])
+
+
+def test_shell_intervals_match_subwords(b3, h3, affine_a2):
+    """Every top v of the radius-5 balls of B3, of H3 on the general
+    backend and of A2~: its shells of depth 1, 2, 3 and l(v) hold the
+    z <= v within that depth, and give every such [u, v], with the marks
+    of every J, as the subword order has it.  A u not <= v, or one deeper
+    than the shell, gives no interval, and `_build_interval` refuses a u
+    not <= v."""
+    assert h3.backend == "general"
+    for sys_ in (b3, h3, affine_a2):
+        ball, subsets = sys_.ball(5), all_subsets(sys_.generators)
+        for v in ball:
+            below = naive_closure(sys_, v)
+            for depth in sorted({1, 2, 3, len(v)}):
+                shell = _Shell(sys_, v, depth)
+                assert set(shell.words) == {z for z in below if len(v) - len(z) <= depth}
+                inside = [u for u in ball if u in below and len(v) - len(u) <= depth]
+                _check_intervals_against_subwords(
+                    sys_, [shell.interval(sys_, u) for u in inside], subsets)
+                assert all(shell.interval(sys_, u) is None for u in ball if u not in inside)
+            for u in ball:
+                if u not in below:
+                    with pytest.raises(PreconditionError, match="not <= v"):
+                        _build_interval(sys_, u, v, None)
 
 
 # -- maximal-quotient splitting ----------------------------------------------------
@@ -437,7 +471,7 @@ def test_order_index_matches_leq(fixture, request):
             assert {order.words[c] for c in order.covers[iv]} == {
                 z for z in below if len(z) == len(v) - 1}
             for u in ball:
-                leq = order.leq(w, u, v)
+                leq = order.down[iv] >> order.ids[u] & 1 == 1
                 assert leq == (u in below)
                 if len(v) <= 4:
                     assert leq == subword_leq_oracle(w, u, v)

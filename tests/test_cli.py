@@ -61,7 +61,7 @@ def test_poly_method_both_agrees(capsys):
     assert res["polynomials"]["recursion"] == res["polynomials"]["duality"]
     memo = obj["stats"]["memo"]
     assert set(obj["stats"]) == {"memo"} and set(memo) == {
-        "canonical", "descent", "checked", "kernel", "order", "R", "P", "Pdual",
+        "canonical", "descent", "checked", "kernel", "order", "covers", "R", "P", "Pdual",
     }
     assert all(memo[k] > 0 for k in memo)
 
@@ -488,6 +488,10 @@ REPORT_DIGESTS = {
         "5dda173962c4df1843e7d1e360d1d7876d8ebc6dc58e12c8dff16334482c860b",
         "236c4f09e6a5b6bdb58cf8a017008f3ec605bbee2ce47390064393513a2626fa",
     ),
+    "scan_h4_maximal": (
+        "7cf2fdb679ea8877b9429394139a65eb4dcedd550933be046aa061426204e406",
+        "70bbcf34b9fae146857e4d7a9eb3df1aeed1eabd8ae2fc088340fd1fb7ade36e",
+    ),
 }
 
 
@@ -507,6 +511,8 @@ def test_scan_report_bytes_are_pinned(capsys, tmp_path):
         "scan_a3b3_all-len3": tmp_path / "a3b3.json",
         "scan_rank4_maximal": CONFIGS / "scan_rank4_maximal.json",
         "scan_rank4_maximal-F4-len24": tmp_path / "f4.json",
+        # H4's four maximal quotients up to 16 letters: 9,353 cases
+        "scan_h4_maximal": CONFIGS / "scan_h4_maximal.json",
     }
     for name, config in configs.items():
         code, _, _ = run(capsys, "scan", "--config", str(config),
@@ -540,11 +546,15 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
     obj = envelope(out)
     stats, summary = obj["stats"], obj["result"]["summary"]
     assert set(stats) == {"phase_seconds", "cases", "pairs_checked",
-                          "controls_checked", "kernels", "memo", "iso", "shapes"}
+                          "controls_checked", "kernels", "memo", "iso", "shapes", "shells"}
     assert stats["kernels"] == {"A3": "ring:int", "A3~ext": "ring:int"}
-    assert set(stats["memo"]) == {"canonical", "descent", "checked", "order", "kernel",
-                                  "R", "P", "Pdual"}
-    assert all(stats["memo"][k] > 0 for k in ("canonical", "order", "kernel", "P"))
+    assert set(stats["memo"]) == {"canonical", "descent", "checked", "order", "covers",
+                                  "kernel", "R", "P", "Pdual"}
+    assert all(stats["memo"][k] > 0 for k in ("canonical", "order", "covers", "kernel", "P"))
+    # one shell per top in the base system and per lifted top in the extension
+    shells = stats["shells"]
+    assert set(shells) == {"count", "elements", "largest"}
+    assert 0 < shells["largest"] <= shells["elements"] and shells["count"] > 0
     # one entry per computed pair and type; pinned so that entry counting cannot drift
     assert [stats["memo"][k] for k in ("R", "P", "Pdual")] == [104, 104, 0]
     assert set(stats["phase_seconds"]) == {"enumerate", "buckets", "matching",
@@ -613,8 +623,8 @@ def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
     memo = envelope(out)["stats"]["memo"]
     assert len(seen) == 2
     assert memo == {kind: seen[0][kind] + seen[1][kind] for kind in seen[0]}
-    assert set(memo) == {"canonical", "descent", "checked", "order", "kernel", "R", "P",
-                         "Pdual"}
+    assert set(memo) == {"canonical", "descent", "checked", "order", "covers", "kernel", "R",
+                         "P", "Pdual"}
     assert all(memo[kind] > 0 for kind in ("order", "R", "P", "Pdual"))
 
 

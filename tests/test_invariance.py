@@ -181,6 +181,30 @@ def test_enumerated_intervals_equal_fresh_ones(matrix):
                               if fresh.is_min_rep(z, got.J)}
 
 
+def test_maximal_scan_numbers_no_whole_cone(monkeypatch):
+    """A scan of maximal quotients takes its intervals from shells: no base
+    or extended system numbers the order index of W (J = {}), which would
+    hold the whole lower cone of every top."""
+    systems = []
+    count_tables = ScanReport.count_tables
+
+    def counted(report, name, sys):
+        systems.append(sys)
+        count_tables(report, name, sys)
+
+    monkeypatch.setattr(ScanReport, "count_tables", counted)
+    for name in ("a3-maximal.json", "scan_rank4_maximal.json"):
+        del systems[:]
+        config = scan_config_from_jsonable(json.loads((CONFIGS / name).read_text()))
+        report = scan(config)
+        assert report.ok and report.controls_checked == report.cases > 0
+        # each base system and its extension at each maximal quotient
+        assert len(systems) == sum(1 + sys.n for _name, sys in config.entries)
+        for sys in systems:
+            assert frozenset() not in sys.caches["order"]
+            assert sys.caches["shells"][0] > 0  # shells made
+
+
 def test_size_cap(affine_a2):
     big = interval(affine_a2, (), affine_a2.ball(5)[-1])
     with pytest.raises(PreconditionError):
