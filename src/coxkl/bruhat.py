@@ -320,33 +320,26 @@ class IsoWitness(NamedTuple):
 def _lower_covers(sys, z) -> tuple:
     """The lower covers of a canonical word z, memoized per system: z[1:],
     and s·y for each lower cover y of z[1:] with s·y > y, s = z[0] (the
-    lifting property).  A non-reduced s·y stays out of the canonical memo."""
+    lifting property), each the system's one object for its element."""
     memo = sys.caches.get("covers") or sys.caches.setdefault("covers", {(): ()})
-    words, canonicalize = sys.canonical_memo, sys.kernel.canonicalize
     todo, w = [], z
     while w not in memo:
         todo.append(w)
         w = w[1:]
     for w in reversed(todo):
-        got = [w[1:]]
-        for y in memo[w[1:]]:
-            sy = w[:1] + y
-            hit = words.get(sy) or canonicalize(sy)
-            if hit[1]:  # s·y > y
-                got.append(hit[0])
-                words[sy] = hit
-        memo[w] = tuple(got)
+        raised = (sys._raised(w[0], y) for y in memo[w[1:]])
+        memo[w] = (sys._interned(w[1:]), *(sy for sy in raised if sy is not None))
     return memo[z]
 
 
 class _Shell:
     """The z <= v with l(v) - l(z) <= depth, found down lower covers (the
-    subword property): words in (length, word) order, their right-descent
-    masks, above (the indexes of each one's upper covers) and up (bitmasks
-    of the indexes above), so [u, v] is up[u].  caches["shells"] counts
-    the system's shells, their elements and the largest."""
+    subword property): words in (length, word) order, above (the indexes
+    of each one's upper covers) and up (bitmasks of the indexes above), so
+    [u, v] is up[u].  caches["shells"] counts the system's shells, their
+    elements and the largest."""
 
-    __slots__ = ("top", "depth", "words", "pos", "masks", "above", "up")
+    __slots__ = ("top", "depth", "words", "pos", "above", "up")
 
     def __init__(self, sys, v, depth):
         levels, below, known = [[v]], {}, sys.caches.get("covers", {}).get
@@ -359,7 +352,6 @@ class _Shell:
         self.top, self.depth = v, depth
         self.words = words = [z for level in reversed(levels) for z in level]
         self.pos = pos = {z: i for i, z in enumerate(words)}
-        self.masks = list(map(sys._right_descents, words))
         self.above = above = [[] for _ in words]
         self.up = up = [1 << i for i in range(len(words))]
         for i in reversed(range(len(words))):

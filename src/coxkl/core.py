@@ -18,13 +18,13 @@ about a word is computed once per system.  The memo holds only these
 deterministic answers: an entry lost or inserted twice by concurrent
 callers changes nothing.
 
-Public methods validate their arguments on every call.  A word object
-that has passed the canonical check is kept in the system's `checked`
-table, so the same object passed again is accepted by identity
-(`_check_rep`).  The private lookups `_right_descents` and `_left_mul`
-skip validation: they take only words that coxkl itself produced (out
-of `canonicalize`, a cone, or an earlier lookup) or has already passed
-through `_check_word`.
+Public methods validate their arguments on every call.  The canonical
+memo keeps one object per element, the first canonical word seen for it,
+and every canonical word coxkl hands out is that object, so it passes
+the check by identity (`_check_rep`).  The private lookups
+`_right_descents` and `_left_mul` skip validation: they take only words
+that coxkl itself produced (out of `canonicalize`, a cone, or an earlier
+lookup) or has already passed through `_check_word`.
 """
 
 from __future__ import annotations
@@ -244,12 +244,10 @@ class CoxeterSystem:
         self.cartan = cartan
         self.kernel = kernel
         self.caches: dict = {}
-        #: kernel answers per validated word: canonical forms, and
+        #: kernel answers per validated word: (canonical form, reduced), and
         #: right-descent masks (left descents of w are keyed by reversed w)
         self.canonical_memo: dict = {}
         self.descent_memo: dict = {}
-        #: canonical words that passed `_check_rep`, each mapped to itself
-        self.checked: dict = {}
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -304,22 +302,21 @@ class CoxeterSystem:
         return J
 
     def _check_rep(self, w, jmask: int, name: str) -> Word:
-        """w as a tuple, after checking that it is a canonical word (else
-        InputError) in W^J, for J given as a bit mask (else
-        PreconditionError).
-
-        The first tuple of each value that passes the canonical check is
-        kept in `checked` (insert-only), and the same object passed again
-        skips that check.  The test is by identity, not equality: (1.0,)
-        and (True,) equal (1,) and find its entry, but they are other
-        objects, so they take the full check and fail it.  A list or a
-        tuple subclass always takes it.  The table holds each object, so
-        its id is never reused.  The W^J test runs on every call."""
-        if not (w.__class__ is tuple and self.checked.get(w) is w):
-            w = tuple(w)
-            if self.canonicalize(w)[0] != w:
+        """The system's object for w, after checking that w is a canonical
+        word (else InputError) in W^J, for J a bit mask (else
+        PreconditionError).  The object a memo entry maps to was validated
+        or made by the kernel on entry, so it passes by identity; (1.0,),
+        (True,), lists, tuple subclasses and unhashable words take the full
+        check.  The memo holds each object, so its id is never reused."""
+        try:
+            hit = self.canonical_memo.get(w)
+        except TypeError:  # unhashable: the full check says why
+            hit = None
+        if hit is None or hit[0] is not w:
+            c = self.canonicalize(w)[0]
+            if c != tuple(w):
                 raise InputError(f"{name} is not a canonical reduced word")
-            self.checked.setdefault(w, w)
+            w = c
         if jmask and self._right_descents(w) & jmask:
             raise PreconditionError(f"{name} = '{self.word_str(w)}' is not in W^J")
         return w
@@ -373,9 +370,27 @@ class CoxeterSystem:
 
     def _canonical(self, word: Word) -> tuple[Word, bool]:
         got = self.canonical_memo.get(word)
-        if got is None:
-            got = self.canonical_memo[word] = self.kernel.canonicalize(word)
-        return got
+        return got if got is not None else self._store(word, *self.kernel.canonicalize(word))
+
+    def _store(self, word: Word, c: Word, reduced: bool) -> tuple[Word, bool]:
+        """memo[word], set to (c, reduced) unless present, with c interned; a
+        canonical word is interned itself, so a caller keeps its own object."""
+        c = self._interned(word if c == word else c)
+        return self.canonical_memo.setdefault(word, (c, reduced))
+
+    def _interned(self, c: Word) -> Word:
+        """The element's one object, for a canonical word c: its first memo
+        key, which maps to itself; setdefault makes concurrent callers agree."""
+        return self.canonical_memo.setdefault(c, (c, True))[0]
+
+    def _raised(self, s: int, y: Word) -> Word | None:
+        """The canonical s·y if s·y > y, else None, for a canonical y; a
+        non-reduced s·y never enters the memo."""
+        sy = (s,) + y
+        got = self.canonical_memo.get(sy)
+        if got is None and (got := self.kernel.canonicalize(sy))[1]:
+            got = self._store(sy, *got)
+        return got[0] if got[1] else None
 
     def _right_descents(self, w: Word) -> int:
         mask = self.descent_memo.get(w)
@@ -405,8 +420,8 @@ class CoxeterSystem:
         bound), sorted by (length, word); PreconditionError past cap
         elements.  W^J is closed under suffixes, so each layer is the
         longer left multiples s w of the last that stay in W^J."""
-        seen = {()}
-        frontier = {()}
+        seen = {self._interned(())}
+        frontier = set(seen)
         depth = 0
         while frontier and depth != radius:
             new = set()

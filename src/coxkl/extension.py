@@ -94,8 +94,8 @@ def extend_system(sys: CoxeterSystem, J, policy=None, class_x=None) -> ExtendedS
 def lift(ext: ExtendedSystem, z) -> tuple:
     """z st in the extended system, for a canonical word z of the base
     system; appends one letter to the word."""
-    z = tuple(z)
-    if any(s >= ext.base.n for s in z):
+    z = ext.extended._check_word(z)
+    if ext.stilde in z:
         raise PreconditionError("element already mentions the adjoined generator")
     lifted = ext.extended.canonicalize(z + (ext.stilde,))[0]
     if lifted != z + (ext.stilde,):

@@ -227,7 +227,7 @@ class ScanReport:
         )
         self.kernels: dict = {}  # system name -> set of kernel kinds
         self.memo = dict.fromkeys(
-            ("canonical", "descent", "checked", "order", "covers", "kernel", "R", "P", "Pdual"), 0
+            ("canonical", "descent", "order", "covers", "kernel", "R", "P", "Pdual"), 0
         )
         self.shells = [0, 0, 0]  # shells made, their elements, the largest
         self.iso = {"searches": 0, "memo_hits": 0, "shared": 0}
@@ -360,12 +360,13 @@ def _enumerate_cases(report, config):
         tops = {v for J in quotients for v in sys.ball(config.max_length, J)}
         for v in sorted(tops, key=_by_length):
             shell = _Shell(sys, v, config.max_rank_gap)
+            masks = list(map(sys._right_descents, shell.words))
             full: dict = {}
             for J, got in quotients.items():
                 jmask = sum(1 << s for s in J)
-                if shell.masks[-1] & jmask:
+                if masks[-1] & jmask:
                     continue
-                for u, mask in zip(shell.words, shell.masks):
+                for u, mask in zip(shell.words, masks):
                     if mask & jmask:
                         continue
                     ivl = full.get(u) or full.setdefault(u, shell.interval(sys, u))

@@ -26,8 +26,8 @@ from coxkl.bruhat import (
     interval,
     parabolic_interval,
 )
-from coxkl.extension import extend_system, lift
-from coxkl.klpoly import KLTable, get_table
+from coxkl.extension import extend_system, lift, lift_interval, verify_reduction
+from coxkl.klpoly import KLTable, bar_squared_check, get_table
 from coxkl.laurent import ONE
 from oracles import deodhar_criterion, project_to_quotient, subword_leq_oracle
 
@@ -133,7 +133,7 @@ def test_leq_checks_words_on_a_memo_hit(u):
 @pytest.mark.parametrize("u", [(1.0,), (True,)])
 def test_checked_words_pass_only_as_the_same_object(a3, u):
     """Once (1,) has passed the check, (1.0,) and (True,) find its entry in
-    the table of checked words, but they are other objects: every public
+    the canonical memo, but they are other objects: every public
     entry point still refuses them, in either position.  A list word
     takes the full check and is accepted."""
     sys_ = validate_system(a3.matrix)
@@ -142,7 +142,8 @@ def test_checked_words_pass_only_as_the_same_object(a3, u):
     assert bruhat_leq(sys_, s2, s1s2) and bruhat_leq(sys_, s2, s2)
     assert table.parabolic_kl(s2, s1s2, (), "q") == ONE
     assert interval(sys_, s2, s1s2).size == 2
-    assert sys_.checked[s2] is s2 and sys_.checked[s1s2] is s1s2
+    memo = sys_.canonical_memo
+    assert memo[s2][0] is s2 and memo[s1s2][0] is s1s2
     calls = [
         lambda a, b: bruhat_leq(sys_, a, b),
         lambda a, b: table.parabolic_kl(a, b, (), "q"),
@@ -152,7 +153,7 @@ def test_checked_words_pass_only_as_the_same_object(a3, u):
         for a, b in ((u, s1s2), (s2, u)):
             with pytest.raises(InputError, match="invalid generator index"):
                 call(a, b)
-    assert sys_.checked[s2] is s2
+    assert memo[s2][0] is s2
     assert bruhat_leq(sys_, [1], [0, 1]) and not bruhat_leq(sys_, [0, 1], [1])
     assert table.parabolic_kl([1], [0, 1], (), "q") == ONE
     assert interval(sys_, [1], [0, 1]).size == 2
@@ -163,7 +164,7 @@ def test_a_checked_word_outside_the_quotient_is_refused(a3):
     does not let it pass as a member of W^{s2}."""
     sys_ = validate_system(a3.matrix)
     v = (0, 1)
-    assert bruhat_leq(sys_, (), v) and sys_.checked[v] is v
+    assert bruhat_leq(sys_, (), v) and sys_.canonical_memo[v][0] is v
     J = frozenset({1})
     for call in (
         lambda: get_table(sys_).parabolic_kl((), v, J, "q"),
@@ -172,6 +173,82 @@ def test_a_checked_word_outside_the_quotient_is_refused(a3):
     ):
         with pytest.raises(PreconditionError, match="not in W\\^J"):
             call()
+
+
+_MALFORMED_CALLS = {
+    "bruhat_leq": lambda sys_, ext, w: bruhat_leq(sys_, w, (0, 1)),
+    "parabolic_kl": lambda sys_, ext, w: get_table(sys_).parabolic_kl(w, (0, 1), (), "q"),
+    "mu": lambda sys_, ext, w: get_table(sys_).mu(w, (0, 1), (), "q"),
+    "bar_squared_check": lambda sys_, ext, w: bar_squared_check(sys_, w, (0, 1), (), "q"),
+    "cone": lambda sys_, ext, w: cone(sys_, w),
+    "interval": lambda sys_, ext, w: interval(sys_, (), w),
+    "parabolic_interval": lambda sys_, ext, w: parabolic_interval(sys_, w, (0, 1), {2}),
+    "lift": lambda sys_, ext, w: lift(ext, w),
+    "lift_interval": lambda sys_, ext, w: lift_interval(ext, w, (0, 1)),
+    "verify_reduction": lambda sys_, ext, w: verify_reduction(ext, w, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("word", [([1],), (1, {}), ("a",), (None,), ([0],)])
+@pytest.mark.parametrize("call", sorted(_MALFORMED_CALLS))
+def test_malformed_words_are_input_errors(a3, call, word):
+    """A word with an unhashable or non-integer letter is an InputError at
+    every entry point, also once the system's memo holds (1,) and (0, 1)."""
+    sys_ = validate_system(a3.matrix)
+    ext = extend_system(sys_, {2})
+    assert bruhat_leq(sys_, (1,), (0, 1))
+    with pytest.raises(InputError, match="invalid generator index"):
+        _MALFORMED_CALLS[call](sys_, ext, word)
+
+
+@pytest.mark.parametrize("matrix, backend", [
+    ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], "auto"),
+    ([[1, 4, 2], [4, 1, 3], [2, 3, 1]], "auto"),
+    ([[1, 5, 2], [5, 1, 3], [2, 3, 1]], "general"),
+], ids=["A3", "B3", "H3"])
+def test_returned_canonical_words_pass_their_first_check_by_identity(matrix, backend):
+    """Every canonical word that coxkl hands out is the object its entry in
+    the canonical memo maps to, so its first public check, by
+    `bruhat_leq`, `parabolic_kl` or `interval`, never asks the kernel for
+    it again.  Those calls may still ask the kernel for the s·y of a new
+    cone, which are other words."""
+    sys_ = validate_system(matrix, backend=backend)
+    ext = extend_system(sys_, {0})
+    rng = random.Random(7)
+    randoms = [tuple(rng.randrange(3) for _ in range(rng.randrange(2, 12))) for _ in range(60)]
+
+    def canonicalized():
+        return [c for c in (sys_.canonicalize(w)[0] for w in randoms) if c not in randoms]
+
+    def lifted():
+        return [lift(ext, z) for z in cone(sys_, sys_.ball(4, ext.J)[-1], ext.J)]
+
+    sources = [
+        (sys_, "canonicalize", canonicalized),
+        (sys_, "element", lambda: [sys_.element("s2 s1 s3 s2")]),
+        (sys_, "ball", lambda: sys_.ball(3)),
+        (sys_, "cone", lambda: list(cone(sys_, sys_.ball(20)[-1]))),
+        (sys_, "interval", lambda: list(interval(sys_, (1,), sys_.ball(20)[-1]).ground)),
+        (ext.extended, "lift", lifted),
+    ]
+    asked = []
+    for system in (sys_, ext.extended):
+        kernel = system.kernel
+        kernel.canonicalize = lambda word, ask=kernel.canonicalize: asked.append(word) or ask(word)
+    try:
+        for system, name, make in sources:
+            got = make()
+            assert got, name
+            assert all(system.canonical_memo[w][0] is w for w in got), name
+            del asked[:]
+            table = get_table(system)
+            for w in got:
+                assert bruhat_leq(system, w, w)
+                assert table.parabolic_kl(w, w, (), "q") == ONE
+                assert interval(system, w, w).bottom is w
+            assert not set(asked) & set(got), name
+    finally:
+        del sys_.kernel.canonicalize, ext.extended.kernel.canonicalize
 
 
 @pytest.mark.parametrize("fixture, radius", [("a3", None), ("b3", None), ("h3", 5)])
@@ -366,6 +443,25 @@ def test_covers_match_naive_order(b3, h3, affine_a2):
         ext.extended, [interval(ext.extended, lift(ext, u), lift(ext, v))])
 
 
+@pytest.mark.parametrize("build", ["cone", "interval"])
+def test_lower_covers_keep_non_reduced_products_out_of_the_memo(b3, build):
+    """Finding lower covers asks the kernel for s·y for each lower cover y
+    of z[1:]; an s·y below y is dropped and not stored, so a cone or a
+    shell of the longest element leaves only reduced words in a fresh
+    system's canonical memo."""
+    sys_ = validate_system(b3.matrix)
+    top = tuple(b3.ball(9)[-1])
+    answers = []
+    ask = sys_.kernel.canonicalize
+    sys_.kernel.canonicalize = lambda word: answers.append(ask(word)) or answers[-1]
+    try:
+        got = cone(sys_, top) if build == "cone" else interval(sys_, (), top).ground
+    finally:
+        del sys_.kernel.canonicalize
+    assert len(got) == 48 and any(not reduced for _, reduced in answers)
+    assert all(reduced for _, reduced in sys_.canonical_memo.values())
+
+
 def test_shell_intervals_match_subwords(b3, h3, affine_a2):
     """Every top v of the radius-5 balls of B3, of H3 on the general
     backend and of A2~: its shells of depth 1, 2, 3 and l(v) hold the
@@ -538,7 +634,7 @@ def test_threads_fill_one_order_index_consistently():
     number the same cones and fill the same left-action rows at once.
     Every id must be published under the index's lock and after its bits,
     every answer must equal a serial one, and the filled index and its
-    rows and its table of checked words must be consistent."""
+    rows and its canonical memo must be consistent."""
     matrix = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
     shared, serial = validate_system(matrix), validate_system(matrix)
     subsets = all_subsets(range(3))
@@ -568,8 +664,9 @@ def test_threads_fill_one_order_index_consistently():
         sys.setswitchinterval(switch)
     assert all(got == expected for got in results)
     assert any(_order(shared, J).left for J in subsets)
-    # insert-only: each checked word maps to the very object it is keyed by
-    assert shared.checked and all(k is w for k, w in shared.checked.items())
+    # insert-only: each canonical word maps to the very object it is keyed by
+    canonical = [(k, c) for k, (c, _) in shared.canonical_memo.items() if c == k]
+    assert canonical and all(k is c for k, c in canonical)
     for J in subsets:
         order = _order(shared, J)
         _check_index(order)

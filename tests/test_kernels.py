@@ -54,7 +54,13 @@ def test_memo_matches_fresh_kernel_on_random_words(name):
             assert sys.canonicalize(word) == fresh.canonicalize(word)
             assert sys.descent_mask(word) == fresh.right_descent_mask(word)
             assert sys.descent_mask(word, "left") == fresh.right_descent_mask(word[::-1])
-    assert set(sys.canonical_memo) == set(words)
+    # keys: the words asked and their canonical forms, each canonical
+    # form the one object it maps to
+    memo = sys.canonical_memo
+    assert set(memo) == set(words) | {fresh.canonicalize(w)[0] for w in words}
+    for key, value in memo.items():
+        assert value == fresh.canonicalize(key)
+        assert value[0] is key or value[0] != key
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "affineA2", "universal3"])
