@@ -26,7 +26,7 @@ import threading
 import weakref
 from typing import NamedTuple
 
-from .core import CoxeterSystem, PreconditionError
+from .core import CoxeterSystem, PreconditionError, bitmask
 
 #: the longest top that the public `interval` and `parabolic_interval` take
 INTERVAL_CUTOFF = 18
@@ -170,7 +170,7 @@ class _Order:
 def _order(sys: CoxeterSystem, J: frozenset) -> _Order:
     """The system's numbered order on W^J, made on first use."""
     orders = sys.caches.get("order") or sys.caches.setdefault("order", {})
-    return orders.get(J) or orders.setdefault(J, _Order(sum(1 << s for s in J)))
+    return orders.get(J) or orders.setdefault(J, _Order(bitmask(J)))
 
 
 class _Shape:
@@ -244,7 +244,7 @@ class IntervalPoset:
 
     def with_marking(self, J) -> IntervalPoset:
         """A copy with [u, v]^J marked, for a frozenset J."""
-        jmask, descents = sum(1 << s for s in J), self.system._right_descents
+        jmask, descents = bitmask(J), self.system._right_descents
         ivl = object.__new__(IntervalPoset)
         ivl.__dict__.update(self.__dict__)
         ivl.J = J
@@ -378,7 +378,7 @@ def _build_interval(sys, u, v, J, depth=0):
     """[u, v], marked with J unless J is None, after checking its ends: from
     the system's latest shell if its top is v and it reaches u, else from a
     new one at least depth deep, which takes its place."""
-    jmask = 0 if J is None else sum(1 << s for s in J)
+    jmask = bitmask(J or ())
     u = sys._check_rep(u, jmask, "u")
     v = sys._check_rep(v, jmask, "v")
     shell = sys.caches.get("shell")
@@ -390,8 +390,10 @@ def _build_interval(sys, u, v, J, depth=0):
     return ivl if J is None else ivl.with_marking(J)
 
 
-def _cutoff(v):
-    """v, after checking that it has at most INTERVAL_CUTOFF letters."""
+def _cutoff(sys, v):
+    """v, after checking that it is a canonical word of at most
+    INTERVAL_CUTOFF letters."""
+    v = sys._check_rep(v, 0, "v")
     if len(v) > INTERVAL_CUTOFF:
         raise PreconditionError(f"top element has length {len(v)} > cutoff {INTERVAL_CUTOFF}")
     return v
@@ -399,7 +401,7 @@ def _cutoff(v):
 
 def interval(sys: CoxeterSystem, u, v) -> IntervalPoset:
     """The full Bruhat interval [u, v], for l(v) <= INTERVAL_CUTOFF."""
-    return _build_interval(sys, u, _cutoff(v), None)
+    return _build_interval(sys, u, _cutoff(sys, v), None)
 
 
 def parabolic_interval(sys: CoxeterSystem, u, v, J) -> IntervalPoset:
@@ -408,4 +410,4 @@ def parabolic_interval(sys: CoxeterSystem, u, v, J) -> IntervalPoset:
 
     Endpoints must be minimal coset representatives for J.
     """
-    return _build_interval(sys, u, _cutoff(v), sys.check_subset(J))
+    return _build_interval(sys, u, _cutoff(sys, v), sys.check_subset(J))

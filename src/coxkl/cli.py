@@ -217,10 +217,8 @@ def cmd_verify_reduction(args) -> int:
         "summary": report.summary(),
         "records": records,
     }
-    memo = memo_sizes(sys)
-    for kind, size in memo_sizes(ext.extended).items():
-        memo[kind] += size
-    _emit("verify-reduction", {"system": name}, result, started, {"memo": memo})
+    stats = {"memo": memo_sizes(sys, ext.extended)}
+    _emit("verify-reduction", {"system": name}, result, started, stats)
     return EXIT_OK if report.all_equal else EXIT_DISAGREEMENT
 
 

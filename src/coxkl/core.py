@@ -18,7 +18,9 @@ about a word is computed once per system.  The memo holds only these
 deterministic answers: an entry lost or inserted twice by concurrent
 callers changes nothing.
 
-Public methods validate their arguments on every call.  The canonical
+Public methods validate their arguments on every call, each kind with
+one check: `check_subset` for subsets, words and generator keys,
+`check_bond` for bonds and `_is_left` for sides.  The canonical
 memo keeps one object per element, the first canonical word seen for it,
 and every canonical word coxkl hands out is that object, so it passes
 the check by identity (`_check_rep`).  The private lookups
@@ -117,6 +119,26 @@ class CoxeterMatrix:
         )
 
 
+def check_bond(m, what: str):
+    """m, if it is a bond other than 2 (an int >= 3, not a bool, or INF),
+    else InputError naming what; tested before m is hashed."""
+    if m is not INF and (type(m) is not int or m < 3):
+        raise InputError(f"{what} must be an int >= 3 or 'inf', not {m!r}")
+    return m
+
+
+def bitmask(J) -> int:
+    """The bit mask of a set of generator indices."""
+    return sum(1 << s for s in J)
+
+
+def _is_left(side) -> bool:
+    """Whether side is 'left' rather than 'right'; InputError for any other."""
+    if side != "left" and side != "right":
+        raise InputError(f"side must be 'left' or 'right', not {side!r}")
+    return side == "left"
+
+
 class ClassX:
     """A nonempty set of admissible bond labels (>= 3 or INF)."""
 
@@ -128,12 +150,7 @@ class ClassX:
         except TypeError:
             raise InputError("class_x must be a list of bonds") from None
         for v in values:
-            # checked before hashing, so that an unhashable entry is an
-            # InputError; a bool is not a bond
-            if v is not INF and type(v) is not int:
-                raise InputError(f"class_x entry must be an int or 'inf', not {v!r}")
-            if v is not INF and v < 3:
-                raise InputError(f"class_x entry {v!r} must be >= 3 or 'inf'")
+            check_bond(v, "class_x entry")
         if not values:
             raise InputError("class_x must be nonempty")
         self.values = frozenset(values)
@@ -280,26 +297,30 @@ class CoxeterSystem:
 
     def parse_word(self, text: str) -> Word:
         """Whitespace-separated generator names; empty string is the identity."""
+        if not isinstance(text, str):
+            raise InputError(f"word text must be a string, not {text!r}")
         return tuple(self.generator(tok) for tok in text.split())
 
     def word_str(self, w: Word) -> str:
         return " ".join(self.names[s] for s in w)
 
-    def _check_word(self, word) -> Word:
-        word = tuple(word)
+    def check_subset(self, J: Iterable[int], kind=frozenset, what: str = "subset"):
+        """kind(J) after checking that it converts and holds only generator
+        indices, else InputError naming what: the one check of subsets, of
+        words (kind=tuple, `_check_word`) and of generator keys."""
+        try:
+            J = kind(J)
+        except TypeError:  # not iterable, or an unhashable member of a set
+            raise InputError(f"{what} {J!r} is not a collection of generator indices") from None
         n = self.matrix.n
-        for s in word:
+        for s in J:
             # bool is an int subclass; True must not pass for generator 1
             if not (type(s) is int and 0 <= s < n):
-                raise InputError(f"invalid generator index {s!r}")
-        return word
-
-    def check_subset(self, J: Iterable[int]) -> frozenset:
-        J = frozenset(J)
-        for s in J:
-            if not (type(s) is int and 0 <= s < self.matrix.n):
-                raise InputError(f"invalid generator index {s!r} in subset")
+                raise InputError(f"invalid generator index {s!r} in {what}")
         return J
+
+    def _check_word(self, word) -> Word:
+        return self.check_subset(word, tuple, "word")
 
     def _check_rep(self, w, jmask: int, name: str) -> Word:
         """The system's object for w, after checking that w is a canonical
@@ -322,7 +343,7 @@ class CoxeterSystem:
         return w
 
     def subset_mask(self, J: Iterable[int]) -> int:
-        return sum(1 << s for s in self.check_subset(J))
+        return bitmask(self.check_subset(J))
 
     # -- element arithmetic -------------------------------------------------
 
@@ -338,25 +359,18 @@ class CoxeterSystem:
         return self.canonicalize(word_or_text)[0]
 
     def multiply_gen(self, w: Word, s: int, side: str = "right") -> Word:
-        if side == "right":
-            return self.canonicalize(tuple(w) + (s,))[0]
-        if side == "left":
-            return self.canonicalize((s,) + tuple(w))[0]
-        raise InputError(f"side must be 'left' or 'right', not {side!r}")
+        w = self._check_word(w)
+        return self.canonicalize((s,) + w if _is_left(side) else w + (s,))[0]
 
     def product(self, a: Word, b: Word) -> Word:
-        return self.canonicalize(tuple(a) + tuple(b))[0]
+        return self.canonicalize(self._check_word(a) + self._check_word(b))[0]
 
     def inverse(self, a: Word) -> Word:
-        return self.canonicalize(tuple(reversed(a)))[0]
+        return self.canonicalize(self._check_word(a)[::-1])[0]
 
     def descent_mask(self, w: Word, side: str = "right") -> int:
         word = self._check_word(w)
-        if side == "left":
-            word = word[::-1]
-        elif side != "right":
-            raise InputError(f"side must be 'left' or 'right', not {side!r}")
-        return self._right_descents(word)
+        return self._right_descents(word[::-1] if _is_left(side) else word)
 
     def descents(self, w: Word, side: str = "right") -> frozenset:
         mask = self.descent_mask(w, side)

@@ -15,16 +15,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bruhat import IsoWitness, _build_interval, _leq, cone
-from .core import INF, ClassX, CoxeterSystem, InputError, InvariantError, PreconditionError
+from .core import ClassX, CoxeterSystem, InputError, InvariantError, PreconditionError, check_bond
 from .klpoly import KL_TYPES, get_table
 from .laurent import LaurentPoly
-
-
-def _default_bond(class_values):
-    if class_values is None or 3 in class_values:
-        return 3
-    finite = sorted(v for v in class_values if v is not INF)
-    return finite[0] if finite else INF
 
 
 class ExtendedSystem(NamedTuple):
@@ -50,33 +43,26 @@ def extend_system(sys: CoxeterSystem, J, policy=None, class_x=None) -> ExtendedS
     """
     J = sys.check_subset(J)
     n = sys.n
-    class_values = None
+    class_values, default = None, 3
     if class_x is not None:
         if not isinstance(class_x, ClassX):
             raise InputError("class_x must be a ClassX")
         class_values = class_x.values
+        default = min(class_values)  # 3 if there; INF is above every int
     if policy is not None and not isinstance(policy, dict):
         raise InputError("policy must map generators to bonds")
-    policy = dict(policy or {})
-    for s in policy:
-        # bool is an int subclass; True must not pass for generator 1
-        if not (type(s) is int and 0 <= s < n):
-            raise InputError(f"policy key {s!r} is not a generator")
+    policy = policy or {}
+    for s in sys.check_subset(policy, tuple, "policy"):
         if s in J:
             raise InputError(
                 f"policy assigns a bond to {sys.names[s]}, which is in J"
             )
-    default = _default_bond(class_values)
     bonds = {}
     for s in range(n):
         if s in J:
             bonds[s] = 2
             continue
-        m = policy.get(s, default)
-        if m == 2:
-            raise InputError("bond 2 outside J would break the quotient split")
-        if m is not INF and not (isinstance(m, int) and m >= 3):
-            raise InputError(f"bond for {sys.names[s]} must be >= 3 or INF")
+        m = check_bond(policy.get(s, default), f"bond for {sys.names[s]}")
         if class_values is not None and m not in class_values:
             raise InputError(
                 f"bond {m} for {sys.names[s]} is outside the class constraint"
@@ -164,9 +150,8 @@ def verify_reduction(ext: ExtendedSystem, u, v, report: ReductionReport | None =
     """
     base_t = get_table(ext.base)
     ext_t = get_table(ext.extended)
-    u = tuple(u)
-    v = tuple(v)
     lu, lv = lift(ext, u), lift(ext, v)
+    u, v = lu[:-1], lv[:-1]
     S = ext.maximal_quotient
     if report is None:
         report = ReductionReport()

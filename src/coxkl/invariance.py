@@ -25,6 +25,7 @@ from .core import (
     InputError,
     InvariantError,
     PreconditionError,
+    bitmask,
     is_class_x,
 )
 from .extension import extend_system, lift
@@ -150,9 +151,15 @@ class ScanConfig:
     """Deterministic scan over configured systems and quotients.
 
     entries lists (name, CoxeterSystem) pairs in configured order;
-    quotients is "all" or "maximal".  These defaults are the defaults of
-    a scan config file, and the messages name the file's keys.
+    quotients is "all" or "maximal".  The other parameters, attributes
+    and defaults are the optional keys of a scan config file (`KEYS`, in
+    report order) and their defaults.
     """
+
+    KEYS = (
+        "quotients", "max_length", "max_rank_gap", "max_interval_size", "types",
+        "include_r_polynomials", "class_x", "lift_controls",
+    )
 
     def __init__(
         self,
@@ -162,7 +169,7 @@ class ScanConfig:
         max_rank_gap: int = 4,
         max_interval_size: int = DEFAULT_SIZE_CAP,
         types: tuple = KL_TYPES,
-        include_r: bool = True,
+        include_r_polynomials: bool = True,
         class_x: Optional[ClassX] = None,
         lift_controls: bool = True,
     ):
@@ -190,7 +197,7 @@ class ScanConfig:
             raise InputError("types must be a nonempty list")
         for x in types:
             check_kl_type(x)
-        for key, v in (("include_r_polynomials", include_r),
+        for key, v in (("include_r_polynomials", include_r_polynomials),
                        ("lift_controls", lift_controls)):
             # bool("false") is True: only a real boolean is accepted
             if not isinstance(v, bool):
@@ -203,7 +210,7 @@ class ScanConfig:
         self.max_rank_gap = max_rank_gap
         self.max_interval_size = max_interval_size
         self.types = tuple(types)
-        self.include_r = include_r
+        self.include_r_polynomials = include_r_polynomials
         self.class_x = class_x
         self.lift_controls = lift_controls
 
@@ -226,9 +233,7 @@ class ScanReport:
             ("enumerate", "buckets", "matching", "controls"), 0.0
         )
         self.kernels: dict = {}  # system name -> set of kernel kinds
-        self.memo = dict.fromkeys(
-            ("canonical", "descent", "order", "covers", "kernel", "R", "P", "Pdual"), 0
-        )
+        self.memo = memo_sizes()  # summed over the scanned systems at the end
         self.shells = [0, 0, 0]  # shells made, their elements, the largest
         self.iso = {"searches": 0, "memo_hits": 0, "shared": 0}
         self.shapes = 0  # distinct marked shapes among the cases
@@ -274,10 +279,8 @@ class ScanReport:
         }
 
     def count_tables(self, name: str, sys: CoxeterSystem) -> None:
-        """Add a system's kernel kind, memo table sizes and shells to the stats."""
+        """Add a system's kernel kind and shells to the stats."""
         self.kernels.setdefault(name, set()).add(sys.kernel.kind)
-        for kind, size in memo_sizes(sys).items():
-            self.memo[kind] += size
         count, size, largest = sys.caches.get("shells", (0, 0, 0))
         shells = self.shells
         shells[:] = shells[0] + count, shells[1] + size, max(shells[2], largest)
@@ -310,7 +313,7 @@ def _polys(case, config) -> tuple:
         ivl = case.interval
         table = get_table(ivl.system)
         ids = table._ids(ivl.bottom, ivl.top, ivl.J)
-        kinds = (table._kl, table._r) if config.include_r else (table._kl,)
+        kinds = (table._kl, table._r) if config.include_r_polynomials else (table._kl,)
         case.polys = tuple(poly(*ids, x) for poly in kinds for x in config.types)
     return case.polys
 
@@ -356,14 +359,13 @@ def _enumerate_cases(report, config):
         if config.class_x is not None and not is_class_x(sys.matrix, config.class_x):
             report.skipped_systems.append(name)
             continue
-        quotients = {J: [] for J in _quotient_list(sys, config.quotients)}
-        tops = {v for J in quotients for v in sys.ball(config.max_length, J)}
+        quotients = [(J, bitmask(J), []) for J in _quotient_list(sys, config.quotients)]
+        tops = {v for J, _, _ in quotients for v in sys.ball(config.max_length, J)}
         for v in sorted(tops, key=_by_length):
             shell = _Shell(sys, v, config.max_rank_gap)
             masks = list(map(sys._right_descents, shell.words))
             full: dict = {}
-            for J, got in quotients.items():
-                jmask = sum(1 << s for s in J)
+            for J, jmask, got in quotients:
                 if masks[-1] & jmask:
                     continue
                 for u, mask in zip(shell.words, masks):
@@ -374,7 +376,7 @@ def _enumerate_cases(report, config):
                         report.skipped_oversize += 1
                         continue
                     got.append(ScanCase(name, ivl.with_marking(J)))
-        for got in quotients.values():
+        for _J, _jmask, got in quotients:
             cases.extend(got)
     return cases
 
@@ -483,29 +485,19 @@ def scan(config: ScanConfig) -> ScanReport:
         t = clock()
         _run_controls(report, cases, config, extensions)
         seconds["controls"] = clock() - t
-    for name, sys in config.entries:
+    systems = [*config.entries,
+               *((name + "~ext", ext.extended) for (name, _J), ext in extensions.items())]
+    for name, sys in systems:
         report.count_tables(name, sys)
-    for (name, _J), ext in extensions.items():
-        report.count_tables(name + "~ext", ext.extended)
+    report.memo = memo_sizes(*(sys for _name, sys in systems))
     return report
 
 
 def _config_echo(config: ScanConfig) -> dict:
-    return {
-        "systems": [name for name, _sys in config.entries],
-        "quotients": config.quotients,
-        "max_length": config.max_length,
-        "max_rank_gap": config.max_rank_gap,
-        "max_interval_size": config.max_interval_size,
-        "types": list(config.types),
-        "include_r_polynomials": config.include_r,
-        "class_x": (
-            [
-                "inf" if v is INF else v
-                for v in sorted(config.class_x.values, key=lambda v: (v is INF, v))
-            ]
-            if config.class_x
-            else None
-        ),
-        "lift_controls": config.lift_controls,
-    }
+    echo = {"systems": [name for name, _sys in config.entries]}
+    echo.update((key, getattr(config, key)) for key in ScanConfig.KEYS)
+    echo["types"] = list(config.types)
+    if config.class_x is not None:
+        # INF sorts after every int
+        echo["class_x"] = ["inf" if v is INF else v for v in sorted(config.class_x.values)]
+    return echo

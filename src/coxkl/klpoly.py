@@ -281,17 +281,20 @@ def get_table(sys: CoxeterSystem) -> KLTable:
     return table
 
 
-def memo_sizes(sys: CoxeterSystem) -> dict:
-    """Entries in the system's word memos, kernel tables, order indexes,
-    lower covers and polynomial memos."""
-    sizes = {
-        "canonical": len(sys.canonical_memo),
-        "descent": len(sys.descent_memo),
-        "order": sum(len(o.words) for o in sys.caches.get("order", {}).values()),
-        "covers": len(sys.caches.get("covers", ())),
-        "kernel": sys.kernel.table_size(),
-    }
-    sizes.update((kind, len(entries)) for kind, entries in get_table(sys).tables.items())
+def memo_sizes(*systems: CoxeterSystem) -> dict:
+    """Entries in the word memos, kernel tables, order indexes, lower
+    covers and polynomial memos, summed over the systems (all 0 for none)."""
+    kinds = ("canonical", "descent", "order", "covers", "kernel", "R", "P", "Pdual")
+    sizes = dict.fromkeys(kinds, 0)
+    for sys in systems:
+        counts = (
+            len(sys.canonical_memo), len(sys.descent_memo),
+            sum(len(o.words) for o in sys.caches.get("order", {}).values()),
+            len(sys.caches.get("covers", ())), sys.kernel.table_size(),
+            *map(len, get_table(sys).tables.values()),
+        )
+        for kind, count in zip(kinds, counts):
+            sizes[kind] += count
     return sizes
 
 

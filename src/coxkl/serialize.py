@@ -116,16 +116,9 @@ def interval_to_dot(ivl) -> str:
 # -- scan configs and reports ------------------------------------------------------
 
 
-#: the optional scan config keys; ScanConfig owns their defaults
-_SCAN_KEYS = (
-    "quotients", "max_length", "max_rank_gap", "max_interval_size", "types",
-    "include_r_polynomials", "class_x", "lift_controls",
-)
-
-
 def scan_config_from_jsonable(obj: dict) -> ScanConfig:
     _check_document(obj, "scan config")
-    unknown = sorted(set(obj) - {"format", "systems", *_SCAN_KEYS})
+    unknown = sorted(set(obj) - {"format", "systems", *ScanConfig.KEYS})
     if unknown:
         raise InputError(
             "unknown scan config key " + ", ".join(repr(k) for k in unknown)
@@ -133,9 +126,7 @@ def scan_config_from_jsonable(obj: dict) -> ScanConfig:
     systems = obj.get("systems")
     if not isinstance(systems, list):
         raise InputError("scan config needs a list of systems")
-    options = {k: obj[k] for k in _SCAN_KEYS if k in obj}
-    if "include_r_polynomials" in options:
-        options["include_r"] = options.pop("include_r_polynomials")
+    options = {k: obj[k] for k in ScanConfig.KEYS if k in obj}
     raw = options.get("class_x")
     if raw is not None:
         if not isinstance(raw, list):

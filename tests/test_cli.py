@@ -398,6 +398,32 @@ def test_malformed_system_spec_exits_2(capsys, tmp_path, spec, message):
     assert out == "" and message in err
 
 
+_A1_SPEC = {"format": 1, "name": "A1", "generators": ["s1"]}
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("poly", [_A1_SPEC], "system spec must be a JSON object"),
+    ("poly", _A1_SPEC, "system spec is missing 'matrix'"),
+    ("poly", {**_A1_SPEC, "matrix": [[1], 1]}, "matrix must be a list of rows"),
+    ("poly", None, "cannot read system file"),
+    ("scan", {"format": 1, "systems": {}}, "scan config needs a list of systems"),
+    ("scan", {"format": 1, "systems": [], "class_x": 3}, "class_x must be a list of bonds"),
+], ids=["not-an-object", "missing-key", "rows", "unreadable", "systems", "class_x"])
+def test_malformed_document_exits_2(capsys, tmp_path, command, document, message):
+    """A document of the wrong shape, or a file that cannot be read (None:
+    no file), exits 2 before any work."""
+    path = tmp_path / "doc.json"
+    if document is not None:
+        path.write_text(json.dumps(document))
+    if command == "poly":
+        argv = ["poly", "--v", "s1", "--system", str(path)]
+    else:
+        argv = ["scan", "--out", str(tmp_path / "r"), "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and message in err
+
+
 def test_scan_format_true_is_not_format_1(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": True, "systems": []}))
@@ -599,7 +625,8 @@ def test_scan_bad_class_x_entry_exits_2(capsys, tmp_path, class_x):
     code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
                          str(tmp_path / "r"))
     assert code == 2
-    assert out == "" and "class_x entry must be an int or 'inf'" in err
+    assert out == "" and (
+        f"class_x entry must be an int >= 3 or 'inf', not {class_x[-1]!r}" in err)
 
 
 def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
@@ -610,9 +637,9 @@ def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
     seen = []
     memo_sizes = coxkl.cli.memo_sizes
 
-    def recorded(sys):
-        seen.append(memo_sizes(sys))
-        return dict(seen[-1])
+    def recorded(*systems):
+        seen.extend(memo_sizes(sys) for sys in systems)
+        return memo_sizes(*systems)
 
     monkeypatch.setattr(coxkl.cli, "memo_sizes", recorded)
     code, out, _ = run(

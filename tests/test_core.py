@@ -39,6 +39,17 @@ def test_validate_rejects_rows_that_are_not_sequences(matrix):
         validate_system(matrix)
 
 
+@pytest.mark.parametrize("matrix, kwargs, message", [
+    ([[1, 2.5], [2.5, 1]], {}, "matrix entry must be an integer >= 1 or INF, not 2.5"),
+    ([[1, 3], [3, 1], [2, 2]], {}, "matrix is not square"),
+    ([[1, 3], [3, 1]], {"backend": "fast"}, "unknown backend 'fast'"),
+    ([[1, 3], [3, 1]], {"names": ["s1"]}, "need one name per generator"),
+], ids=["entry", "not-square", "backend", "names-count"])
+def test_validate_rejects_malformed_systems(matrix, kwargs, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        validate_system(matrix, **kwargs)
+
+
 def test_validate_rejects_bad_diagonal():
     with pytest.raises(InputError):
         validate_system([[2, 3], [3, 1]])

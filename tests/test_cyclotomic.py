@@ -131,3 +131,9 @@ def test_nonreal_rejected():
     ring = CyclotomicRing(8)
     with pytest.raises(ArithmeticError):
         ring._sign_slow(ring.root_power(2))  # i is purely imaginary
+
+
+@pytest.mark.parametrize("N", [0, -4])
+def test_ring_order_must_be_positive(N):
+    with pytest.raises(ValueError, match="N must be positive"):
+        CyclotomicRing(N)

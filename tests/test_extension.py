@@ -1,6 +1,8 @@
 """Extension by an adjoined generator: matrix conditions, lifting, and
 polynomial transport."""
 
+import re
+
 import pytest
 
 from coxkl import INF, InputError, InvariantError, PreconditionError, validate_system
@@ -75,13 +77,14 @@ def test_extend_rejects_policy_that_is_not_a_dict(a2, policy):
 
 def test_extend_rejects_bool_policy_key(a3):
     # True == 1 would otherwise assign the bond to generator s2
-    with pytest.raises(InputError, match="policy key True"):
+    with pytest.raises(InputError, match="invalid generator index True in policy"):
         extend_system(a3, [0], policy={True: 4})
 
 
 @pytest.mark.parametrize("bond", [2.5, True, 3.0, "3"])
 def test_extend_rejects_a_bond_that_is_not_an_integer(a2, bond):
-    with pytest.raises(InputError, match="bond for s1 must be >= 3 or INF"):
+    with pytest.raises(InputError, match=re.escape(
+            f"bond for s1 must be an int >= 3 or 'inf', not {bond!r}")):
         extend_system(a2, {1}, policy={0: bond})
 
 

@@ -373,7 +373,7 @@ def test_class_x_validation():
 @pytest.mark.parametrize("kwargs", [
     {"types": ()},
     {"types": "q"},
-    {"include_r": "no"},
+    {"include_r_polynomials": "no"},
     {"lift_controls": 1},
     {"max_rank_gap": "x"},
     {"max_length": True},
@@ -385,9 +385,11 @@ def test_class_x_validation():
         "max_length-bool", "max_interval_size-negative", "class_x-list",
         "entries-triple", "quotients-bogus"])
 def test_scan_config_rejects_malformed_values(a2, kwargs):
-    """ScanConfig checks every value it holds, from a file or from Python."""
-    kwargs.setdefault("entries", [("A2", a2)])
-    with pytest.raises(InputError):
+    """ScanConfig checks every value it holds, from a file or from Python,
+    and names the file's key."""
+    key = next(iter(kwargs))
+    kwargs = {"entries": [("A2", a2)], **kwargs}
+    with pytest.raises(InputError, match="systems" if key == "entries" else key):
         ScanConfig(**kwargs)
 
 

@@ -276,6 +276,20 @@ def test_mu_and_bar_squared_below_no_top(a3):
         assert bar_squared_check(a3, w, v, frozenset(), x) is True
 
 
+def test_mu_and_bar_squared_at_an_unnumbered_bottom():
+    """In a fresh system, a bottom outside the top's cone is never numbered:
+    mu is 0 and the bar-squared identity holds without any recursion."""
+    sys_ = validate_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    w, v = sys_.element("s1 s2"), sys_.element("s3 s2 s1")
+    t = get_table(sys_)
+    for J in (frozenset(), frozenset({2})):
+        for x in ("q", "-1"):
+            assert t.mu(w, v, J, x) == 0
+            assert bar_squared_check(sys_, w, v, J, x) is True
+            assert w not in _order(sys_, J).ids
+    assert not any(t.tables.values())
+
+
 def test_mu_even_gap_is_zero(a3):
     t = get_table(a3)
     elems = a3.all_elements()
