@@ -320,15 +320,16 @@ class IsoWitness(NamedTuple):
 def _lower_covers(sys, z) -> tuple:
     """The lower covers of a canonical word z, memoized per system: z[1:],
     and s·y for each lower cover y of z[1:] with s·y > y, s = z[0] (the
-    lifting property), each the system's one object for its element."""
+    lifting property), each the system's one object; an s·y below y is
+    dropped here but stays in the canonical memo, like every word asked."""
     memo = sys.caches.get("covers") or sys.caches.setdefault("covers", {(): ()})
     todo, w = [], z
     while w not in memo:
         todo.append(w)
         w = w[1:]
     for w in reversed(todo):
-        raised = (sys._raised(w[0], y) for y in memo[w[1:]])
-        memo[w] = (sys._interned(w[1:]), *(sy for sy in raised if sy is not None))
+        ups = [sy for y in memo[w[1:]] if len(sy := sys._left_mul(w[0], y)) > len(y)]
+        memo[w] = (sys._interned(w[1:]), *ups)
     return memo[z]
 
 

@@ -7,8 +7,8 @@ kernel kinds, memo table sizes and shells), and poly and
 verify-reduction (base plus extension) add "stats" with the memo table
 sizes; no report file carries them.  Exit codes: 0 success, 1 mathematical disagreement found
 (including a failed internal invariant), 2 malformed input or
-configuration (an unwritable output path included, refused before any
-work), 3 precondition violation.
+configuration (an unwritable output path, or one that names an input
+file, included, refused before any work), 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -67,13 +67,16 @@ def _load_extension(args) -> tuple[str, ExtendedSystem]:
     return name, extend_system(sys, J, policy=policy, class_x=class_x)
 
 
-def _check_output(path: str) -> None:
-    """Refuse an output path that cannot be written, before any work."""
+def _check_output(path: str, *inputs: str) -> None:
+    """Refuse an output path that cannot be written, or that names one of
+    the command's input files, before any work."""
     parent = os.path.dirname(path) or "."
     target = path if os.path.exists(path) else parent
     writable = os.path.isdir(parent) and not os.path.isdir(path)
     if not (writable and os.access(target, os.W_OK)):
         raise InputError(f"cannot write output file {path!r}")
+    if os.path.exists(path) and any(os.path.exists(s) and os.path.samefile(path, s) for s in inputs):
+        raise InputError(f"output file {path!r} is an input file of the command")
 
 
 def _emit(command: str, inputs: dict, result: dict, started: float,
@@ -135,7 +138,7 @@ def cmd_poly(args) -> int:
 def cmd_interval(args) -> int:
     started = time.perf_counter()
     if args.dot:
-        _check_output(args.dot)
+        _check_output(args.dot, args.system)
     name, sys = serialize.load_system(args.system)
     u = sys.element(args.u)
     v = sys.element(args.v)
@@ -174,7 +177,7 @@ def cmd_interval(args) -> int:
 def cmd_extend(args) -> int:
     started = time.perf_counter()
     if args.out:
-        _check_output(args.out)
+        _check_output(args.out, args.system)
     name, ext = _load_extension(args)
     spec = serialize.system_to_spec(ext.extended, f"{name}~ext")
     if args.out:
@@ -229,8 +232,8 @@ def cmd_scan(args) -> int:
     started = time.perf_counter()
     json_path = args.out + ".json"
     csv_path = args.out + ".csv"
-    _check_output(json_path)
-    _check_output(csv_path)
+    _check_output(json_path, args.config)
+    _check_output(csv_path, args.config)
     config = serialize.load_scan_config(args.config)
     report = run_scan(config)
     with open(json_path, "w") as fh:

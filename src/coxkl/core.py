@@ -14,16 +14,17 @@ admissible bonds.
 Systems are immutable and safe to share; every operation here is a pure
 function of its inputs.  Each system remembers the kernel's answers
 (canonical forms and right-descent masks, per validated word), so a fact
-about a word is computed once per system.  The memo holds only these
-deterministic answers: an entry lost or inserted twice by concurrent
-callers changes nothing.
+about a word is computed once per system.  Every validated word it
+canonicalizes, reduced or not, maps to its element's one object, the
+first canonical word seen for it, which maps to itself.  The memos hold
+only deterministic answers: an entry lost or inserted twice by
+concurrent callers changes nothing.
 
 Public methods validate their arguments on every call, each kind with
 one check: `check_subset` for subsets, words and generator keys,
-`check_bond` for bonds and `_is_left` for sides.  The canonical
-memo keeps one object per element, the first canonical word seen for it,
-and every canonical word coxkl hands out is that object, so it passes
-the check by identity (`_check_rep`).  The private lookups
+`check_bond` for bonds and `_is_left` for sides.  Every canonical word
+coxkl hands out is its element's object, so it passes the check by
+identity (`_check_rep`).  The private lookups
 `_right_descents` and `_left_mul` skip validation: they take only words
 that coxkl itself produced (out of `canonicalize`, a cone, or an earlier
 lookup) or has already passed through `_check_word`.
@@ -40,6 +41,7 @@ from .kernels import RingKernel, make_integer_kernel
 INF = math.inf
 
 Word = tuple  # tuple[int, ...]: a ShortLex canonical word unless stated otherwise
+_MISSING = object()  # a memo default that no word is
 
 #: entries the integer backend accepts, and its fixed Cartan pairing
 #: (a(s,t), a(t,s)) for s < t; asymmetric pairs do not affect lengths
@@ -261,7 +263,7 @@ class CoxeterSystem:
         self.cartan = cartan
         self.kernel = kernel
         self.caches: dict = {}
-        #: kernel answers per validated word: (canonical form, reduced), and
+        #: kernel answers per validated word: the element's one object, and
         #: right-descent masks (left descents of w are keyed by reversed w)
         self.canonical_memo: dict = {}
         self.descent_memo: dict = {}
@@ -325,19 +327,18 @@ class CoxeterSystem:
     def _check_rep(self, w, jmask: int, name: str) -> Word:
         """The system's object for w, after checking that w is a canonical
         word (else InputError) in W^J, for J a bit mask (else
-        PreconditionError).  The object a memo entry maps to was validated
-        or made by the kernel on entry, so it passes by identity; (1.0,),
-        (True,), lists, tuple subclasses and unhashable words take the full
-        check.  The memo holds each object, so its id is never reused."""
+        PreconditionError).  An object that the memo maps to itself passes
+        by identity; (1.0,), (True,), None, lists, tuple subclasses and
+        unhashable words take the full check, which the memo's keys passed."""
         try:
-            hit = self.canonical_memo.get(w)
+            hit = self.canonical_memo.get(w, _MISSING) is w
         except TypeError:  # unhashable: the full check says why
-            hit = None
-        if hit is None or hit[0] is not w:
-            c = self.canonicalize(w)[0]
-            if c != tuple(w):
+            hit = False
+        if not hit:
+            word = self._check_word(w)
+            w = self._canonical(word)
+            if w != word:
                 raise InputError(f"{name} is not a canonical reduced word")
-            w = c
         if jmask and self._right_descents(w) & jmask:
             raise PreconditionError(f"{name} = '{self.word_str(w)}' is not in W^J")
         return w
@@ -351,22 +352,24 @@ class CoxeterSystem:
         """ShortLex canonical form of an arbitrary word; also reports
         whether the input was already reduced."""
         # validate first: (1.0,) == (1,), so the memo must never see it
-        return self._canonical(self._check_word(word))
+        word = self._check_word(word)
+        c = self._canonical(word)
+        return c, len(c) == len(word)
 
     def element(self, word_or_text) -> Word:
         if isinstance(word_or_text, str):
             word_or_text = self.parse_word(word_or_text)
-        return self.canonicalize(word_or_text)[0]
+        return self._canonical(self._check_word(word_or_text))
 
     def multiply_gen(self, w: Word, s: int, side: str = "right") -> Word:
         w = self._check_word(w)
-        return self.canonicalize((s,) + w if _is_left(side) else w + (s,))[0]
+        return self._canonical(self._check_word((s,) + w if _is_left(side) else w + (s,)))
 
     def product(self, a: Word, b: Word) -> Word:
-        return self.canonicalize(self._check_word(a) + self._check_word(b))[0]
+        return self._canonical(self._check_word(a) + self._check_word(b))
 
     def inverse(self, a: Word) -> Word:
-        return self.canonicalize(self._check_word(a)[::-1])[0]
+        return self._canonical(self._check_word(a)[::-1])
 
     def descent_mask(self, w: Word, side: str = "right") -> int:
         word = self._check_word(w)
@@ -382,29 +385,20 @@ class CoxeterSystem:
 
     # -- lookups for words coxkl produced (no validation) --------------------
 
-    def _canonical(self, word: Word) -> tuple[Word, bool]:
-        got = self.canonical_memo.get(word)
-        return got if got is not None else self._store(word, *self.kernel.canonicalize(word))
-
-    def _store(self, word: Word, c: Word, reduced: bool) -> tuple[Word, bool]:
-        """memo[word], set to (c, reduced) unless present, with c interned; a
-        canonical word is interned itself, so a caller keeps its own object."""
-        c = self._interned(word if c == word else c)
-        return self.canonical_memo.setdefault(word, (c, reduced))
+    def _canonical(self, word: Word) -> Word:
+        """The element's one object, for a validated word, reduced or not:
+        memo[word], set on first use to the interned kernel answer; a
+        canonical word is interned itself, so a caller keeps its object."""
+        c = self.canonical_memo.get(word)
+        if c is None:
+            c = self.kernel.canonicalize(word)
+            c = self.canonical_memo.setdefault(word, self._interned(word if c == word else c))
+        return c
 
     def _interned(self, c: Word) -> Word:
         """The element's one object, for a canonical word c: its first memo
         key, which maps to itself; setdefault makes concurrent callers agree."""
-        return self.canonical_memo.setdefault(c, (c, True))[0]
-
-    def _raised(self, s: int, y: Word) -> Word | None:
-        """The canonical s·y if s·y > y, else None, for a canonical y; a
-        non-reduced s·y never enters the memo."""
-        sy = (s,) + y
-        got = self.canonical_memo.get(sy)
-        if got is None and (got := self.kernel.canonicalize(sy))[1]:
-            got = self._store(sy, *got)
-        return got[0] if got[1] else None
+        return self.canonical_memo.setdefault(c, c)
 
     def _right_descents(self, w: Word) -> int:
         mask = self.descent_memo.get(w)
@@ -414,7 +408,7 @@ class CoxeterSystem:
 
     def _left_mul(self, s: int, w: Word) -> Word:
         """Canonical form of s*w, for a generator s and a canonical word w."""
-        return self._canonical((s,) + w)[0]
+        return self._canonical((s,) + w)
 
     # -- enumeration ---------------------------------------------------------
 

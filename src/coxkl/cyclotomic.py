@@ -79,8 +79,9 @@ class CyclotomicRing:
         return (c,) + (0,) * (self.degree - 1)  # degree >= 1
 
     def root_power(self, k: int) -> tuple[int, ...]:
-        """zeta_N^k: x^(k mod N), reduced from N >= degree coefficients."""
-        return self._reduce([int(i == k % self.N) for i in range(self.N)])
+        """zeta_N^k: x^(k mod N), reduced from max(k mod N + 1, degree) coefficients."""
+        k %= self.N
+        return self._reduce([0] * k + [1] + [0] * (self.degree - k - 1))
 
     def minus_two_cos_pi_over(self, m: int) -> tuple[int, ...]:
         """The Cartan value -2cos(pi/m) = -(zeta^k + zeta^-k) for k = N/2m,

@@ -83,7 +83,7 @@ def lift(ext: ExtendedSystem, z) -> tuple:
     z = ext.extended._check_word(z)
     if ext.stilde in z:
         raise PreconditionError("element already mentions the adjoined generator")
-    lifted = ext.extended.canonicalize(z + (ext.stilde,))[0]
+    lifted = ext.extended._canonical(z + (ext.stilde,))
     if lifted != z + (ext.stilde,):
         ext.base._check_rep(z, 0, "z")
         raise InvariantError("lift must append a single letter")

@@ -108,7 +108,7 @@ class RingKernel:
             out.append(t)
             y = self._reflect(t, y)
             mask = self._left_descents(y)
-        return tuple(out), len(out) == len(word)
+        return tuple(out)
 
     def right_descent_mask(self, word) -> int:
         return self._left_descents(self._point(word[::-1]))

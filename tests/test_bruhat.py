@@ -27,9 +27,10 @@ from coxkl.bruhat import (
     parabolic_interval,
 )
 from coxkl.extension import extend_system, lift, lift_interval, verify_reduction
+from coxkl.kernels import RingKernel
 from coxkl.klpoly import KLTable, bar_squared_check, get_table
 from coxkl.laurent import ONE
-from oracles import deodhar_criterion, project_to_quotient, subword_leq_oracle
+from oracles import PyIntKernel, deodhar_criterion, project_to_quotient, subword_leq_oracle
 
 
 def test_identity_below_everything(a3):
@@ -143,7 +144,7 @@ def test_checked_words_pass_only_as_the_same_object(a3, u):
     assert table.parabolic_kl(s2, s1s2, (), "q") == ONE
     assert interval(sys_, s2, s1s2).size == 2
     memo = sys_.canonical_memo
-    assert memo[s2][0] is s2 and memo[s1s2][0] is s1s2
+    assert memo[s2] is s2 and memo[s1s2] is s1s2
     calls = [
         lambda a, b: bruhat_leq(sys_, a, b),
         lambda a, b: table.parabolic_kl(a, b, (), "q"),
@@ -153,7 +154,7 @@ def test_checked_words_pass_only_as_the_same_object(a3, u):
         for a, b in ((u, s1s2), (s2, u)):
             with pytest.raises(InputError, match="invalid generator index"):
                 call(a, b)
-    assert memo[s2][0] is s2
+    assert memo[s2] is s2
     assert bruhat_leq(sys_, [1], [0, 1]) and not bruhat_leq(sys_, [0, 1], [1])
     assert table.parabolic_kl([1], [0, 1], (), "q") == ONE
     assert interval(sys_, [1], [0, 1]).size == 2
@@ -164,7 +165,7 @@ def test_a_checked_word_outside_the_quotient_is_refused(a3):
     does not let it pass as a member of W^{s2}."""
     sys_ = validate_system(a3.matrix)
     v = (0, 1)
-    assert bruhat_leq(sys_, (), v) and sys_.canonical_memo[v][0] is v
+    assert bruhat_leq(sys_, (), v) and sys_.canonical_memo[v] is v
     J = frozenset({1})
     for call in (
         lambda: get_table(sys_).parabolic_kl((), v, J, "q"),
@@ -239,7 +240,7 @@ def test_returned_canonical_words_pass_their_first_check_by_identity(matrix, bac
         for system, name, make in sources:
             got = make()
             assert got, name
-            assert all(system.canonical_memo[w][0] is w for w in got), name
+            assert all(system.canonical_memo[w] is w for w in got), name
             del asked[:]
             table = get_table(system)
             for w in got:
@@ -445,21 +446,55 @@ def test_covers_match_naive_order(b3, h3, affine_a2):
 
 @pytest.mark.parametrize("build", ["cone", "interval"])
 def test_lower_covers_keep_non_reduced_products_out_of_the_memo(b3, build):
-    """Finding lower covers asks the kernel for s·y for each lower cover y
-    of z[1:]; an s·y below y is dropped and not stored, so a cone or a
-    shell of the longest element leaves only reduced words in a fresh
-    system's canonical memo."""
+    """Finding lower covers asks for s·y for each lower cover y of z[1:];
+    an s·y below y is kept out of the covers, but like every word the
+    system canonicalizes it becomes a key of the canonical memo, mapped
+    to its element's one object.  A cone or a shell of the longest
+    element asks the kernel for some such non-reduced s·y."""
     sys_ = validate_system(b3.matrix)
     top = tuple(b3.ball(9)[-1])
     answers = []
     ask = sys_.kernel.canonicalize
-    sys_.kernel.canonicalize = lambda word: answers.append(ask(word)) or answers[-1]
+    sys_.kernel.canonicalize = lambda word: answers.append((word, ask(word))) or answers[-1][1]
     try:
         got = cone(sys_, top) if build == "cone" else interval(sys_, (), top).ground
     finally:
         del sys_.kernel.canonicalize
-    assert len(got) == 48 and any(not reduced for _, reduced in answers)
-    assert all(reduced for _, reduced in sys_.canonical_memo.values())
+    assert len(got) == 48 and any(len(c) < len(word) for word, c in answers)
+    memo = sys_.canonical_memo
+    for word, c in answers:
+        assert memo[word] == c and memo[memo[word]] is memo[word]
+
+
+@pytest.mark.parametrize("fixture", ["b3", "h3"])
+def test_cones_and_shells_canonicalize_each_word_once(fixture, request):
+    """Each word is canonicalized once per system: after a cone and a
+    shell of the longest element, emptying the caches built from lower
+    covers and building both again asks the kernel for nothing.  Every
+    memo value is a key that maps to itself and a fresh kernel's answer
+    for its key."""
+    base = request.getfixturevalue(fixture)
+    sys_ = validate_system(base.matrix, backend=base.backend)
+    top = base.ball(15)[-1]
+    assert len(top) == {"b3": 9, "h3": 15}[fixture]
+    first = cone(sys_, top), interval(sys_, (), top).ground
+    sys_.caches.clear()
+    asked = []
+    ask = sys_.kernel.canonicalize
+    sys_.kernel.canonicalize = lambda word: asked.append(word) or ask(word)
+    try:
+        assert (cone(sys_, top), interval(sys_, (), top).ground) == first
+    finally:
+        del sys_.kernel.canonicalize
+    assert sys_.caches["covers"] and asked == []
+    if sys_.ring is None:
+        oracle = PyIntKernel(sys_.cartan)
+        fresh = lambda word: oracle.canonicalize(word)[0]
+    else:
+        fresh = RingKernel(sys_.ring, sys_.cartan).canonicalize
+    memo = sys_.canonical_memo
+    for key, value in memo.items():
+        assert memo[value] is value and value == fresh(key)
 
 
 def test_shell_intervals_match_subwords(b3, h3, affine_a2):
@@ -665,7 +700,7 @@ def test_threads_fill_one_order_index_consistently():
     assert all(got == expected for got in results)
     assert any(_order(shared, J).left for J in subsets)
     # insert-only: each canonical word maps to the very object it is keyed by
-    canonical = [(k, c) for k, (c, _) in shared.canonical_memo.items() if c == k]
+    canonical = [(k, c) for k, c in shared.canonical_memo.items() if c == k]
     assert canonical and all(k is c for k, c in canonical)
     for J in subsets:
         order = _order(shared, J)

@@ -485,6 +485,39 @@ def test_scan_unwritable_out_exits_2_before_scanning(capsys, tmp_path, monkeypat
     assert out == "" and "cannot write" in err
 
 
+@pytest.mark.parametrize("command, config, flags", [
+    ("scan", "a3-maximal.json", ["--config", "{input}", "--out", "{stem}"]),
+    ("scan", "a3-maximal.json", ["--config", "{stem}.csv", "--out", "{stem}"]),
+    ("interval", "a2.json", ["--system", "{input}", "--u", "", "--v", "s1 s2",
+                             "--dot", "{input}"]),
+    ("extend", "a3.json", ["--system", "{input}", "--quotient", "s2", "--out", "{input}"]),
+    ("extend", "a3.json", ["--system", "{input}", "--quotient", "s2",
+                           "--out", "{link}"]),
+], ids=["scan-json", "scan-csv", "interval-dot", "extend-out", "extend-out-via-link"])
+def test_output_naming_an_input_exits_2_and_keeps_it(capsys, tmp_path, monkeypatch,
+                                                     command, config, flags):
+    """No command writes over a file it reads: an output path that names
+    an input file, also through a symbolic link, exits 2 before any work
+    and leaves the input as it was."""
+    import coxkl.cli
+
+    def must_not_run(config):
+        raise AssertionError("the scan ran before the output path was checked")
+
+    monkeypatch.setattr(coxkl.cli, "run_scan", must_not_run)
+    stem = tmp_path / "in"
+    source = stem.with_suffix(".csv" if "{stem}.csv" in flags else ".json")
+    source.write_bytes((CONFIGS / config).read_bytes())
+    (tmp_path / "link").symlink_to(source)
+    before = source.read_bytes()
+    names = {"input": str(source), "stem": str(stem), "link": str(tmp_path / "link")}
+    code, out, err = run(capsys, command, *(flag.format(**names) for flag in flags))
+    assert code == 2
+    assert out == "" and "is an input file" in err
+    assert source.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["link", source.name])
+
+
 def test_scan_determinism(capsys, tmp_path):
     for prefix in ("r1", "r2"):
         code, _, _ = run(

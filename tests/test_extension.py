@@ -180,6 +180,25 @@ def test_lift_order_embedding(a2):
     assert lift_order_embedding_check(ext, 8)
 
 
+def test_lift_order_embedding_refuses_a_lost_relation(a3, monkeypatch):
+    """The check compares every pair: an extended order that loses one
+    relation u st <= v st, for a cover u < v of W^J, is refused."""
+    import coxkl.extension
+
+    ext = extend_system(a3, {1})
+    u, v = (), a3.element("s1")
+    assert v in a3.ball(4, ext.J) and lift_order_embedding_check(ext, 4)
+    lost = (lift(ext, u), lift(ext, v))
+    real = coxkl.extension._leq
+
+    def leq(sys, a, b):
+        return (a, b) != lost and real(sys, a, b)
+
+    monkeypatch.setattr(coxkl.extension, "_leq", leq)
+    assert real(ext.extended, *lost) and not leq(ext.extended, *lost)
+    assert not lift_order_embedding_check(ext, 4)
+
+
 def test_verify_reduction_concrete_values(a2):
     ext = extend_system(a2, {1})
     report = verify_reduction(ext, (), a2.element("s2 s1"))
