@@ -208,6 +208,7 @@ class _Marking:
     """Tables shared by every interval of one marking of a shape."""
 
     def __init__(self, shape, marked):
+        self.marked = marked
         self.invariants = tuple(
             t + (marked is None or i in marked,) for i, t in enumerate(shape.element_shape)
         )
@@ -224,33 +225,38 @@ class IntervalPoset:
 
     ground is sorted by (length, word); ranks are lengths relative to the
     bottom; covers are sorted index pairs (lower, upper); marked is the
-    index set of the parabolic subset when one was requested, else None.
+    index set of the parabolic subset when one was requested, else None
+    (held by the marking record).
     """
 
+    __slots__ = ("system", "bottom", "top", "J", "ground", "ranks", "covers", "_shape", "_marking")
+
     def __init__(self, system, bottom, top, J, ground, covers, marked):
-        self.system = system
-        self.bottom = bottom
-        self.top = top
-        self.J = J
-        self.ground = tuple(ground)
-        key = (tuple(len(z) - len(bottom) for z in self.ground), tuple(sorted(covers)))
+        ground = tuple(ground)
+        key = (tuple(len(z) - len(bottom) for z in ground), tuple(sorted(covers)))
         shape = _SHAPES.get(key)
         if shape is None:
             shape = _SHAPES[key] = _Shape(*key)
-        self._shape = shape
-        self.ranks, self.covers = shape.ranks, shape.covers
-        self.marked = None if marked is None else frozenset(marked)
-        self._marking = shape.marking(self.marked)
+        self._fill(system, bottom, top, J, ground, shape, marked)
 
-    def with_marking(self, J) -> IntervalPoset:
-        """A copy with [u, v]^J marked, for a frozenset J."""
-        jmask, descents = bitmask(J), self.system._right_descents
-        ivl = object.__new__(IntervalPoset)
-        ivl.__dict__.update(self.__dict__)
-        ivl.J = J
-        ivl.marked = frozenset(i for i, z in enumerate(self.ground) if not descents(z) & jmask)
-        ivl._marking = self._shape.marking(ivl.marked)
-        return ivl
+    def _fill(self, system, bottom, top, J, ground, shape, marked):
+        self.system, self.bottom, self.top, self.J, self.ground = system, bottom, top, J, ground
+        self._shape, self.ranks, self.covers = shape, shape.ranks, shape.covers
+        self._marking = shape.marking(None if marked is None else frozenset(marked))
+        return self
+
+    @property
+    def marked(self):
+        return self._marking.marked
+
+    def with_marking(self, J, marked=None) -> IntervalPoset:
+        """A copy with [u, v]^J marked, for a frozenset J (marked: its
+        index set, if known)."""
+        if marked is None:
+            jmask, descents = bitmask(J), self.system._right_descents
+            marked = (i for i, z in enumerate(self.ground) if not descents(z) & jmask)
+        copy = object.__new__(IntervalPoset)
+        return copy._fill(self.system, self.bottom, self.top, J, self.ground, self._shape, marked)
 
     @property
     def size(self) -> int:
@@ -335,23 +341,29 @@ def _lower_covers(sys, z) -> tuple:
 
 class _Shell:
     """The z <= v with l(v) - l(z) <= depth, found down lower covers (the
-    subword property): words in (length, word) order, above (the indexes
-    of each one's upper covers) and up (bitmasks of the indexes above), so
-    [u, v] is up[u].  caches["shells"] counts the system's shells, their
-    elements and the largest."""
+    subword property), that contain the generator keep unless it is None
+    (every z above a bottom with keep has it): words in (length, word)
+    order, their right-descent masks, above (the indexes of each one's
+    upper covers) and up (bitmasks of the indexes above), so [u, v] is
+    up[u].  caches["shells"] counts the system's shells, their elements
+    and the largest."""
 
-    __slots__ = ("top", "depth", "words", "pos", "above", "up")
+    __slots__ = ("top", "depth", "keep", "words", "pos", "above", "up", "masks")
 
-    def __init__(self, sys, v, depth):
+    def __init__(self, sys, v, depth, keep=None):
         levels, below, known = [[v]], {}, sys.caches.get("covers", {}).get
         for _ in range(min(depth, len(v))):
             level = set()
             for z in levels[-1]:
-                below[z] = got = known(z) or _lower_covers(sys, z)
+                got = known(z) or _lower_covers(sys, z)
+                if keep is not None:
+                    got = [y for y in got if keep in y]
+                below[z] = got
                 level.update(got)
             levels.append(sorted(level))
-        self.top, self.depth = v, depth
+        self.top, self.depth, self.keep = v, depth, keep
         self.words = words = [z for level in reversed(levels) for z in level]
+        self.masks = list(map(sys._right_descents, words))
         self.pos = pos = {z: i for i, z in enumerate(words)}
         self.above = above = [[] for _ in words]
         self.up = up = [1 << i for i in range(len(words))]
@@ -363,32 +375,43 @@ class _Shell:
         n, stats = len(words), sys.caches.setdefault("shells", [0, 0, 0])
         stats[:] = stats[0] + 1, stats[1] + n, max(stats[2], n)
 
-    def interval(self, sys, u):
-        """The unmarked [u, v], or None if u is not in the shell."""
+    def ids(self, u):
+        """The indexes of [u, v], ascending, or None if u is not here."""
         i = self.pos.get(u)
-        if i is None:
+        return None if i is None else list(_bits(self.up[i]))
+
+    def marked(self, ids, jmask) -> frozenset:
+        """The positions in ids of the words in W^J, J a bit mask."""
+        masks = self.masks
+        return frozenset(k for k, j in enumerate(ids) if not masks[j] & jmask)
+
+    def interval(self, sys, u, J=None, ids=None):
+        """[u, v], marked with J unless J is None (ids: self.ids(u)), or
+        None if u is not here."""
+        ids = ids or self.ids(u)
+        if ids is None:
             return None
-        ids = list(_bits(self.up[i]))
         at = {j: k for k, j in enumerate(ids)}
         covers = [(k, at[j]) for k, p in enumerate(ids) for j in self.above[p]]
         ground = map(self.words.__getitem__, ids)
-        return IntervalPoset(sys, u, self.top, None, ground, covers, None)
+        marked = None if J is None else self.marked(ids, bitmask(J))
+        return IntervalPoset(sys, u, self.top, J, ground, covers, marked)
 
 
-def _build_interval(sys, u, v, J, depth=0):
+def _build_interval(sys, u, v, J, depth=0, keep=None):
     """[u, v], marked with J unless J is None, after checking its ends: from
-    the system's latest shell if its top is v and it reaches u, else from a
-    new one at least depth deep, which takes its place."""
+    the system's latest shell if it has top v and keep and reaches u, else
+    from a new one at least depth deep, which takes its place."""
     jmask = bitmask(J or ())
     u = sys._check_rep(u, jmask, "u")
     v = sys._check_rep(v, jmask, "v")
     shell = sys.caches.get("shell")
-    if shell is None or shell.top != v or shell.depth < len(v) - len(u):
-        shell = sys.caches["shell"] = _Shell(sys, v, max(depth, len(v) - len(u)))
-    ivl = shell.interval(sys, u)
+    if shell is None or shell.top != v or shell.keep != keep or shell.depth < len(v) - len(u):
+        shell = sys.caches["shell"] = _Shell(sys, v, max(depth, len(v) - len(u)), keep)
+    ivl = shell.interval(sys, u, J)
     if ivl is None:
         raise PreconditionError("u is not <= v in Bruhat order")
-    return ivl if J is None else ivl.with_marking(J)
+    return ivl
 
 
 def _cutoff(sys, v):

@@ -3,9 +3,9 @@
 Subcommands: poly, interval, extend, verify-reduction, scan.  Every
 command prints a JSON envelope {format, command, inputs, result, timing}
 to stdout; scan adds "stats" (per-phase wall seconds, work counts,
-kernel kinds, memo table sizes and shells), and poly and
+kernel kinds, memo table sizes and shells), and interval, poly and
 verify-reduction (base plus extension) add "stats" with the memo table
-sizes; no report file carries them.  Exit codes: 0 success, 1 mathematical disagreement found
+sizes, and the shells or phase seconds; no report file carries them.  Exit codes: 0 success, 1 mathematical disagreement found
 (including a failed internal invariant), 2 malformed input or
 configuration (an unwritable output path, or one that names an input
 file, included, refused before any work), 3 precondition violation.
@@ -167,7 +167,9 @@ def cmd_interval(args) -> int:
         with open(args.dot, "w") as fh:
             fh.write(serialize.interval_to_dot(ivl))
         result["dot"] = args.dot
-    _emit("interval", {"system": name}, result, started)
+    shells = dict(zip(("count", "elements", "largest"), sys.caches["shells"]))
+    _emit("interval", {"system": name}, result, started,
+          {"memo": memo_sizes(sys), "shells": shells})
     return EXIT_OK
 
 
@@ -220,7 +222,8 @@ def cmd_verify_reduction(args) -> int:
         "summary": report.summary(),
         "records": records,
     }
-    stats = {"memo": memo_sizes(sys, ext.extended)}
+    seconds = {k: round(t, 6) for k, t in report.phase_seconds.items()}
+    stats = {"memo": memo_sizes(sys, ext.extended), "phase_seconds": seconds}
     _emit("verify-reduction", {"system": name}, result, started, stats)
     return EXIT_OK if report.all_equal else EXIT_DISAGREEMENT
 

@@ -12,6 +12,7 @@ both computation paths.
 
 from __future__ import annotations
 
+import time
 from typing import NamedTuple
 
 from .bruhat import IsoWitness, _build_interval, _leq, cone
@@ -93,7 +94,8 @@ def lift(ext: ExtendedSystem, z) -> tuple:
 def lift_interval(ext: ExtendedSystem, u, v):
     """Lift [u, v]^J to [u st, v st]^S and certify the transport.
 
-    Returns the directly built lifted interval together with the witness
+    Returns the directly built lifted interval (from a shell of the words
+    with st) together with the witness
     z -> z st from the base interval.  Raises InvariantError unless the
     witness verifies as a marked isomorphism (a failure would be an
     implementation bug); an element lifted outside the direct interval
@@ -101,7 +103,7 @@ def lift_interval(ext: ExtendedSystem, u, v):
     """
     base_ivl = _build_interval(ext.base, u, v, ext.J)
     lifted_ivl = _build_interval(
-        ext.extended, lift(ext, u), lift(ext, v), ext.maximal_quotient
+        ext.extended, lift(ext, u), lift(ext, v), ext.maximal_quotient, keep=ext.stilde
     )
     index = {w: i for i, w in enumerate(lifted_ivl.ground)}
     mapping = tuple(index.get(lift(ext, z), -1) for z in base_ivl.ground)
@@ -125,6 +127,8 @@ class ReductionRecord(NamedTuple):
 class ReductionReport:
     def __init__(self):
         self.records: list[ReductionRecord] = []
+        # wall seconds of the sweep's polynomial checks and lifted intervals
+        self.phase_seconds = dict.fromkeys(("polynomials", "intervals"), 0.0)
 
     @property
     def all_equal(self) -> bool:
@@ -176,12 +180,17 @@ def verify_reduction(ext: ExtendedSystem, u, v, report: ReductionReport | None =
 def verify_reduction_sweep(ext: ExtendedSystem, max_length: int) -> ReductionReport:
     """verify_reduction and lift_interval over every pair u <= v in W^J
     with l(v) <= max_length."""
-    sys = ext.base
+    sys, clock = ext.base, time.perf_counter
     report = ReductionReport()
+    seconds = report.phase_seconds
     for v in sys.ball(max_length, ext.J):
         for u in cone(sys, v, ext.J):
+            t0 = clock()
             verify_reduction(ext, u, v, report)
+            t1 = clock()
             lift_interval(ext, u, v)
+            seconds["polynomials"] += t1 - t0
+            seconds["intervals"] += clock() - t1
     return report
 
 

@@ -13,11 +13,12 @@ deterministic: no randomness, all iteration in canonical orders.
 
 from __future__ import annotations
 
+import functools
 import time
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .bruhat import IntervalPoset, IsoWitness, _build_interval, _by_length, _Shell
+from .bruhat import IntervalPoset, IsoWitness, _build_interval, _by_length, _order, _Shell
 from .core import (
     INF,
     ClassX,
@@ -29,7 +30,7 @@ from .core import (
     is_class_x,
 )
 from .extension import extend_system, lift
-from .klpoly import KL_TYPES, check_kl_type, get_table, memo_sizes
+from .klpoly import KL_TYPES, _step_args, check_kl_type, get_table, memo_sizes
 from .laurent import LaurentPoly
 
 DEFAULT_SIZE_CAP = 40
@@ -106,16 +107,13 @@ class ScanCase:
 
     __slots__ = ("interval", "label", "polys")
 
-    def __init__(self, name, interval):
-        sys = interval.system
-        self.interval = interval
-        self.polys = None
-        self.label = (
-            name,
-            " ".join(sorted(sys.names[s] for s in interval.J)),
-            sys.word_str(interval.bottom),
-            sys.word_str(interval.top),
-        )
+    def __init__(self, interval, label):
+        self.interval, self.label, self.polys = interval, label, None
+
+
+def _names(sys, J) -> str:
+    """J's names as a label writes them."""
+    return " ".join(sorted(sys.names[s] for s in J))
 
 
 def check_hypothesis_pair(ia, ib, cap: int = DEFAULT_SIZE_CAP, counts=None):
@@ -125,11 +123,12 @@ def check_hypothesis_pair(ia, ib, cap: int = DEFAULT_SIZE_CAP, counts=None):
     markings, so its first mapping is memoized per pair of marked shapes
     and verified again on reuse; counts, if given, counts "shared",
     "searches" and "memo_hits"."""
-    if ia.fingerprint() != ib.fingerprint():
+    shared = ia._marking is ib._marking  # so equal fingerprints
+    if not shared and ia.fingerprint() != ib.fingerprint():
         return None
     if ia.size > cap:  # equal fingerprints, equal sizes
         raise PreconditionError(f"interval size exceeds the cap of {cap}")
-    if ia._marking is ib._marking:
+    if shared:
         if counts is not None:
             counts["shared"] += 1
         return IsoWitness(ia, ib, ia._shape.identity, True)
@@ -311,8 +310,9 @@ def _polys(case, config) -> tuple:
     from its table once."""
     if case.polys is None:
         ivl = case.interval
-        table = get_table(ivl.system)
-        ids = table._ids(ivl.bottom, ivl.top, ivl.J)
+        sys, J = ivl.system, ivl.J
+        ids = _step_args(sys, _order(sys, J), ivl.bottom, ivl.top, J)
+        table = get_table(sys)
         kinds = (table._kl, table._r) if config.include_r_polynomials else (table._kl,)
         case.polys = tuple(poly(*ids, x) for poly in kinds for x in config.types)
     return case.polys
@@ -352,54 +352,59 @@ def _row(report, case_a, case_b, kind, iso, equal):
 
 def _enumerate_cases(report, config):
     """The cases in (system, J, v, u) order.  A top v's shell gives its
-    bottoms u in W^J for every J at once; each [u, v] is built once, and
-    every J marks a copy."""
+    bottoms u in W^J for every J at once, and their marks; each [u, v] is
+    built once, every J marks a copy, and each word is written once."""
     cases = []
     for name, sys in config.entries:
         if config.class_x is not None and not is_class_x(sys.matrix, config.class_x):
             report.skipped_systems.append(name)
             continue
-        quotients = [(J, bitmask(J), []) for J in _quotient_list(sys, config.quotients)]
-        tops = {v for J, _, _ in quotients for v in sys.ball(config.max_length, J)}
+        quotients = [(J, bitmask(J), _names(sys, J), [])
+                     for J in _quotient_list(sys, config.quotients)]
+        tops = {v for q in quotients for v in sys.ball(config.max_length, q[0])}
+        text = functools.cache(sys.word_str)
         for v in sorted(tops, key=_by_length):
             shell = _Shell(sys, v, config.max_rank_gap)
-            masks = list(map(sys._right_descents, shell.words))
-            full: dict = {}
-            for J, jmask, got in quotients:
-                if masks[-1] & jmask:
+            masks = shell.masks
+            live = [q for q in quotients if not masks[-1] & q[1]]
+            for u, mask in zip(shell.words, masks):
+                marks = [q for q in live if not mask & q[1]]
+                if not marks:
                     continue
-                for u, mask in zip(shell.words, masks):
-                    if mask & jmask:
-                        continue
-                    ivl = full.get(u) or full.setdefault(u, shell.interval(sys, u))
-                    if ivl.size > config.max_interval_size:
-                        report.skipped_oversize += 1
-                        continue
-                    got.append(ScanCase(name, ivl.with_marking(J)))
-        for _J, _jmask, got in quotients:
+                ids = shell.ids(u)
+                if len(ids) > config.max_interval_size:
+                    report.skipped_oversize += len(marks)
+                    continue
+                ivl = shell.interval(sys, u, ids=ids)
+                for J, jmask, jnames, got in marks:
+                    marked = ivl.with_marking(J, shell.marked(ids, jmask))
+                    got.append(ScanCase(marked, (name, jnames, text(u), text(v))))
+        for *_, got in quotients:
             cases.extend(got)
     return cases
 
 
 def _run_controls(report, cases, config, extensions):
     """Match each case with its lift; extensions collects the extended
-    system of each (system name, J).  Each base word is lifted once per
-    extension.  The cases of one top are contiguous, so they share the
-    shell of its lift, until the next top's replaces it."""
-    lifts: dict = {}  # (system name, J) -> (S, {base word: lifted word})
+    system of each (system name, J).  Each base word is lifted, and each
+    lift written, once per extension.  The cases of one top are
+    contiguous, so they share the shell of its lift (of the words with
+    st), until the next top's replaces it."""
+    lifts: dict = {}  # (system name, J) -> (S, label head, lift, word_str), memoized
     for case in cases:
         ivl = case.interval
         key = (case.label[0], ivl.J)
         ext = extensions.get(key)
         if ext is None:
             ext = extensions[key] = extend_system(ivl.system, ivl.J, class_x=config.class_x)
-            lifts[key] = ext.maximal_quotient, {}
-        S, lifted_of = lifts[key]
-        lu = lifted_of.get(ivl.bottom) or lifted_of.setdefault(ivl.bottom, lift(ext, ivl.bottom))
-        lv = lifted_of.get(ivl.top) or lifted_of.setdefault(ivl.top, lift(ext, ivl.top))
+            S, cache = ext.maximal_quotient, functools.cache
+            lifts[key] = (S, (key[0] + "~ext", _names(ext.extended, S)),
+                          cache(functools.partial(lift, ext)), cache(ext.extended.word_str))
+        S, head, lifted_of, text = lifts[key]
+        lu, lv = lifted_of(ivl.bottom), lifted_of(ivl.top)
         lifted = ScanCase(
-            case.label[0] + "~ext",
-            _build_interval(ext.extended, lu, lv, S, config.max_rank_gap),
+            _build_interval(ext.extended, lu, lv, S, config.max_rank_gap, ext.stilde),
+            (*head, text(lu), text(lv)),
         )
         witness = check_hypothesis_pair(
             case.interval, lifted.interval, config.max_interval_size, report.iso

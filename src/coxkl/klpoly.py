@@ -162,12 +162,6 @@ class KLTable:
         u = sys._check_rep(u, order.jmask, "u")
         return _step_args(sys, order, u, sys._check_rep(v, order.jmask, "v"), J)
 
-    def _ids(self, u, v, J):
-        """`_step_args` for canonical words u and v in W^J that the caller
-        checked (the scan's cases)."""
-        sys = self.sys
-        return _step_args(sys, _order(sys, J), u, v, J)
-
     def parabolic_r(self, u, v, J, x: str) -> LaurentPoly:
         ids = self._check_pair(u, v, J, x)
         return LaurentPoly(self._r(*ids, x) if ids else ())

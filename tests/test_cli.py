@@ -23,7 +23,7 @@ def envelope(out):
     obj = json.loads(out)
     assert obj["format"] == 1
     keys = {"format", "command", "inputs", "result", "timing"}
-    if obj["command"] in ("scan", "poly", "verify-reduction"):
+    if obj["command"] in ("scan", "poly", "verify-reduction", "interval"):
         keys.add("stats")
     assert set(obj) == keys
     return obj
@@ -551,7 +551,32 @@ REPORT_DIGESTS = {
         "7cf2fdb679ea8877b9429394139a65eb4dcedd550933be046aa061426204e406",
         "70bbcf34b9fae146857e4d7a9eb3df1aeed1eabd8ae2fc088340fd1fb7ade36e",
     ),
+    "scan_a3b3_all": (
+        "498dd465d50706ca8e5e230182ea762f63c7d0d44a56c9751e86d702088913a6",
+        "c17c56fb594cb64a902eb14bb3a9a725e3c8a8691710c32b63fecc9d2e150a97",
+    ),
+    # scans that stop early pin the stop rule and the counts up to the stop
+    "poisoned-base-P": (
+        "f5139c9ab8a5f6e09a2235a6054c654ae65baaab1e511fd017556057ca80e558",
+        "c996a6148d3e5d0e47141469be3ffc603f4a6a87db29071c57dfb690ae508019",
+    ),
+    "control-_poison_extension_table": (
+        "abd038af02549cd48fdacfdebd10feb6c51d09667c3bfeaf4ee11703b3086eac",
+        "38d2b465857e9b3269ea5415af7039e1e03bb7929ef1a95cab78087e8c7a7657",
+    ),
+    "control-_hide_lifts": (
+        "d03092decf39b2db9b17ddd5b839b0af54759c8972955d2217217a0f7799206e",
+        "5dd855b629140d25450b5f72a14be0a5996dac1edd822bc7cea379692615f135",
+    ),
 }
+
+
+def report_digests(stem: Path) -> tuple:
+    """sha256 of the .json and .csv report files written at stem."""
+    return tuple(
+        hashlib.sha256(stem.with_name(stem.name + ext).read_bytes()).hexdigest()
+        for ext in (".json", ".csv")
+    )
 
 
 def test_scan_report_bytes_are_pinned(capsys, tmp_path):
@@ -572,16 +597,14 @@ def test_scan_report_bytes_are_pinned(capsys, tmp_path):
         "scan_rank4_maximal-F4-len24": tmp_path / "f4.json",
         # H4's four maximal quotients up to 16 letters: 9,353 cases
         "scan_h4_maximal": CONFIGS / "scan_h4_maximal.json",
+        # every quotient of A3 and B3 at full length: 1,876 cases
+        "scan_a3b3_all": CONFIGS / "scan_a3b3_all.json",
     }
     for name, config in configs.items():
         code, _, _ = run(capsys, "scan", "--config", str(config),
                          "--out", str(tmp_path / name))
         assert code == 0
-        digests = tuple(
-            hashlib.sha256((tmp_path / (name + ext)).read_bytes()).hexdigest()
-            for ext in (".json", ".csv")
-        )
-        assert digests == REPORT_DIGESTS[name], name
+        assert report_digests(tmp_path / name) == REPORT_DIGESTS[name], name
 
 
 def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
@@ -751,6 +774,7 @@ def test_scan_detects_corrupted_cache_polynomial(capsys, tmp_path, monkeypatch):
     dump = report["counterexamples"][0]
     flat = json.dumps(dump)
     assert "s1" in flat and "7" in flat
+    assert report_digests(tmp_path / "rep") == REPORT_DIGESTS["poisoned-base-P"]
 
 
 def _poison_extension_table(monkeypatch):
@@ -803,6 +827,7 @@ def test_scan_stops_at_a_failing_lift_control(capsys, tmp_path, monkeypatch, fau
     assert rows[-1] == [*dump["case_a"], *dump["case_b"], "control", iso, equal]
     assert dump["case_b"][0] == "A3~ext"
     assert all(row[-1] == "1" for row in rows[:-1])
+    assert report_digests(tmp_path / "r") == REPORT_DIGESTS["control-" + fault.__name__]
 
 
 def test_scan_records_each_unequal_polynomial_of_a_failing_control(

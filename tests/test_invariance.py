@@ -9,7 +9,14 @@ import pytest
 
 from conftest import all_subsets
 from coxkl import INF, InputError, InvariantError, PreconditionError, validate_system
-from coxkl.bruhat import IsoWitness, bruhat_leq, cone, interval, parabolic_interval
+from coxkl.bruhat import (
+    IsoWitness,
+    _build_interval,
+    bruhat_leq,
+    cone,
+    interval,
+    parabolic_interval,
+)
 from coxkl.core import CoxeterMatrix
 from coxkl.extension import extend_system, lift
 from coxkl.invariance import (
@@ -253,6 +260,37 @@ def _a3b3_len3():
     obj = json.loads((CONFIGS / "scan_a3b3_all.json").read_text())
     obj["max_length"] = 3
     return scan_config_from_jsonable(obj)
+
+
+def test_pruned_lifted_shells_give_the_unpruned_intervals(h3):
+    """For every lift control of scan_a3b3_all at max_length 3 and of
+    H3's maximal quotients (general backend): the lifted interval that
+    the scan builds, from a shell of v st that keeps only the words
+    containing st, equals in ground, covers and marked set the one from
+    an unpruned shell of v st, and the pruned shell holds no word
+    without st.  Building the two in turn, `_build_interval` never
+    reuses a shell that keeps other words."""
+    assert h3.backend == "general"
+    h3_maximal = ScanConfig([("H3", h3)], quotients="maximal", max_length=15)
+    for config in (_a3b3_len3(), h3_maximal):
+        extensions, dropped = {}, 0
+        for case in _enumerate_cases(ScanReport({}), config):
+            ivl = case.interval
+            key = (case.label[0], ivl.J)
+            if key not in extensions:
+                extensions[key] = extend_system(ivl.system, ivl.J)
+            ext = extensions[key]
+            sys_, S, st, gap = ext.extended, ext.maximal_quotient, ext.stilde, config.max_rank_gap
+            lu, lv = lift(ext, ivl.bottom), lift(ext, ivl.top)
+            pruned = _build_interval(sys_, lu, lv, S, gap, st)
+            shell = sys_.caches["shell"]
+            assert shell.keep == st and all(st in w for w in shell.words)
+            full = _build_interval(sys_, lu, lv, S, gap)
+            assert sys_.caches["shell"].keep is None
+            dropped += len(sys_.caches["shell"].words) - len(shell.words)
+            assert (pruned.ground, pruned.covers, pruned.marked) == (
+                full.ground, full.covers, full.marked)
+        assert dropped > 0
 
 
 def test_memoized_witnesses_are_the_first_ones_found():
