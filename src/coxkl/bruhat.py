@@ -1,11 +1,11 @@
 """Bruhat order and interval posets.
 
-Each element's lower covers are found once per system (`_lower_covers`).
-Order facts live in one numbered index per (system, J) (`_Order`): each
-element of W^J met gets an id after its lower covers in W^J, and
-bitmasks of the ids below and above it, so u <= v is a bit test and
-[u, v]^J is up[u] & down[v].  `bruhat_leq`, cones and the polynomial
-recursions (with its left action s·z) read it.  The public
+Lower covers and s·z are read from the element's record in the kernel,
+where each is found once (`_lower_covers`).  Order facts live in one
+numbered index per (system, J) (`_Order`): each element of W^J met gets
+an id after its lower covers in W^J, and bitmasks of the ids below and
+above it, so u <= v is a bit test and [u, v]^J is up[u] & down[v].
+`bruhat_leq`, cones and the polynomial recursions read it.  The public
 `bruhat_leq` reads the index of W when it already holds v, since v's
 whole lower cone is numbered then.  Otherwise it walks the lifting
 recursion (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7),
@@ -54,19 +54,14 @@ def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
 
 def _leq(sys: CoxeterSystem, u: tuple, v: tuple) -> bool:
     """`bruhat_leq` for canonical words that coxkl made or checked."""
-    if len(u) > len(v):
-        return False
-    mask = None
-    while u:
-        if len(u) >= len(v):
-            return u == v
+    k, n, i = sys.kernel, len(u), sys._id(u)
+    while n:
+        if n >= len(v):
+            return k.words[i] == v
         s = v[0]
         v = v[1:]
-        if mask is None:
-            mask = sys._right_descents(u[::-1])
-        if mask >> s & 1:
-            u = sys._left_mul(s, u)
-            mask = None
+        if k.masks[i] >> s & 1:
+            i, n = k.act(s, i), n - 1
     return True
 
 
@@ -95,20 +90,16 @@ def _bits(mask: int):
         mask ^= low
 
 
-_UNSET = object()  # an entry of a left-action row not computed yet
-
-
 class _Order:
-    """W^J elements, numbered as met: words[i] has id i, length lens[i],
-    lower covers[i] (the first is words[i][1:]) and bitmasks down[i] (ids
-    <= it) and up[i] (ids >= it).  An id is published under the lock,
-    after its bits.  left[i][s] is s·z, filled on first use by `act`:
-    a lower cover's id, a higher word in W^J, or None outside W^J."""
+    """W^J elements, numbered as met: words[i] has id i, its record
+    elems[i] in the kernel, length lens[i], lower covers[i] (the first is
+    words[i][1:]) and bitmasks down[i] (ids <= it) and up[i] (ids >= it).
+    An id is published under the lock, after its bits."""
 
     def __init__(self, jmask: int):
         self.jmask, self.lock = jmask, threading.Lock()
-        self.ids, self.words, self.lens, self.covers, self.down, self.up = {}, [], [], [], [], []
-        self.left = {}
+        self.ids, self.words, self.elems, self.lens = {}, [], [], []
+        self.covers, self.down, self.up = [], [], []
 
     def id(self, sys, v) -> int:
         """The id of v (canonical, in W^J), numbering its cone first."""
@@ -125,35 +116,29 @@ class _Order:
         return map(self.words.__getitem__, _bits(self.up[self.ids[u]] & self.down[self.ids[v]]))
 
     def act(self, sys, i, s):
-        """left[i][s], computed on first use."""
-        row = self.left.get(i)
-        if row is None:
-            row = self.left.setdefault(i, [_UNSET] * sys.matrix.n)
-        got = row[s]
-        if got is _UNSET:
-            z = self.words[i]
-            got = sys._left_mul(s, z)
-            if len(got) < len(z):
-                got = self.ids[got]
-            elif self.jmask and sys._right_descents(got) & self.jmask:
-                got = None
-            row[s] = got
-        return got
+        """s·z for z = words[i], read from the row of z's record: a lower
+        cover's id, a higher word in W^J, or None outside W^J."""
+        k, e = sys.kernel, self.elems[i]
+        j = k.act(s, e)
+        if k.masks[e] >> s & 1:
+            return self.ids[k.words[j]]
+        return None if self.jmask and k.right(j) & self.jmask else k.words[j]
 
     def _number(self, sys, v):
         # W^J is graded (Bjorner-Brenti 2.5.5): z covers its lower covers in W^J
-        ids, below, todo, jmask = self.ids, {v: None}, [v], self.jmask
+        k, ids, jmask = sys.kernel, self.ids, self.jmask
+        words, top = k.words, sys._id(v)
+        below, todo = {top: None}, [top]
         while todo:
             z = todo.pop()
-            below[z] = [y for y in _lower_covers(sys, z)
-                        if not (jmask and sys._right_descents(y) & jmask)]
-            for y in below[z]:
-                if y not in ids and y not in below:
-                    below[y] = None
-                    todo.append(y)
-        for z in sorted(below, key=len):
-            i = len(self.words)
-            covers = tuple(ids[y] for y in below[z])
+            below[z] = [c for c in _lower_covers(k, z) if not (jmask and k.right(c) & jmask)]
+            for c in below[z]:
+                if c not in below and words[c] not in ids:
+                    below[c] = None
+                    todo.append(c)
+        for e in sorted(below, key=lambda c: len(words[c])):
+            i, z = len(self.words), words[e]
+            covers = tuple(ids[words[c]] for c in below[e])
             down = 1 << i
             for c in covers:
                 down |= self.down[c]
@@ -161,6 +146,7 @@ class _Order:
             for j in _bits(down):
                 self.up[j] |= 1 << i
             self.words.append(z)
+            self.elems.append(e)
             self.lens.append(len(z))
             self.covers.append(covers)
             self.down.append(down)
@@ -253,7 +239,7 @@ class IntervalPoset:
         """A copy with [u, v]^J marked, for a frozenset J (marked: its
         index set, if known)."""
         if marked is None:
-            jmask, descents = bitmask(J), self.system._right_descents
+            jmask, descents = bitmask(J), self.system.descent_mask
             marked = (i for i, z in enumerate(self.ground) if not descents(z) & jmask)
         copy = object.__new__(IntervalPoset)
         return copy._fill(self.system, self.bottom, self.top, J, self.ground, self._shape, marked)
@@ -323,88 +309,94 @@ class IsoWitness(NamedTuple):
         return True
 
 
-def _lower_covers(sys, z) -> tuple:
-    """The lower covers of a canonical word z, memoized per system: z[1:],
-    and s·y for each lower cover y of z[1:] with s·y > y, s = z[0] (the
-    lifting property), each the system's one object; an s·y below y is
-    dropped here but stays in the canonical memo, like every word asked."""
-    memo = sys.caches.get("covers") or sys.caches.setdefault("covers", {(): ()})
-    todo, w = [], z
-    while w not in memo:
-        todo.append(w)
-        w = w[1:]
-    for w in reversed(todo):
-        ups = [sy for y in memo[w[1:]] if len(sy := sys._left_mul(w[0], y)) > len(y)]
-        memo[w] = (sys._interned(w[1:]), *ups)
-    return memo[z]
+def _lower_covers(k, i) -> tuple:
+    """The ids of the lower covers of the element of id i in the kernel k,
+    kept on its record: t·w for t = w[0], its least left descent, and t·y
+    for each lower cover y of t·w with t·y > y (the lifting property)."""
+    covers, todo, z = k.covers, [], i
+    while covers[z] is None:
+        todo.append(z)
+        z = k.act(k.words[z][0], z)
+    for z in reversed(todo):
+        t = k.words[z][0]
+        tail = k.act(t, z)
+        covers[z] = (tail, *[k.act(t, y) for y in covers[tail] if not k.masks[y] >> t & 1])
+    return covers[i]
 
 
 class _Shell:
     """The z <= v with l(v) - l(z) <= depth, found down lower covers (the
     subword property), that contain the generator keep unless it is None
     (every z above a bottom with keep has it): words in (length, word)
-    order, their right-descent masks, above (the indexes of each one's
-    upper covers) and up (bitmasks of the indexes above), so [u, v] is
-    up[u].  caches["shells"] counts the system's shells, their elements
-    and the largest."""
+    order, elems (their records' ids), pos (the index of each id), above
+    (the indexes of each one's upper covers) and up (bitmasks of the
+    indexes above), so [u, v] is up[u].  caches["shells"] counts the
+    system's shells, their elements and the largest."""
 
-    __slots__ = ("top", "depth", "keep", "words", "pos", "above", "up", "masks")
+    __slots__ = ("top", "depth", "keep", "words", "elems", "pos", "above", "up")
 
     def __init__(self, sys, v, depth, keep=None):
-        levels, below, known = [[v]], {}, sys.caches.get("covers", {}).get
+        k = sys.kernel
+        levels, below = [[sys._id(v)]], {}
         for _ in range(min(depth, len(v))):
             level = set()
             for z in levels[-1]:
-                got = known(z) or _lower_covers(sys, z)
+                got = _lower_covers(k, z)
                 if keep is not None:
-                    got = [y for y in got if keep in y]
+                    got = [y for y in got if keep in k.words[y]]
                 below[z] = got
                 level.update(got)
-            levels.append(sorted(level))
+            levels.append(sorted(level, key=k.words.__getitem__))
         self.top, self.depth, self.keep = v, depth, keep
-        self.words = words = [z for level in reversed(levels) for z in level]
-        self.masks = list(map(sys._right_descents, words))
-        self.pos = pos = {z: i for i, z in enumerate(words)}
-        self.above = above = [[] for _ in words]
-        self.up = up = [1 << i for i in range(len(words))]
-        for i in reversed(range(len(words))):
-            for y in below.get(words[i], ()):
+        self.elems = elems = [z for level in reversed(levels) for z in level]
+        self.words = list(map(k.words.__getitem__, elems))
+        self.pos = pos = {z: i for i, z in enumerate(elems)}
+        self.above = above = [[] for _ in elems]
+        self.up = up = [1 << i for i in range(len(elems))]
+        for i in reversed(range(len(elems))):
+            for y in below.get(elems[i], ()):
                 c = pos[y]
                 up[c] |= up[i]
                 above[c].append(i)
-        n, stats = len(words), sys.caches.setdefault("shells", [0, 0, 0])
+        n, stats = len(elems), sys.caches.setdefault("shells", [0, 0, 0])
         stats[:] = stats[0] + 1, stats[1] + n, max(stats[2], n)
 
-    def ids(self, u):
-        """The indexes of [u, v], ascending, or None if u is not here."""
-        i = self.pos.get(u)
-        return None if i is None else list(_bits(self.up[i]))
+    def ids(self, i):
+        """The indexes of [words[i], v], ascending."""
+        return list(_bits(self.up[i]))
 
-    def marked(self, ids, jmask) -> frozenset:
+    def marked(self, sys, ids, jmask) -> frozenset:
         """The positions in ids of the words in W^J, J a bit mask."""
-        masks = self.masks
-        return frozenset(k for k, j in enumerate(ids) if not masks[j] & jmask)
+        right, elems = sys.kernel.right, self.elems
+        return frozenset(k for k, j in enumerate(ids) if not right(elems[j]) & jmask)
 
     def interval(self, sys, u, J=None, ids=None):
-        """[u, v], marked with J unless J is None (ids: self.ids(u)), or
+        """[u, v], marked with J unless J is None (ids: those of u), or
         None if u is not here."""
-        ids = ids or self.ids(u)
         if ids is None:
-            return None
+            i = self.pos.get(sys.canonical_memo.get(u))
+            if i is None:
+                return None
+            ids = self.ids(i)
         at = {j: k for k, j in enumerate(ids)}
         covers = [(k, at[j]) for k, p in enumerate(ids) for j in self.above[p]]
         ground = map(self.words.__getitem__, ids)
-        marked = None if J is None else self.marked(ids, bitmask(J))
+        marked = None if J is None else self.marked(sys, ids, bitmask(J))
         return IntervalPoset(sys, u, self.top, J, ground, covers, marked)
 
 
 def _build_interval(sys, u, v, J, depth=0, keep=None):
-    """[u, v], marked with J unless J is None, after checking its ends: from
-    the system's latest shell if it has top v and keep and reaches u, else
-    from a new one at least depth deep, which takes its place."""
+    """`_shell_interval`, after checking u and v."""
     jmask = bitmask(J or ())
     u = sys._check_rep(u, jmask, "u")
-    v = sys._check_rep(v, jmask, "v")
+    return _shell_interval(sys, u, sys._check_rep(v, jmask, "v"), J, depth, keep)
+
+
+def _shell_interval(sys, u, v, J, depth=0, keep=None):
+    """[u, v], marked with J unless J is None, for canonical words u and v
+    in W^J that coxkl made: from the system's latest shell if it has top
+    v and keep and reaches u, else from a new one at least depth deep,
+    which takes its place."""
     shell = sys.caches.get("shell")
     if shell is None or shell.top != v or shell.keep != keep or shell.depth < len(v) - len(u):
         shell = sys.caches["shell"] = _Shell(sys, v, max(depth, len(v) - len(u)), keep)

@@ -12,22 +12,20 @@ the bonds m other than 2, 3 and inf, which are the integers 0, -1 and
 admissible bonds.
 
 Systems are immutable and safe to share; every operation here is a pure
-function of its inputs.  Each system remembers the kernel's answers
-(canonical forms and right-descent masks, per validated word), so a fact
-about a word is computed once per system.  Every validated word it
-canonicalizes, reduced or not, maps to its element's one object, the
-first canonical word seen for it, which maps to itself.  The memos hold
-only deterministic answers: an entry lost or inserted twice by
-concurrent callers changes nothing.
+function of its inputs.  Its kernel is its element table: one record
+per element met (`kernels.RingKernel`), so a fact about an element is
+computed once per system.  `canonical_memo` is the table's index from
+canonical words to ids; any other word is walked, one row read per
+letter.
 
 Public methods validate their arguments on every call, each kind with
 one check: `check_subset` for subsets, words and generator keys,
 `check_bond` for bonds and `_is_left` for sides.  Every canonical word
 coxkl hands out is its element's object, so it passes the check by
-identity (`_check_rep`).  The private lookups
-`_right_descents` and `_left_mul` skip validation: they take only words
-that coxkl itself produced (out of `canonicalize`, a cone, or an earlier
-lookup) or has already passed through `_check_word`.
+identity (`_check_rep`).  The private lookups `_id` and `_canonical`
+skip validation: they take only words that coxkl itself produced (out of
+`canonicalize`, a cone, or an earlier lookup) or has already passed
+through `_check_word`.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from .kernels import RingKernel, make_integer_kernel
 INF = math.inf
 
 Word = tuple  # tuple[int, ...]: a ShortLex canonical word unless stated otherwise
-_MISSING = object()  # a memo default that no word is
 
 #: entries the integer backend accepts, and its fixed Cartan pairing
 #: (a(s,t), a(t,s)) for s < t; asymmetric pairs do not affect lengths
@@ -263,10 +260,8 @@ class CoxeterSystem:
         self.cartan = cartan
         self.kernel = kernel
         self.caches: dict = {}
-        #: kernel answers per validated word: the element's one object, and
-        #: right-descent masks (left descents of w are keyed by reversed w)
-        self.canonical_memo: dict = {}
-        self.descent_memo: dict = {}
+        #: the kernel's index: canonical word -> id of its element's record
+        self.canonical_memo: dict = kernel.index
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -327,19 +322,21 @@ class CoxeterSystem:
     def _check_rep(self, w, jmask: int, name: str) -> Word:
         """The system's object for w, after checking that w is a canonical
         word (else InputError) in W^J, for J a bit mask (else
-        PreconditionError).  An object that the memo maps to itself passes
-        by identity; (1.0,), (True,), None, lists, tuple subclasses and
-        unhashable words take the full check, which the memo's keys passed."""
+        PreconditionError).  w passes by identity when it is the word of
+        the record that the index gives it; (1.0,), (True,), None, lists,
+        tuple subclasses and unhashable words take the full check."""
+        words = self.kernel.words
         try:
-            hit = self.canonical_memo.get(w, _MISSING) is w
+            i = self.canonical_memo.get(w)
         except TypeError:  # unhashable: the full check says why
-            hit = False
-        if not hit:
+            i = None
+        if i is None or words[i] is not w:
             word = self._check_word(w)
-            w = self._canonical(word)
+            i = self._id(word)
+            w = words[i]
             if w != word:
                 raise InputError(f"{name} is not a canonical reduced word")
-        if jmask and self._right_descents(w) & jmask:
+        if jmask and self.kernel.right(i) & jmask:
             raise PreconditionError(f"{name} = '{self.word_str(w)}' is not in W^J")
         return w
 
@@ -372,8 +369,8 @@ class CoxeterSystem:
         return self._canonical(self._check_word(a)[::-1])
 
     def descent_mask(self, w: Word, side: str = "right") -> int:
-        word = self._check_word(w)
-        return self._right_descents(word[::-1] if _is_left(side) else word)
+        i = self._id(self._check_word(w))
+        return self.kernel.masks[i] if _is_left(side) else self.kernel.right(i)
 
     def descents(self, w: Word, side: str = "right") -> frozenset:
         mask = self.descent_mask(w, side)
@@ -385,30 +382,15 @@ class CoxeterSystem:
 
     # -- lookups for words coxkl produced (no validation) --------------------
 
+    def _id(self, word: Word) -> int:
+        """The id of a validated word's element: an index read for a
+        canonical word, else a walk."""
+        i = self.canonical_memo.get(word)
+        return self.canonical_memo[self.kernel.canonicalize(word)] if i is None else i
+
     def _canonical(self, word: Word) -> Word:
-        """The element's one object, for a validated word, reduced or not:
-        memo[word], set on first use to the interned kernel answer; a
-        canonical word is interned itself, so a caller keeps its object."""
-        c = self.canonical_memo.get(word)
-        if c is None:
-            c = self.kernel.canonicalize(word)
-            c = self.canonical_memo.setdefault(word, self._interned(word if c == word else c))
-        return c
-
-    def _interned(self, c: Word) -> Word:
-        """The element's one object, for a canonical word c: its first memo
-        key, which maps to itself; setdefault makes concurrent callers agree."""
-        return self.canonical_memo.setdefault(c, c)
-
-    def _right_descents(self, w: Word) -> int:
-        mask = self.descent_memo.get(w)
-        if mask is None:
-            mask = self.descent_memo[w] = self.kernel.right_descent_mask(w)
-        return mask
-
-    def _left_mul(self, s: int, w: Word) -> Word:
-        """Canonical form of s*w, for a generator s and a canonical word w."""
-        return self._canonical((s,) + w)
+        """The element's one object, for a validated word, reduced or not."""
+        return self.kernel.words[self._id(word)]
 
     # -- enumeration ---------------------------------------------------------
 
@@ -428,16 +410,17 @@ class CoxeterSystem:
         bound), sorted by (length, word); PreconditionError past cap
         elements.  W^J is closed under suffixes, so each layer is the
         longer left multiples s w of the last that stay in W^J."""
-        seen = {self._interned(())}
-        frontier = set(seen)
+        k = self.kernel
+        seen, frontier = {0}, {0}
         depth = 0
         while frontier and depth != radius:
             new = set()
-            for w in frontier:
+            for i in frontier:
                 for s in self.generators:
-                    sw = self._left_mul(s, w)
-                    if len(sw) > len(w) and not (jmask and self._right_descents(sw) & jmask):
-                        new.add(sw)
+                    if not k.masks[i] >> s & 1:
+                        j = k.act(s, i)
+                        if not (jmask and k.right(j) & jmask):
+                            new.add(j)
             seen |= new
             frontier = new
             if cap is not None and len(seen) > cap:
@@ -445,7 +428,7 @@ class CoxeterSystem:
                     f"group has more than {cap} elements (infinite?)"
                 )
             depth += 1
-        return sorted(seen, key=lambda w: (len(w), w))
+        return sorted(map(k.words.__getitem__, seen), key=lambda w: (len(w), w))
 
 
 def validate_system(matrix, backend: str = "auto", names=None) -> CoxeterSystem:

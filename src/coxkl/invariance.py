@@ -18,7 +18,7 @@ import time
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .bruhat import IntervalPoset, IsoWitness, _build_interval, _by_length, _order, _Shell
+from .bruhat import IntervalPoset, IsoWitness, _by_length, _order, _Shell, _shell_interval
 from .core import (
     INF,
     ClassX,
@@ -365,19 +365,20 @@ def _enumerate_cases(report, config):
         text = functools.cache(sys.word_str)
         for v in sorted(tops, key=_by_length):
             shell = _Shell(sys, v, config.max_rank_gap)
-            masks = shell.masks
-            live = [q for q in quotients if not masks[-1] & q[1]]
-            for u, mask in zip(shell.words, masks):
+            right = sys.kernel.right
+            live = [q for q in quotients if not right(shell.elems[-1]) & q[1]]
+            for i, u in enumerate(shell.words):
+                mask = right(shell.elems[i])
                 marks = [q for q in live if not mask & q[1]]
                 if not marks:
                     continue
-                ids = shell.ids(u)
+                ids = shell.ids(i)
                 if len(ids) > config.max_interval_size:
                     report.skipped_oversize += len(marks)
                     continue
                 ivl = shell.interval(sys, u, ids=ids)
                 for J, jmask, jnames, got in marks:
-                    marked = ivl.with_marking(J, shell.marked(ids, jmask))
+                    marked = ivl.with_marking(J, shell.marked(sys, ids, jmask))
                     got.append(ScanCase(marked, (name, jnames, text(u), text(v))))
         for *_, got in quotients:
             cases.extend(got)
@@ -387,7 +388,8 @@ def _enumerate_cases(report, config):
 def _run_controls(report, cases, config, extensions):
     """Match each case with its lift; extensions collects the extended
     system of each (system name, J).  Each base word is lifted, and each
-    lift written, once per extension.  The cases of one top are
+    lift written, once per extension; `lift` made the words, so no end
+    is checked again.  The cases of one top are
     contiguous, so they share the shell of its lift (of the words with
     st), until the next top's replaces it."""
     lifts: dict = {}  # (system name, J) -> (S, label head, lift, word_str), memoized
@@ -403,7 +405,7 @@ def _run_controls(report, cases, config, extensions):
         S, head, lifted_of, text = lifts[key]
         lu, lv = lifted_of(ivl.bottom), lifted_of(ivl.top)
         lifted = ScanCase(
-            _build_interval(ext.extended, lu, lv, S, config.max_rank_gap, ext.stilde),
+            _shell_interval(ext.extended, lu, lv, S, config.max_rank_gap, ext.stilde),
             (*head, text(lu), text(lv)),
         )
         witness = check_hypothesis_pair(

@@ -1,21 +1,16 @@
-"""The word kernel: canonical forms and descents of words.
+"""The element table: one numbered record per element of a Coxeter system.
 
-`RingKernel` answers from the reflection representation of a Coxeter
-system.  It holds one point per element (Casselman, "Machine
-calculations in Weyl groups", Invent. Math. 116, 1994), finds the
-ShortLex canonical word by greedily extracting the least left descent,
-and computes each reflection of a point and each point's descents once
-per system.  Its scalars are `INTEGERS` for integer Cartan matrices and
-a cyclotomic ring otherwise, so every system holds kernel tables.  The
-tests check it against the matrix algorithm in `tests/oracles.py`,
-which shares no code with it.
-
-`CoxeterSystem` remembers the kernel's answers per word.
+`RingKernel` holds each element as its point in the reflection
+representation (Casselman, "Machine calculations in Weyl groups",
+Invent. Math. 116, 1994).  Its scalars are `INTEGERS` for integer Cartan
+matrices and a cyclotomic ring otherwise.  The tests check it against
+the matrix algorithm in `tests/oracles.py`, which shares no code with it.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 
 __all__ = ["INTEGERS", "RingKernel", "make_integer_kernel"]
 
@@ -41,17 +36,19 @@ def make_integer_kernel(cartan) -> RingKernel:
 
 
 class RingKernel:
-    """Word kernel over exact scalars (Python ints or a cyclotomic ring).
+    """The element table of a system, over exact scalars.
 
-    An element w is held as one point of the contragredient
-    representation, with coordinates y_u = <alpha_u, w.x0> for the
-    chamber point x0 = (1, ..., 1): t is a left descent of w exactly when
-    y_t < 0, and t.w has y_u - a(t,u) y_t in place of y_u.  Each point's
-    descent mask and each reflection of a point is computed once per
-    kernel, keyed by the coordinate tuple itself; every value is a pure
-    function of its key, so concurrent callers can only lose or repeat
-    an insert, which changes nothing.  The tables grow only with the
-    elements the system meets.
+    Element w is the point y_u = <alpha_u, w.x0>, x0 = (1, ..., 1): t is
+    a left descent of w exactly when y_t < 0, and t.w has y_u - a(t,u) y_t
+    in place of y_u.  Id i has points[i], masks[i] (left descents),
+    words[i] (ShortLex: the least left descent t, then the word of t·w),
+    rows[i] (rows[i][s] is the id of s·w, None until asked), rights[i]
+    (right descents, None until asked) and covers[i] (lower covers, set
+    by `bruhat._lower_covers`).  `ids` maps points to ids, `index` words.
+    Records are appended under the lock and published after their
+    fields, so each element gets one id and one word object; other
+    entries are pure functions of the records, which concurrent callers
+    can only write twice.
     """
 
     def __init__(self, ring, cartan):
@@ -64,54 +61,77 @@ class RingKernel:
             tuple((u, a) for u, a in enumerate(row) if u != t and not ring.is_zero(a))
             for t, row in enumerate(self.cartan)
         )
-        self._origin = (ring.one,) * self.n
-        self._descents: dict = {}  # point -> left-descent mask
-        self._reflections = tuple({} for _ in range(self.n))  # t: point -> t.point
-
-    def _left_descents(self, y) -> int:
-        mask = self._descents.get(y)
-        if mask is None:
-            sign = self.ring.sign
-            mask = 0
-            for t, c in enumerate(y):
-                if sign(c) < 0:
-                    mask |= 1 << t
-            self._descents[y] = mask
-        return mask
+        origin = (ring.one,) * self.n
+        self.lock = threading.Lock()
+        self.ids, self.index = {origin: 0}, {(): 0}
+        self.points, self.masks, self.words = [origin], [0], [()]
+        self.rows, self.rights, self.covers = [[None] * self.n], [0], [()]
 
     def _reflect(self, t, y):
-        table = self._reflections[t]
-        z = table.get(y)
-        if z is None:
-            ring = self.ring
-            yt = y[t]
-            out = list(y)
-            out[t] = ring.neg(yt)
-            for u, a in self._bonds[t]:
-                out[u] = ring.sub(out[u], ring.mul(a, yt))
-            z = table[y] = tuple(out)
-        return z
-
-    def _point(self, word):
-        """The point of the element of `word`, last letter applied first."""
-        y = self._origin
-        for s in reversed(word):
-            y = self._reflect(s, y)
-        return y
-
-    def canonicalize(self, word):
-        y = self._point(word)
-        out = []
-        mask = self._left_descents(y)
-        while mask:
-            t = (mask & -mask).bit_length() - 1
-            out.append(t)
-            y = self._reflect(t, y)
-            mask = self._left_descents(y)
+        ring = self.ring
+        yt = y[t]
+        out = list(y)
+        out[t] = ring.neg(yt)
+        for u, a in self._bonds[t]:
+            out[u] = ring.sub(out[u], ring.mul(a, yt))
         return tuple(out)
 
-    def right_descent_mask(self, word) -> int:
-        return self._left_descents(self._point(word[::-1]))
+    def act(self, s, i) -> int:
+        """The id of s·w, for w of id i; s·(s·w) = w, so a new entry fills
+        both rows."""
+        j = self.rows[i][s]
+        if j is None:
+            y = self._reflect(s, self.points[i])
+            j = self.ids.get(y)
+            if j is None:
+                with self.lock:
+                    j = self._record(y)
+            self.rows[i][s] = j
+            self.rows[j][s] = i
+        return j
 
-    def table_size(self) -> int:
-        return len(self._descents) + sum(map(len, self._reflections))
+    def _record(self, y) -> int:
+        """The id of point y, recording it, and first the points below it
+        along least left descents, if new; under the lock."""
+        sign, chain = self.ring.sign, []
+        while y not in self.ids:
+            mask = sum(1 << t for t, c in enumerate(y) if sign(c) < 0)
+            t = (mask & -mask).bit_length() - 1
+            chain.append((y, mask, t))
+            y = self._reflect(t, y)
+        j = self.ids[y]
+        for y, mask, t in reversed(chain):
+            i, word, row = len(self.words), (t,) + self.words[j], [None] * self.n
+            row[t] = j
+            self.points.append(y)
+            self.masks.append(mask)
+            self.words.append(word)
+            self.rows.append(row)
+            self.rights.append(None)
+            self.covers.append(None)
+            self.rows[j][t] = i
+            self.ids[y] = self.index[word] = j = i
+        return j
+
+    def walk(self, word) -> int:
+        """The id of the element of `word`, last letter applied first."""
+        i = 0
+        for s in reversed(word):
+            i = self.act(s, i)
+        return i
+
+    def right(self, i) -> int:
+        """The right-descent mask of id i: the left mask of the inverse,
+        whose right mask is then i's left mask."""
+        mask = self.rights[i]
+        if mask is None:
+            j = self.walk(self.words[i][::-1])
+            mask = self.rights[i] = self.masks[j]
+            self.rights[j] = self.masks[i]
+        return mask
+
+    def canonicalize(self, word):
+        return self.words[self.walk(word)]
+
+    def right_descent_mask(self, word) -> int:
+        return self.masks[self.walk(word[::-1])]

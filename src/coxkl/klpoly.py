@@ -276,15 +276,14 @@ def get_table(sys: CoxeterSystem) -> KLTable:
 
 
 def memo_sizes(*systems: CoxeterSystem) -> dict:
-    """Entries in the word memos, kernel tables, order indexes, lower
-    covers and polynomial memos, summed over the systems (all 0 for none)."""
-    kinds = ("canonical", "descent", "order", "covers", "kernel", "R", "P", "Pdual")
+    """Element records, canonical-word keys, order-index elements and
+    polynomial memo entries, summed over the systems (all 0 for none)."""
+    kinds = ("elements", "canonical", "order", "R", "P", "Pdual")
     sizes = dict.fromkeys(kinds, 0)
     for sys in systems:
         counts = (
-            len(sys.canonical_memo), len(sys.descent_memo),
+            len(sys.kernel.words), len(sys.canonical_memo),
             sum(len(o.words) for o in sys.caches.get("order", {}).values()),
-            len(sys.caches.get("covers", ())), sys.kernel.table_size(),
             *map(len, get_table(sys).tables.values()),
         )
         for kind, count in zip(kinds, counts):

@@ -7,7 +7,8 @@ in the oracle too.
 
 * `PyIntKernel`: canonical forms and descents by the matrix algorithm,
   an n x n matrix over Python ints rebuilt on every call, against the
-  package's point kernel `RingKernel`.
+  package's point kernel `RingKernel`; over `Golden` (Z[phi]) for bonds
+  of 5 (`golden_cartan`).
 * `subword_leq_oracle`: u <= v by enumerating all 2^l subwords of v.
 * `project_to_quotient` and `deodhar_criterion`: u <= v through the
   images of u and v in every maximal quotient.
@@ -18,8 +19,63 @@ from __future__ import annotations
 from coxkl import CoxeterSystem, bruhat_leq
 
 
+class Golden:
+    """a + b phi in Z[phi], phi = (1 + sqrt 5) / 2, with phi^2 = phi + 1,
+    ordered as real numbers: 2 (a + b phi) = (2a + b) + b sqrt 5."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a, self.b = a, b
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, Golden) else Golden(x)
+
+    def __add__(self, other):
+        other = Golden.of(other)
+        return Golden(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Golden(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -Golden.of(other)
+
+    def __rsub__(self, other):
+        return Golden.of(other) - self
+
+    def __mul__(self, other):
+        other = Golden.of(other)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return Golden(a * c + b * d, a * d + b * c + b * d)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __le__(self, other):
+        diff = self - other
+        x, y = 2 * diff.a + diff.b, diff.b  # 2 diff = x + y sqrt 5
+        if x <= 0 and y <= 0:
+            return True
+        if x >= 0 and y >= 0:
+            return False
+        return x * x < 5 * y * y if x > 0 else x * x > 5 * y * y
+
+
+def golden_cartan(matrix) -> tuple:
+    """The symmetric Cartan matrix -2cos(pi/m) of a Coxeter matrix with
+    bonds 2, 3 and 5, over `Golden`: -2cos(pi/5) = -phi."""
+    value = {1: 2, 2: 0, 3: -1, 5: Golden(0, -1)}
+    return tuple(tuple(value[m] for m in row) for row in matrix)
+
+
 class PyIntKernel:
-    """Word kernel over arbitrary-precision integers.
+    """Word kernel over arbitrary-precision integers, or `Golden`.
 
     Columns of an n x n matrix hold the images of the simple roots in
     the simple-root basis; a generator is a right descent exactly when

@@ -133,18 +133,19 @@ def test_leq_checks_words_on_a_memo_hit(u):
 
 @pytest.mark.parametrize("u", [(1.0,), (True,)])
 def test_checked_words_pass_only_as_the_same_object(a3, u):
-    """Once (1,) has passed the check, (1.0,) and (True,) find its entry in
-    the canonical memo, but they are other objects: every public
-    entry point still refuses them, in either position.  A list word
-    takes the full check and is accepted."""
+    """Once (1,) has passed the check, (1.0,) and (True,) find its id in
+    the index of canonical words, but they are not the object of its
+    record: every public entry point still refuses them, in either
+    position.  A list word takes the full check and is accepted."""
     sys_ = validate_system(a3.matrix)
     s2, s1s2 = (1,), (0, 1)
     table = get_table(sys_)
     assert bruhat_leq(sys_, s2, s1s2) and bruhat_leq(sys_, s2, s2)
     assert table.parabolic_kl(s2, s1s2, (), "q") == ONE
     assert interval(sys_, s2, s1s2).size == 2
-    memo = sys_.canonical_memo
-    assert memo[s2] is s2 and memo[s1s2] is s1s2
+    memo, records = sys_.canonical_memo, sys_.kernel.words
+    s2, s1s2 = records[memo[s2]], records[memo[s1s2]]  # the records' objects
+    assert (s2, s1s2) == ((1,), (0, 1)) and bruhat_leq(sys_, s2, s1s2)
     calls = [
         lambda a, b: bruhat_leq(sys_, a, b),
         lambda a, b: table.parabolic_kl(a, b, (), "q"),
@@ -154,7 +155,7 @@ def test_checked_words_pass_only_as_the_same_object(a3, u):
         for a, b in ((u, s1s2), (s2, u)):
             with pytest.raises(InputError, match="invalid generator index"):
                 call(a, b)
-    assert memo[s2] is s2
+    assert records[memo[s2]] is s2
     assert bruhat_leq(sys_, [1], [0, 1]) and not bruhat_leq(sys_, [0, 1], [1])
     assert table.parabolic_kl([1], [0, 1], (), "q") == ONE
     assert interval(sys_, [1], [0, 1]).size == 2
@@ -164,8 +165,9 @@ def test_a_checked_word_outside_the_quotient_is_refused(a3):
     """s1 s2 has the right descent s2; having passed the canonical check
     does not let it pass as a member of W^{s2}."""
     sys_ = validate_system(a3.matrix)
-    v = (0, 1)
-    assert bruhat_leq(sys_, (), v) and sys_.canonical_memo[v] is v
+    assert bruhat_leq(sys_, (), (0, 1))
+    v = sys_.kernel.words[sys_.canonical_memo[(0, 1)]]  # passes by identity
+    assert v == (0, 1) and sys_._check_rep(v, 0, "v") is v
     J = frozenset({1})
     for call in (
         lambda: get_table(sys_).parabolic_kl((), v, J, "q"),
@@ -208,11 +210,10 @@ def test_malformed_words_are_input_errors(a3, call, word):
     ([[1, 5, 2], [5, 1, 3], [2, 3, 1]], "general"),
 ], ids=["A3", "B3", "H3"])
 def test_returned_canonical_words_pass_their_first_check_by_identity(matrix, backend):
-    """Every canonical word that coxkl hands out is the object its entry in
-    the canonical memo maps to, so its first public check, by
-    `bruhat_leq`, `parabolic_kl` or `interval`, never asks the kernel for
-    it again.  Those calls may still ask the kernel for the s·y of a new
-    cone, which are other words."""
+    """Every canonical word that coxkl hands out is the word of the record
+    that the index of canonical words gives it, so its first public
+    check, by `bruhat_leq`, `parabolic_kl` or `interval`, never asks the
+    kernel to walk it again."""
     sys_ = validate_system(matrix, backend=backend)
     ext = extend_system(sys_, {0})
     rng = random.Random(7)
@@ -240,7 +241,7 @@ def test_returned_canonical_words_pass_their_first_check_by_identity(matrix, bac
         for system, name, make in sources:
             got = make()
             assert got, name
-            assert all(system.canonical_memo[w] is w for w in got), name
+            assert all(system.kernel.words[system.canonical_memo[w]] is w for w in got), name
             del asked[:]
             table = get_table(system)
             for w in got:
@@ -444,57 +445,35 @@ def test_covers_match_naive_order(b3, h3, affine_a2):
         ext.extended, [interval(ext.extended, lift(ext, u), lift(ext, v))])
 
 
-@pytest.mark.parametrize("build", ["cone", "interval"])
-def test_lower_covers_keep_non_reduced_products_out_of_the_memo(b3, build):
-    """Finding lower covers asks for s·y for each lower cover y of z[1:];
-    an s·y below y is kept out of the covers, but like every word the
-    system canonicalizes it becomes a key of the canonical memo, mapped
-    to its element's one object.  A cone or a shell of the longest
-    element asks the kernel for some such non-reduced s·y."""
-    sys_ = validate_system(b3.matrix)
-    top = tuple(b3.ball(9)[-1])
-    answers = []
-    ask = sys_.kernel.canonicalize
-    sys_.kernel.canonicalize = lambda word: answers.append((word, ask(word))) or answers[-1][1]
-    try:
-        got = cone(sys_, top) if build == "cone" else interval(sys_, (), top).ground
-    finally:
-        del sys_.kernel.canonicalize
-    assert len(got) == 48 and any(len(c) < len(word) for word, c in answers)
-    memo = sys_.canonical_memo
-    for word, c in answers:
-        assert memo[word] == c and memo[memo[word]] is memo[word]
-
-
 @pytest.mark.parametrize("fixture", ["b3", "h3"])
 def test_cones_and_shells_canonicalize_each_word_once(fixture, request):
-    """Each word is canonicalized once per system: after a cone and a
-    shell of the longest element, emptying the caches built from lower
-    covers and building both again asks the kernel for nothing.  Every
-    memo value is a key that maps to itself and a fresh kernel's answer
-    for its key."""
+    """Each element is recorded once per system: after a cone and a shell
+    of the longest element, emptying the caches built from lower covers
+    and building both again adds no record, reflects no point and walks
+    no word.  Every record's word is the canonical form a fresh kernel
+    gives for it."""
     base = request.getfixturevalue(fixture)
     sys_ = validate_system(base.matrix, backend=base.backend)
     top = base.ball(15)[-1]
     assert len(top) == {"b3": 9, "h3": 15}[fixture]
     first = cone(sys_, top), interval(sys_, (), top).ground
+    kernel = sys_.kernel
+    records = len(kernel.words)
     sys_.caches.clear()
     asked = []
-    ask = sys_.kernel.canonicalize
-    sys_.kernel.canonicalize = lambda word: asked.append(word) or ask(word)
+    kernel.canonicalize = lambda word, ask=kernel.canonicalize: asked.append(word) or ask(word)
+    kernel._reflect = lambda t, y, ask=kernel._reflect: asked.append(y) or ask(t, y)
     try:
         assert (cone(sys_, top), interval(sys_, (), top).ground) == first
     finally:
-        del sys_.kernel.canonicalize
-    assert sys_.caches["covers"] and asked == []
+        del kernel.canonicalize, kernel._reflect
+    assert len(kernel.words) == records and asked == []
     if sys_.ring is None:
         oracle = PyIntKernel(sys_.cartan)
         fresh = lambda word: oracle.canonicalize(word)[0]
     else:
         fresh = RingKernel(sys_.ring, sys_.cartan).canonicalize
-    memo = sys_.canonical_memo
-    for key, value in memo.items():
-        assert memo[value] is value and value == fresh(key)
+    assert all(fresh(w) == w for w in kernel.words)
 
 
 def test_shell_intervals_match_subwords(b3, h3, affine_a2):
@@ -628,11 +607,11 @@ def test_left_action_matches_kernel(fixture, request):
             z, row = order.words[i], tuple(order.act(w, i, s) for s in w.generators)
             assert len(row) == w.n and all(order.act(w, i, s) is got for s, got in enumerate(row))
             for s, got in enumerate(row):
-                sz = w._left_mul(s, z)
+                sz = w.multiply_gen(z, s, "left")
                 if len(sz) < len(z):
                     assert got.__class__ is int and got in order.covers[i]
                     assert order.words[got] == sz
-                elif w._right_descents(sz) & jmask:
+                elif w.descent_mask(sz) & jmask:
                     assert got is None
                 else:
                     assert got == sz
@@ -656,8 +635,8 @@ class _CheckedIds(dict):
 
     def __setitem__(self, z, i):
         o = self.order
-        if not (o.lock.locked() and len(o.words) == len(o.lens) == len(o.up) == i + 1
-                and o.words[i] == z
+        fields = (o.words, o.elems, o.lens, o.up)
+        if not (o.lock.locked() and {len(f) for f in fields} == {i + 1} and o.words[i] == z
                 and all(o.up[j] >> i & 1 for j in _bits(o.down[i]))):
             raise AssertionError(f"id {i} published before its bits, or without the lock")
         super().__setitem__(z, i)
@@ -669,7 +648,7 @@ def test_threads_fill_one_order_index_consistently():
     number the same cones and fill the same left-action rows at once.
     Every id must be published under the index's lock and after its bits,
     every answer must equal a serial one, and the filled index and its
-    rows and its canonical memo must be consistent."""
+    rows and the element table must be consistent."""
     matrix = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
     shared, serial = validate_system(matrix), validate_system(matrix)
     subsets = all_subsets(range(3))
@@ -698,14 +677,15 @@ def test_threads_fill_one_order_index_consistently():
     finally:
         sys.setswitchinterval(switch)
     assert all(got == expected for got in results)
-    assert any(_order(shared, J).left for J in subsets)
-    # insert-only: each canonical word maps to the very object it is keyed by
-    canonical = [(k, c) for k, c in shared.canonical_memo.items() if c == k]
-    assert canonical and all(k is c for k, c in canonical)
+    # one record per element: each canonical word is keyed by its record's object
+    records = shared.kernel.words
+    assert len(set(records)) == len(records) == len(shared.canonical_memo)
+    assert all(records[i] is w for w, i in shared.canonical_memo.items())
     for J in subsets:
         order = _order(shared, J)
         _check_index(order)
         assert set(order.words) == set(_order(serial, J).words)
         other = _order(serial, J)
-        for i in order.left:
-            assert _action(order, shared, i) == _action(other, serial, other.ids[order.words[i]])
+        for i, z in enumerate(order.words):
+            assert records[shared.canonical_memo[z]] is z
+            assert _action(order, shared, i) == _action(other, serial, other.ids[z])

@@ -61,7 +61,7 @@ def test_poly_method_both_agrees(capsys):
     assert res["polynomials"]["recursion"] == res["polynomials"]["duality"]
     memo = obj["stats"]["memo"]
     assert set(obj["stats"]) == {"memo"} and set(memo) == {
-        "canonical", "descent", "kernel", "order", "covers", "R", "P", "Pdual",
+        "elements", "canonical", "order", "R", "P", "Pdual",
     }
     assert all(memo[k] > 0 for k in memo)
 
@@ -630,9 +630,9 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
     assert set(stats) == {"phase_seconds", "cases", "pairs_checked",
                           "controls_checked", "kernels", "memo", "iso", "shapes", "shells"}
     assert stats["kernels"] == {"A3": "ring:int", "A3~ext": "ring:int"}
-    assert set(stats["memo"]) == {"canonical", "descent", "order", "covers",
-                                  "kernel", "R", "P", "Pdual"}
-    assert all(stats["memo"][k] > 0 for k in ("canonical", "order", "covers", "kernel", "P"))
+    assert set(stats["memo"]) == {"elements", "canonical", "order", "R", "P", "Pdual"}
+    assert all(stats["memo"][k] > 0 for k in ("elements", "canonical", "order", "P"))
+    assert stats["memo"]["canonical"] <= stats["memo"]["elements"]
     # one shell per top in the base system and per lifted top in the extension
     shells = stats["shells"]
     assert set(shells) == {"count", "elements", "largest"}
@@ -686,7 +686,7 @@ def test_scan_bad_class_x_entry_exits_2(capsys, tmp_path, class_x):
 
 
 def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
-    """stats.memo holds the eight memo counts of the base system plus
+    """stats.memo holds the six table counts of the base system plus
     those of the extended system."""
     import coxkl.cli
 
@@ -706,8 +706,7 @@ def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
     memo = envelope(out)["stats"]["memo"]
     assert len(seen) == 2
     assert memo == {kind: seen[0][kind] + seen[1][kind] for kind in seen[0]}
-    assert set(memo) == {"canonical", "descent", "order", "covers", "kernel", "R",
-                         "P", "Pdual"}
+    assert set(memo) == {"elements", "canonical", "order", "R", "P", "Pdual"}
     assert all(memo[kind] > 0 for kind in ("order", "R", "P", "Pdual"))
 
 

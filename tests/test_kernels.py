@@ -4,20 +4,25 @@
 ring) is checked on crystallographic matrices against the matrix
 algorithm `PyIntKernel` (matrices over the integers, in
 `tests/oracles.py`), which shares no code with it.  Poincare polynomials
-check both against numbers that come from neither.  The memo gives the same
-answers as a fresh kernel, does not bypass word validation, and shares
-no entries between systems.
+check both against numbers that come from neither.  Every record of a
+system's element table agrees with the matrix algorithm; the index of
+canonical words gives the same answers as a fresh kernel, does not
+bypass word validation, and shares no entries between systems.
 """
 
 import collections
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from coxkl import InputError, validate_system
+from coxkl.bruhat import _lower_covers
 from coxkl.core import INF
 from coxkl.kernels import RingKernel, make_integer_kernel
-from oracles import PyIntKernel
+from oracles import PyIntKernel, golden_cartan
 
 MATRICES = {
     "A3": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
@@ -62,13 +67,92 @@ def test_memo_matches_fresh_kernel_on_random_words(name):
             assert sys.canonicalize(word) == (c, len(c) == len(word))
             assert sys.descent_mask(word) == fresh.right_descent_mask(word)
             assert sys.descent_mask(word, "left") == fresh.right_descent_mask(word[::-1])
-    # keys: the words asked and their canonical forms; each value is the
-    # one object of its element, a key that maps to itself
-    memo = sys.canonical_memo
-    assert set(memo) == set(words) | {_canonical_word(fresh, w) for w in words}
-    for key, value in memo.items():
-        assert value == _canonical_word(fresh, key) and memo[value] is value
-        assert value is key or value != key
+    # keys: the canonical words of the table's records, each the very
+    # object of its record; every word asked has its canonical form there
+    memo, records = sys.canonical_memo, sys.kernel.words
+    assert len(memo) == len(records)
+    assert {_canonical_word(fresh, w) for w in words} <= set(memo)
+    for key, i in memo.items():
+        assert records[i] is key and _canonical_word(fresh, key) == key
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "affineA2", "universal3", "hyperbolic4", "H3"])
+def test_every_record_matches_the_matrix_algorithm(name):
+    """Every record of the element table that random words reach, on the
+    general backend, against the matrix algorithm (over Z[phi] for H3):
+    its canonical word, both descent masks and s·w for every s; and its
+    lower covers against the one-letter deletions of its word (the
+    subword property)."""
+    matrix = HYPERBOLIC4 if name == "hyperbolic4" else MATRICES[name]
+    system = validate_system(matrix, backend="general")
+    cartan = golden_cartan(matrix) if name == "H3" else validate_system(matrix).cartan
+    oracle = PyIntKernel(cartan)
+    kernel = system.kernel
+    for word in _random_words(system.n):
+        system.canonicalize(word)
+    for i in range(len(kernel.words)):
+        w = kernel.words[i]
+        assert oracle.canonicalize(w) == (w, True)
+        assert kernel.ids[kernel.points[i]] == kernel.index[w] == i
+        assert kernel.masks[i] == oracle.right_descent_mask(w[::-1])
+        assert kernel.right(i) == oracle.right_descent_mask(w)
+        for s in range(system.n):
+            assert kernel.words[kernel.act(s, i)] == oracle.canonicalize((s,) + w)[0]
+        covers = [kernel.words[c] for c in _lower_covers(kernel, i)]
+        deletions = {oracle.canonicalize(w[:j] + w[j + 1:])[0] for j in range(len(w))}
+        assert len(set(covers)) == len(covers)
+        assert set(covers) == {u for u in deletions if len(u) == len(w) - 1}
+
+
+class _CheckedIds(dict):
+    """A table's point index that refuses an id published without the
+    table's lock, or before the record's fields are appended."""
+
+    def __init__(self, kernel):
+        super().__init__(kernel.ids)
+        self.kernel = kernel
+
+    def __setitem__(self, y, i):
+        k = self.kernel
+        fields = (k.points, k.masks, k.words, k.rows, k.rights, k.covers)
+        if not (k.lock.locked() and {len(f) for f in fields} == {i + 1} and k.points[i] == y):
+            raise AssertionError(f"id {i} published before its record, or without the lock")
+        super().__setitem__(y, i)
+
+
+def test_threads_walking_one_system_make_one_record_per_element():
+    """Four threads walk the same words on one fresh system at once, in
+    four orders.  Every id is published under the table's lock, after its
+    record; each element gets one id and one word object, which every
+    thread receives; and the rows agree with a serial system."""
+    shared, serial = validate_system(HYPERBOLIC4), validate_system(HYPERBOLIC4)
+    kernel = shared.kernel
+    kernel.ids = _CheckedIds(kernel)
+    words = _random_words(4)
+    start = threading.Barrier(4)
+
+    def work(seed):
+        start.wait(timeout=60)
+        return {w: shared.canonicalize(w)[0] for w in random.Random(seed).sample(words, len(words))}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = [f.result(timeout=300) for f in [pool.submit(work, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(switch)
+    records = kernel.words
+    assert len(kernel.ids) == len(kernel.index) == len(set(records)) == len(records)
+    for w in words:
+        c = results[0][w]
+        assert c == serial.canonicalize(w)[0] and records[kernel.index[c]] is c
+        assert all(got[w] is c for got in results)
+    for i, row in enumerate(kernel.rows):
+        for s, j in enumerate(row):
+            if j is not None:
+                assert kernel.rows[j][s] == i
+                assert records[j] == serial.multiply_gen(records[i], s, "left")
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "affineA2", "universal3"])
@@ -164,7 +248,7 @@ def test_memo_does_not_bypass_validation():
             sys.descent_mask(bad)
         with pytest.raises(InputError):
             sys.descent_mask(bad, "left")
-    assert set(sys.canonical_memo) == {(1,)}
+    assert set(sys.canonical_memo) == {(), (1,)} and len(sys.kernel.words) == 2
 
 
 def test_systems_never_share_entries():
@@ -175,7 +259,7 @@ def test_systems_never_share_entries():
     assert a3.canonicalize(word) == ((1, 0), False)  # (s1 s2)^2 = s2 s1 when m = 3
     assert b3.canonicalize(word) == ((0, 1, 0, 1), True)  # reduced when m = 4
     assert (a3.descent_mask(word), b3.descent_mask(word)) == (0b001, 0b011)
-    for memo in ("canonical_memo", "descent_memo"):
-        tables = [getattr(s, memo) for s in (a3, b3, again)]
+    for table in ("canonical_memo", "kernel"):
+        tables = [getattr(s, table) for s in (a3, b3, again)]
         assert len({id(t) for t in tables}) == 3
-    assert again.canonical_memo == {} and again.descent_memo == {}
+    assert again.canonical_memo == {(): 0} and again.kernel.words == [()]
