@@ -30,7 +30,7 @@ from .core import (
     is_class_x,
 )
 from .extension import extend_system, lift
-from .klpoly import KL_TYPES, _step_args, check_kl_type, get_table, memo_sizes
+from .klpoly import KL_TYPES, check_kl_type, get_table, memo_sizes
 from .laurent import LaurentPoly
 
 DEFAULT_SIZE_CAP = 40
@@ -311,7 +311,9 @@ def _polys(case, config) -> tuple:
     if case.polys is None:
         ivl = case.interval
         sys, J = ivl.system, ivl.J
-        ids = _step_args(sys, _order(sys, J), ivl.bottom, ivl.top, J)
+        order = _order(sys, J)
+        iv = order.id(sys, ivl.top)  # numbers bottom first
+        ids = (sys, order, order.ids[ivl.bottom], iv, J)
         table = get_table(sys)
         kinds = (table._kl, table._r) if config.include_r_polynomials else (table._kl,)
         case.polys = tuple(poly(*ids, x) for poly in kinds for x in config.types)

@@ -21,8 +21,10 @@ the tuple has no trailing zero (the zero polynomial is ()).  The `_`
 helpers below do that arithmetic; `LaurentPoly` is the public type, made
 at the entry points.  The recursions run on ids in the order index
 `bruhat._order(sys, J)`, which give lengths, the cover sv, the left
-action s·z and [u, v]^J; the entry points translate checked words once
-per call (the scan's cases were checked when they were built).
+action s·z and [u, v]^J.  An entry point checks its arguments and reads
+the ids of u and v once per call (`_check_pair`), and returns the memo's
+tuple as a `LaurentPoly` without a copy; the scan reads the tuples of
+cases it checked when it built them.
 """
 
 from __future__ import annotations
@@ -114,15 +116,6 @@ def _memoized(kind: str):
     return wrap
 
 
-def _step_args(sys, order, u, v, J):
-    """The arguments (sys, order, iu, iv, J) of a recursion step, for
-    canonical words u and v in W^J, numbering v's cone first; None when
-    u is not numbered, so not <= v."""
-    iv = order.id(sys, v)
-    iu = order.ids.get(u)
-    return None if iu is None else (sys, order, iu, iv, J)
-
-
 class KLTable:
     """Per-system memo table for R- and KL polynomials.
 
@@ -144,23 +137,27 @@ class KLTable:
         self.tables: dict[str, dict] = {"R": {}, "P": {}, "Pdual": {}}
         self.mirrors: dict = {}
 
-    @property
-    def sys(self) -> CoxeterSystem:
-        sys = self._sys()
-        if sys is None:
-            raise PreconditionError("the table's Coxeter system no longer exists")
-        return sys
-
     # -- public, validated entry points -----------------------------------
 
     def _check_pair(self, u, v, J, x):
-        """`_step_args` of u and v, after checking J, x and the words."""
-        sys = self.sys
+        """The arguments (sys, order, iu, iv, J) of a recursion step, after
+        checking J, x, u and v, numbering v's cone on a miss; None when u
+        is not numbered, so not <= v."""
+        sys = self._sys()
+        if sys is None:
+            raise PreconditionError("the table's Coxeter system no longer exists")
         J = sys.check_subset(J)
-        check_kl_type(x)
+        if x != "q" and x != "-1":
+            check_kl_type(x)
         order = _order(sys, J)
         u = sys._check_rep(u, order.jmask, "u")
-        return _step_args(sys, order, u, sys._check_rep(v, order.jmask, "v"), J)
+        v = sys._check_rep(v, order.jmask, "v")
+        ids = order.ids
+        iv = ids.get(v)
+        if iv is None:
+            iv = order.id(sys, v)
+        iu = ids.get(u)
+        return None if iu is None else (sys, order, iu, iv, J)
 
     def parabolic_r(self, u, v, J, x: str) -> LaurentPoly:
         ids = self._check_pair(u, v, J, x)
@@ -246,20 +243,30 @@ class KLTable:
 
     @_memoized("Pdual")
     def _kl_dual(self, sys, order, iu, iv, J, x) -> tuple:
-        lens, mirrors = order.lens, self.mirrors
+        lens, mirrors, rs = order.lens, self.mirrors, self.tables["R"]
         lu, lv = lens[iu], lens[iv]
-        # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v})
-        rhs = []
+        gap = lv - lu
+        # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v}),
+        # of degree <= gap: deg R_{u,w} <= l(w) - l(u), and `_mirror` checks the rest
+        rhs = [0] * (gap + 1)
         for w in _bits((order.up[iu] & order.down[iv]) ^ 1 << iu):
             wkey = (w, iv, J, x)
             mirrored = mirrors.get(wkey)
             if mirrored is None:
                 p = self._kl_dual(sys, order, w, iv, J, x)
                 mirrored = mirrors[wkey] = _mirror(p, lv - lens[w])
-            r = self._r(sys, order, iu, w, J, x)
-            _addmul(rhs, mirrored, r, -1 if (lens[w] - lu) % 2 else 1)
+            r = rs.get((iu, w, J, x))
+            if r is None:
+                r = self._r(sys, order, iu, w, J, x)
+            lw = lens[w] - lu
+            if len(r) > lw + 1:
+                raise InvariantError("R polynomial above its degree bound")
+            for k, a in enumerate(mirrored):
+                if a:
+                    a = -a if lw % 2 else a
+                    for i, b in enumerate(r, k):
+                        rhs[i] += a * b
         rhs = _trim(rhs)
-        gap = lv - lu
         res = _truncate(rhs, (gap - 1) // 2)
         if rhs != _trim(_addto(list(res), _mirror(res, gap), -1)):
             raise InvariantError("duality right-hand side is not self-mirrored")

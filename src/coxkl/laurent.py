@@ -5,7 +5,9 @@ reads (klpoly computes internally on Z[q] coefficient tuples).
 Coefficients are Python ints, and a polynomial is stored as its lowest
 exponent (the offset, which may be negative) together with a dense
 coefficient tuple whose first and last entries are nonzero.  The zero
-polynomial is the empty tuple with offset 0.
+polynomial is the empty tuple with offset 0.  The constructor takes any
+iterable and keeps a tuple already in that form, so wrapping a stored
+tuple is O(1).  A constant equals, and hashes as, its int.
 """
 
 from __future__ import annotations
@@ -19,19 +21,17 @@ class LaurentPoly:
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, coeffs=(), offset: int = 0):
-        coeffs = list(coeffs)
-        lo = 0
-        while lo < len(coeffs) and coeffs[lo] == 0:
-            lo += 1
-        hi = len(coeffs)
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "offset", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "offset", offset + lo)
-            object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
+        coeffs = tuple(coeffs)  # a tuple is not copied
+        if not (coeffs and coeffs[0] and coeffs[-1]):  # trim zero ends
+            lo, hi = 0, len(coeffs)
+            while lo < hi and not coeffs[lo]:
+                lo += 1
+            while hi > lo and not coeffs[hi - 1]:
+                hi -= 1
+            coeffs = coeffs[lo:hi]
+            offset = offset + lo if coeffs else 0
+        _set_offset(self, offset)
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -156,14 +156,17 @@ class LaurentPoly:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, int):
+                other = LaurentPoly.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         return self.offset == other.offset and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.offset, self.coeffs))
+        if self.offset or len(self.coeffs) > 1:
+            return hash((self.offset, self.coeffs))
+        return hash(self.coeffs[0] if self.coeffs else 0)
 
     # -- display ---------------------------------------------------------
 
@@ -186,6 +189,9 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r}, {self.offset!r})"
 
+
+_set_offset = LaurentPoly.offset.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.const(1)

@@ -12,6 +12,8 @@ in the oracle too.
 * `subword_leq_oracle`: u <= v by enumerating all 2^l subwords of v.
 * `project_to_quotient` and `deodhar_criterion`: u <= v through the
   images of u and v in every maximal quotient.
+* `laurent_normal_form`: the offset, coefficients and display of a
+  Laurent polynomial, from a map of its nonzero terms.
 """
 
 from __future__ import annotations
@@ -181,3 +183,21 @@ def deodhar_criterion(sys: CoxeterSystem, u, v) -> bool:
         ):
             return False
     return True
+
+
+def laurent_normal_form(coeffs, offset: int) -> tuple:
+    """(offset, coeffs, display) of the sum of c_i q^(offset + i): coeffs
+    run from the lowest nonzero term to the highest, the zero polynomial
+    is (0, (), "0"), and terms show lowest first, as "c", "cq" or "cq^k"
+    with a coefficient of magnitude 1 left out beside q."""
+    terms = {offset + i: c for i, c in enumerate(coeffs) if c != 0}
+    if not terms:
+        return 0, (), "0"
+    lo, hi = min(terms), max(terms)
+    shown = []
+    for k, c in sorted(terms.items()):
+        mag = "" if k != 0 and abs(c) == 1 else str(abs(c))
+        var = "" if k == 0 else "q" if k == 1 else f"q^{k}"
+        sign = ("- " if c < 0 else "+ ") if shown else ("-" if c < 0 else "")
+        shown.append(sign + mag + var)
+    return lo, tuple(terms.get(k, 0) for k in range(lo, hi + 1)), " ".join(shown)

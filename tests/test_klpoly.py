@@ -16,7 +16,7 @@ import pytest
 import coxkl
 
 from conftest import all_subsets
-from coxkl import InvariantError, PreconditionError, validate_system
+from coxkl import InputError, InvariantError, PreconditionError, validate_system
 from coxkl.bruhat import _order, bruhat_leq
 from coxkl.klpoly import KLTable, bar_squared_check, get_table
 from coxkl.laurent import ONE, Q, ZERO
@@ -335,15 +335,25 @@ def test_dropped_system_is_freed_without_gc():
 
 def test_invalid_type_rejected(a2):
     t = get_table(a2)
-    with pytest.raises(Exception):
+    with pytest.raises(InputError, match="polynomial type must be 'q' or '-1', not 'bogus'"):
         t.parabolic_kl((), (0,), frozenset(), "bogus")
+
+
+def _run_optimized(script: str) -> str:
+    """The stdout of script run under python -O, which must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxkl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_invariant_check_survives_python_O():
     """A memoized P entry that breaks the degree bound is read by the
     recursion for (e, s1 s2); the check must fire with asserts stripped.
     Memo keys are ids in the order index, which numbering s1 s2 fills."""
-    script = textwrap.dedent("""
+    out = _run_optimized("""
         import sys
         from coxkl import InvariantError, validate_system
         from coxkl.bruhat import _order
@@ -362,12 +372,37 @@ def test_invariant_check_survives_python_O():
             sys.exit(0)
         sys.exit(1)
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coxkl.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "degree bound violated" in proc.stdout
+    assert "degree bound violated" in out
+
+
+# R_{e,s2} = q - 1 has degree 1; the duality sum for (e, s1 s2) reads it
+_POISON_R = """
+from coxkl import InvariantError, validate_system
+from coxkl.bruhat import _order
+from coxkl.klpoly import get_table
+
+a2 = validate_system([[1, 3], [3, 1]])
+t = get_table(a2)
+order = _order(a2, frozenset())
+order.id(a2, (0, 1))
+t.tables["R"][(order.ids[()], order.ids[(1,)], frozenset(), "q")] = (0, 0, 1)
+try:
+    t.parabolic_kl_duality((), (0, 1), frozenset(), "q")
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("optimized", [False, True], ids=["plain", "python-O"])
+def test_duality_sum_rejects_memoized_r_above_its_degree(optimized, capsys):
+    """An R entry above its degree bound raises InvariantError in the
+    duality sum, never IndexError or a truncated answer."""
+    if optimized:
+        out = _run_optimized(_POISON_R)
+    else:
+        exec(_POISON_R, {})
+        out = capsys.readouterr().out
+    assert out == "R polynomial above its degree bound\n"
 
 
 def test_duality_rejects_memoized_entry_above_its_degree(a2):

@@ -1,4 +1,10 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from coxkl.laurent import ONE, Q, ZERO, LaurentPoly
+from coxkl.serialize import poly_to_jsonable
+from oracles import laurent_normal_form
 
 
 def test_normalization():
@@ -62,3 +68,32 @@ def test_hash_and_eq():
     assert LaurentPoly([1], 0) == 1
     assert hash(LaurentPoly([1, 2])) == hash(LaurentPoly((1, 2)))
     assert LaurentPoly([1], 1) != LaurentPoly([1], 2)
+    assert Q != 1 and LaurentPoly([1], -1) != 1
+
+
+@pytest.mark.parametrize("poly, n", [(ONE, 1), (ZERO, 0), (LaurentPoly.const(-3), -3), (ONE, True)],
+                         ids=["one", "zero", "minus-three", "true"])
+def test_constant_hashes_as_the_int_it_equals(poly, n):
+    assert poly == n and n == poly
+    assert hash(poly) == hash(n)
+    assert len({poly, n}) == 1
+
+
+_GIVEN_AS = {"tuple": tuple, "list": list, "generator": lambda c: (x for x in c)}
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=6), st.integers(0, 3), st.integers(0, 3),
+       st.integers(-5, 5), st.sampled_from(sorted(_GIVEN_AS)))
+def test_constructor_gives_the_normal_form(core, lead, trail, offset, kind):
+    """Zero runs at both ends, in any iterable, normalize as the oracle
+    does; str and the JSON form follow the normal form."""
+    raw = [0] * lead + core + [0] * trail
+    p = LaurentPoly(_GIVEN_AS[kind](raw), offset)
+    low, coeffs, shown = laurent_normal_form(raw, offset)
+    assert (p.offset, p.coeffs, str(p)) == (low, coeffs, shown)
+    assert type(p.coeffs) is tuple
+    assert poly_to_jsonable(p) == {"offset": low, "coeffs": list(coeffs), "display": shown}
+    for name in ("offset", "coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)

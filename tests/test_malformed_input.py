@@ -3,7 +3,7 @@ naming the offending value: a word or subset that is not iterable, or
 holds an unhashable letter, a bool or an index past the generators;
 word or name text that is not a string; a generator key that is not a
 generator; a bond that is not an int >= 3 or 'inf'; a side other than
-'left' or 'right'."""
+'left' or 'right'; a polynomial type other than 'q' or '-1'."""
 
 import re
 
@@ -31,13 +31,14 @@ POLY_ENTRIES = ("parabolic_r", "parabolic_kl", "parabolic_kl_duality", "mu", "ba
 
 
 def _poly_call(name, where):
-    """A call of a polynomial entry point, with its argument w as u, v or
-    J (where) and (), (0, 1) and {} elsewhere."""
+    """A call of a polynomial entry point, with its argument w as u, v, J
+    or the type x (where) and (), (0, 1), {} and "q" elsewhere."""
     def call(s, e, w):
-        args = {"u": (w, (0, 1), ()), "v": ((), w, ()), "J": ((), (0, 1), w)}[where]
+        args = {"u": (w, (0, 1), (), "q"), "v": ((), w, (), "q"), "J": ((), (0, 1), w, "q"),
+                "x": ((), (0, 1), (), w)}[where]
         if name == "bar_squared_check":
-            return bar_squared_check(s, *args, "q")
-        return getattr(get_table(s), name)(*args, "q")
+            return bar_squared_check(s, *args)
+        return getattr(get_table(s), name)(*args)
 
     return call
 
@@ -142,6 +143,13 @@ def test_bad_bond_is_an_input_error(a3_ext, call, bond):
     sys_, _ext = a3_ext
     with pytest.raises(InputError, match=re.escape(f"must be an int >= 3 or 'inf', not {bond!r}")):
         BOND_CALLS[call](sys_, bond)
+
+
+@pytest.mark.parametrize("x", ["Q", "", None, 1, True, ["q"]])
+@pytest.mark.parametrize("call", POLY_ENTRIES)
+def test_bad_polynomial_type_is_an_input_error(a3_ext, call, x):
+    with pytest.raises(InputError, match=re.escape(f"polynomial type must be 'q' or '-1', not {x!r}")):
+        _poly_call(call, "x")(*a3_ext, x)
 
 
 SIDE_CALLS = {
