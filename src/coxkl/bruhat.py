@@ -259,9 +259,6 @@ class IntervalPoset:
         """Per element, the bitmask of interval elements above or equal to it."""
         return self._shape.up_bits
 
-    def leq_idx(self, i: int, j: int) -> bool:
-        return bool(self.up_bits()[i] >> j & 1)
-
     def element_invariants(self) -> tuple:
         """Per element: (rank, down degree, up degree, ideal size, filter
         size, marked flag).  Preserved by any marked poset isomorphism."""

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: poly, interval, extend, verify-reduction, scan.  Every
-command prints a JSON envelope {format, command, inputs, result, timing}
-to stdout; scan adds "stats" (per-phase wall seconds, work counts,
-kernel kinds, memo table sizes and shells), and interval, poly and
-verify-reduction (base plus extension) add "stats" with the memo table
-sizes, and the shells or phase seconds; no report file carries them.  Exit codes: 0 success, 1 mathematical disagreement found
+command prints a JSON envelope {format, command, inputs, result, timing,
+stats} to stdout.  "stats" holds the memo table sizes (`memo`; of the
+base plus the extension for extend and verify-reduction); interval adds
+its shells, verify-reduction its phase seconds, and scan its per-phase
+wall seconds, work counts, kernel kinds and shells.  No report file
+carries them.  Exit codes: 0 success, 1 mathematical disagreement found
 (including a failed internal invariant), 2 malformed input or
 configuration (an unwritable output path, or one that names an input
 file, included, refused before any work), 3 precondition violation.
@@ -79,17 +80,15 @@ def _check_output(path: str, *inputs: str) -> None:
         raise InputError(f"output file {path!r} is an input file of the command")
 
 
-def _emit(command: str, inputs: dict, result: dict, started: float,
-          stats: dict | None = None) -> None:
+def _emit(command: str, inputs: dict, result: dict, started: float, stats: dict) -> None:
     envelope = {
         "format": 1,
         "command": command,
         "inputs": inputs,
         "result": result,
         "timing": round(time.perf_counter() - started, 6),
+        "stats": stats,
     }
-    if stats is not None:
-        envelope["stats"] = stats
     _sys.stdout.write(canonical_dumps(envelope))
 
 
@@ -192,7 +191,8 @@ def cmd_extend(args) -> int:
     }
     if args.out:
         result["out"] = args.out
-    _emit("extend", {"system": name}, result, started)
+    _emit("extend", {"system": name}, result, started,
+          {"memo": memo_sizes(ext.base, ext.extended)})
     return EXIT_OK
 
 

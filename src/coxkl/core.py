@@ -126,6 +126,14 @@ def check_bond(m, what: str):
     return m
 
 
+def check_count(n, what: str) -> int:
+    """n, if it is an int >= 0 and not a bool, else InputError naming what:
+    the one check of radii, caps and scan counts."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InputError(f"{what} must be a nonnegative integer, not {n!r}")
+    return n
+
+
 def bitmask(J) -> int:
     """The bit mask of a set of generator indices."""
     return sum(1 << s for s in J)
@@ -397,13 +405,11 @@ class CoxeterSystem:
     def ball(self, radius: int, J: Iterable[int] = frozenset()) -> list[Word]:
         """The elements of W^J of length <= radius, sorted by (length,
         word); the default J = {} gives the whole ball."""
-        if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
-            raise InputError(f"radius must be a nonnegative integer, not {radius!r}")
-        return self._bfs(radius, None, self.subset_mask(J))
+        return self._bfs(check_count(radius, "radius"), None, self.subset_mask(J))
 
     def all_elements(self, cap: int = 200000) -> list[Word]:
         """BFS closure of the whole group; raises if it exceeds `cap`."""
-        return self._bfs(None, cap, 0)
+        return self._bfs(None, check_count(cap, "cap"), 0)
 
     def _bfs(self, radius, cap, jmask) -> list[Word]:
         """Elements of W^J (J as a bit mask) of length <= radius (None: no

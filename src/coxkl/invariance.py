@@ -27,6 +27,7 @@ from .core import (
     InvariantError,
     PreconditionError,
     bitmask,
+    check_count,
     is_class_x,
 )
 from .extension import extend_system, lift
@@ -48,6 +49,7 @@ def find_isomorphisms(
     invariants (rank, degrees, ideal and filter sizes, marked flag if
     respect_marking), which each call builds afresh.
     """
+    check_count(cap, "cap")
     if A.size > cap or B.size > cap:
         raise PreconditionError(f"interval size exceeds the cap of {cap}")
     keys_a, keys_b = (
@@ -123,6 +125,7 @@ def check_hypothesis_pair(ia, ib, cap: int = DEFAULT_SIZE_CAP, counts=None):
     markings, so its first mapping is memoized per pair of marked shapes
     and verified again on reuse; counts, if given, counts "shared",
     "searches" and "memo_hits"."""
+    check_count(cap, "cap")
     shared = ia._marking is ib._marking  # so equal fingerprints
     if not shared and ia.fingerprint() != ib.fingerprint():
         return None
@@ -190,8 +193,7 @@ class ScanConfig:
             raise InputError("quotients must be 'all' or 'maximal'")
         for key, v in (("max_length", max_length), ("max_rank_gap", max_rank_gap),
                        ("max_interval_size", max_interval_size)):
-            if type(v) is not int or v < 0:
-                raise InputError(f"{key} must be a nonnegative integer")
+            check_count(v, key)
         if not isinstance(types, (list, tuple)) or not types:
             raise InputError("types must be a nonempty list")
         for x in types:

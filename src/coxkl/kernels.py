@@ -132,6 +132,3 @@ class RingKernel:
 
     def canonicalize(self, word):
         return self.words[self.walk(word)]
-
-    def right_descent_mask(self, word) -> int:
-        return self.masks[self.walk(word[::-1])]

@@ -18,8 +18,10 @@ For J = {} both degenerate to the ordinary R- and KL polynomials.
 R and P always lie in Z[q], so the layer computes and stores them as
 coefficient tuples with offset 0: p[i] is the coefficient of q^i, and
 the tuple has no trailing zero (the zero polynomial is ()).  The `_`
-helpers below do that arithmetic; `LaurentPoly` is the public type, made
-at the entry points.  The recursions run on ids in the order index
+helpers below are the library's one polynomial arithmetic (the tests
+check them against the reference `Laurent` in `tests/oracles.py`);
+`LaurentPoly`, a value with no arithmetic, is the public type, made at
+the entry points.  The recursions run on ids in the order index
 `bruhat._order(sys, J)`, which give lengths, the cover sv, the left
 action s·z and [u, v]^J.  An entry point checks its arguments and reads
 the ids of u and v once per call (`_check_pair`), and returns the memo's
@@ -288,10 +290,11 @@ def memo_sizes(*systems: CoxeterSystem) -> dict:
     kinds = ("elements", "canonical", "order", "R", "P", "Pdual")
     sizes = dict.fromkeys(kinds, 0)
     for sys in systems:
+        table = sys.caches.get("kltable")  # reading the sizes makes no table
         counts = (
             len(sys.kernel.words), len(sys.canonical_memo),
             sum(len(o.words) for o in sys.caches.get("order", {}).values()),
-            *map(len, get_table(sys).tables.values()),
+            *(len(table.tables[kind]) if table else 0 for kind in kinds[3:]),
         )
         for kind, count in zip(kinds, counts):
             sizes[kind] += count

@@ -14,6 +14,9 @@ in the oracle too.
   images of u and v in every maximal quotient.
 * `laurent_normal_form`: the offset, coefficients and display of a
   Laurent polynomial, from a map of its nonzero terms.
+* `Laurent`: the reference arithmetic of Laurent polynomials (sums,
+  products, q-shifts, bar, truncation), on a map of nonzero terms rather
+  than the library's dense coefficient tuples; `Q` is q.
 """
 
 from __future__ import annotations
@@ -201,3 +204,102 @@ def laurent_normal_form(coeffs, offset: int) -> tuple:
         sign = ("- " if c < 0 else "+ ") if shown else ("-" if c < 0 else "")
         shown.append(sign + mag + var)
     return lo, tuple(terms.get(k, 0) for k in range(lo, hi + 1)), " ".join(shown)
+
+
+class Laurent:
+    """A Laurent polynomial over the integers as the map {exponent:
+    coefficient} of its nonzero terms.
+
+    An operand or comparand may be an int (a constant), a `Laurent` or
+    any value with `offset` and `coeffs` (a `coxkl.LaurentPoly`); `==` is
+    equality of polynomials.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, coeffs=(), offset: int = 0):
+        self.terms = {offset + i: c for i, c in enumerate(coeffs) if c}
+
+    @classmethod
+    def of(cls, p) -> "Laurent":
+        if isinstance(p, Laurent):
+            return p
+        if isinstance(p, int):
+            return cls((p,))
+        return cls(p.coeffs, p.offset)
+
+    @classmethod
+    def _from_terms(cls, pairs) -> "Laurent":
+        out = cls()
+        for k, c in pairs:
+            out.terms[k] = out.terms.get(k, 0) + c
+        out.terms = {k: c for k, c in out.terms.items() if c}
+        return out
+
+    # -- queries --------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def degree(self):
+        """Highest exponent, or None for the zero polynomial."""
+        return max(self.terms, default=None)
+
+    @property
+    def low(self):
+        """Lowest exponent, or None for the zero polynomial."""
+        return min(self.terms, default=None)
+
+    def coeff(self, k: int) -> int:
+        return self.terms.get(k, 0)
+
+    # -- arithmetic -----------------------------------------------------
+
+    def __add__(self, other):
+        return Laurent._from_terms([*self.terms.items(), *Laurent.of(other).terms.items()])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent._from_terms((k, -c) for k, c in self.terms.items())
+
+    def __sub__(self, other):
+        return self + -Laurent.of(other)
+
+    def __rsub__(self, other):
+        return Laurent.of(other) - self
+
+    def __mul__(self, other):
+        other = Laurent.of(other)
+        return Laurent._from_terms(
+            (i + j, a * b) for i, a in self.terms.items() for j, b in other.terms.items()
+        )
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int) -> "Laurent":
+        """Multiply by q**k."""
+        return Laurent._from_terms((i + k, c) for i, c in self.terms.items())
+
+    def bar(self) -> "Laurent":
+        """Substitute q -> q**-1."""
+        return Laurent._from_terms((-i, c) for i, c in self.terms.items())
+
+    def truncate_above(self, k: int) -> "Laurent":
+        """Keep only the terms with exponent <= k."""
+        return Laurent._from_terms((i, c) for i, c in self.terms.items() if i <= k)
+
+    def __eq__(self, other):
+        try:
+            other = Laurent.of(other)
+        except AttributeError:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"Laurent({self.terms!r})"
+
+
+Q = Laurent((1,), 1)

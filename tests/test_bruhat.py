@@ -29,7 +29,6 @@ from coxkl.bruhat import (
 from coxkl.extension import extend_system, lift, lift_interval, verify_reduction
 from coxkl.kernels import RingKernel
 from coxkl.klpoly import KLTable, bar_squared_check, get_table
-from coxkl.laurent import ONE
 from oracles import PyIntKernel, deodhar_criterion, project_to_quotient, subword_leq_oracle
 
 
@@ -141,7 +140,7 @@ def test_checked_words_pass_only_as_the_same_object(a3, u):
     s2, s1s2 = (1,), (0, 1)
     table = get_table(sys_)
     assert bruhat_leq(sys_, s2, s1s2) and bruhat_leq(sys_, s2, s2)
-    assert table.parabolic_kl(s2, s1s2, (), "q") == ONE
+    assert table.parabolic_kl(s2, s1s2, (), "q") == 1
     assert interval(sys_, s2, s1s2).size == 2
     memo, records = sys_.canonical_memo, sys_.kernel.words
     s2, s1s2 = records[memo[s2]], records[memo[s1s2]]  # the records' objects
@@ -157,7 +156,7 @@ def test_checked_words_pass_only_as_the_same_object(a3, u):
                 call(a, b)
     assert records[memo[s2]] is s2
     assert bruhat_leq(sys_, [1], [0, 1]) and not bruhat_leq(sys_, [0, 1], [1])
-    assert table.parabolic_kl([1], [0, 1], (), "q") == ONE
+    assert table.parabolic_kl([1], [0, 1], (), "q") == 1
     assert interval(sys_, [1], [0, 1]).size == 2
 
 
@@ -246,7 +245,7 @@ def test_returned_canonical_words_pass_their_first_check_by_identity(matrix, bac
             table = get_table(system)
             for w in got:
                 assert bruhat_leq(system, w, w)
-                assert table.parabolic_kl(w, w, (), "q") == ONE
+                assert table.parabolic_kl(w, w, (), "q") == 1
                 assert interval(system, w, w).bottom is w
             assert not set(asked) & set(got), name
     finally:

@@ -22,10 +22,7 @@ def run(capsys, *argv):
 def envelope(out):
     obj = json.loads(out)
     assert obj["format"] == 1
-    keys = {"format", "command", "inputs", "result", "timing"}
-    if obj["command"] in ("scan", "poly", "verify-reduction", "interval"):
-        keys.add("stats")
-    assert set(obj) == keys
+    assert set(obj) == {"format", "command", "inputs", "result", "timing", "stats"}
     return obj
 
 
@@ -708,6 +705,28 @@ def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
     assert memo == {kind: seen[0][kind] + seen[1][kind] for kind in seen[0]}
     assert set(memo) == {"elements", "canonical", "order", "R", "P", "Pdual"}
     assert all(memo[kind] > 0 for kind in ("order", "R", "P", "Pdual"))
+
+
+def test_extend_stats_sum_both_systems_memos(capsys, monkeypatch):
+    """extend reports stats.memo of the base system plus the extended
+    one, as verify-reduction does, and reading them makes no table."""
+    import coxkl.cli
+
+    seen = []
+    memo_sizes = coxkl.cli.memo_sizes
+
+    def recorded(*systems):
+        seen.append(systems)
+        return memo_sizes(*systems)
+
+    monkeypatch.setattr(coxkl.cli, "memo_sizes", recorded)
+    code, out, _ = run(capsys, "extend", "--system", str(CONFIGS / "a3.json"), "--quotient", "s2")
+    assert code == 0
+    (systems,) = seen
+    assert len(systems) == 2 and all("kltable" not in s.caches for s in systems)
+    memo = envelope(out)["stats"]["memo"]
+    assert memo == memo_sizes(*systems)
+    assert memo["elements"] > 0 and memo["R"] == memo["P"] == memo["Pdual"] == 0
 
 
 def test_verify_reduction_has_no_hidden_length_cap(capsys, tmp_path):

@@ -84,10 +84,10 @@ def test_automorphism_counts_match_brute_force(a3, b3):
             continue
         found = len(list(find_isomorphisms(ivl, ivl)))
         brute = 0
-        idx = range(ivl.size)
+        idx, up = range(ivl.size), ivl.up_bits()
         for perm in itertools.permutations(idx):
             if all(
-                ivl.leq_idx(i, j) == ivl.leq_idx(perm[i], perm[j])
+                (up[i] >> j & 1) == (up[perm[i]] >> perm[j] & 1)
                 for i in idx
                 for j in idx
             ):

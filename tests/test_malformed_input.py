@@ -2,8 +2,10 @@
 naming the offending value: a word or subset that is not iterable, or
 holds an unhashable letter, a bool or an index past the generators;
 word or name text that is not a string; a generator key that is not a
-generator; a bond that is not an int >= 3 or 'inf'; a side other than
-'left' or 'right'; a polynomial type other than 'q' or '-1'."""
+generator; a bond that is not an int >= 3 or 'inf'; a count (a radius,
+a size cap or a scan bound) that is not an int >= 0 or is a bool; a side
+other than 'left' or 'right'; a polynomial type other than 'q' or
+'-1'."""
 
 import re
 
@@ -12,7 +14,7 @@ import pytest
 from coxkl import InputError, validate_system
 from coxkl.bruhat import bruhat_leq, cone, interval, parabolic_interval
 from coxkl.extension import extend_system, lift, lift_interval, verify_reduction
-from coxkl.invariance import ClassX
+from coxkl.invariance import ClassX, ScanConfig, check_hypothesis_pair, find_isomorphisms
 from coxkl.klpoly import bar_squared_check, get_table
 
 A3 = [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
@@ -143,6 +145,32 @@ def test_bad_bond_is_an_input_error(a3_ext, call, bond):
     sys_, _ext = a3_ext
     with pytest.raises(InputError, match=re.escape(f"must be an int >= 3 or 'inf', not {bond!r}")):
         BOND_CALLS[call](sys_, bond)
+
+
+# entry point -> (call(system, n), the name of n in the message)
+COUNT_CALLS = {
+    "ball": (lambda s, n: s.ball(n), "radius"),
+    "all_elements": (lambda s, n: s.all_elements(n), "cap"),
+    "find_isomorphisms": (
+        lambda s, n: next(find_isomorphisms(interval(s, (), (0, 1)), interval(s, (), (0, 1)), cap=n)),
+        "cap",
+    ),
+    "check_hypothesis_pair": (
+        lambda s, n: check_hypothesis_pair(interval(s, (), (0, 1)), interval(s, (), (0, 1)), cap=n),
+        "cap",
+    ),
+    **{key: (lambda s, n, key=key: ScanConfig([("A3", s)], **{key: n}), key)
+       for key in ("max_length", "max_rank_gap", "max_interval_size")},
+}
+
+
+@pytest.mark.parametrize("n", [-1, True, False, "10", None, 2.0, [3]])
+@pytest.mark.parametrize("call", sorted(COUNT_CALLS))
+def test_bad_count_is_an_input_error(a3_ext, call, n):
+    """all_elements(None) on an infinite group would walk without a bound."""
+    fn, what = COUNT_CALLS[call]
+    with pytest.raises(InputError, match=re.escape(f"{what} must be a nonnegative integer, not {n!r}")):
+        fn(a3_ext[0], n)
 
 
 @pytest.mark.parametrize("x", ["Q", "", None, 1, True, ["q"]])

@@ -84,3 +84,40 @@ def test_import_graph_has_no_cycle():
     for name in sorted(edges):
         cycle = visit(name)
         assert cycle is None, " -> ".join(cycle)
+
+
+def _exports():
+    """The names coxkl/__init__ binds at module level."""
+    tree = ast.parse(MODULES["__init__"].read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _oracle_imports(source: str):
+    """(coxkl names imported from the package, coxkl modules imported
+    directly) by a test module's source."""
+    names, modules = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "coxkl":
+            if node.module == "coxkl":
+                names |= {a.name for a in node.names}
+            else:
+                modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names if a.name.split(".")[0] == "coxkl"}
+    return names, modules
+
+
+def test_oracles_import_only_public_names():
+    """tests/oracles.py shares no code with the package beyond its public
+    names, so a fault in the code under test cannot hide in an oracle."""
+    assert {"LaurentPoly", "CoxeterSystem", "bruhat_leq", "scan"} <= _exports()
+    assert _oracle_imports("from coxkl.klpoly import _mirror\nimport coxkl.bruhat\n") == (
+        set(), {"coxkl.klpoly", "coxkl.bruhat"})
+    names, modules = _oracle_imports((Path(__file__).parent / "oracles.py").read_text())
+    assert names and names <= _exports() and modules == set()
