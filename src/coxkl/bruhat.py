@@ -383,17 +383,12 @@ class _Shell:
 
 
 def _build_interval(sys, u, v, J, depth=0, keep=None):
-    """`_shell_interval`, after checking u and v."""
+    """[u, v], marked with J unless J is None, after checking that u and
+    v are canonical words in W^J: from the system's latest shell if it
+    has top v and keep and reaches u, else from a new one at least depth
+    deep, which takes its place."""
     jmask = bitmask(J or ())
-    u = sys._check_rep(u, jmask, "u")
-    return _shell_interval(sys, u, sys._check_rep(v, jmask, "v"), J, depth, keep)
-
-
-def _shell_interval(sys, u, v, J, depth=0, keep=None):
-    """[u, v], marked with J unless J is None, for canonical words u and v
-    in W^J that coxkl made: from the system's latest shell if it has top
-    v and keep and reaches u, else from a new one at least depth deep,
-    which takes its place."""
+    u, v = sys._check_rep(u, jmask, "u"), sys._check_rep(v, jmask, "v")
     shell = sys.caches.get("shell")
     if shell is None or shell.top != v or shell.keep != keep or shell.depth < len(v) - len(u):
         shell = sys.caches["shell"] = _Shell(sys, v, max(depth, len(v) - len(u)), keep)

@@ -239,15 +239,12 @@ def cmd_scan(args) -> int:
     _check_output(csv_path, args.config)
     config = serialize.load_scan_config(args.config)
     report = run_scan(config)
+    obj = report.to_jsonable()
     with open(json_path, "w") as fh:
-        fh.write(canonical_dumps(report.to_jsonable()))
+        fh.write(canonical_dumps(obj))
     with open(csv_path, "w") as fh:
         fh.write(report.csv_text())
-    result = {
-        "report": json_path,
-        "csv": csv_path,
-        "summary": report.to_jsonable()["summary"],
-    }
+    result = {"report": json_path, "csv": csv_path, "summary": obj["summary"]}
     _emit("scan", {"config": args.config}, result, started, report.stats())
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
 

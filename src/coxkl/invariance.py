@@ -18,7 +18,7 @@ import time
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .bruhat import IntervalPoset, IsoWitness, _by_length, _order, _Shell, _shell_interval
+from .bruhat import IntervalPoset, IsoWitness, _bits, _by_length, _order, _Shell
 from .core import (
     INF,
     ClassX,
@@ -47,11 +47,16 @@ def find_isomorphisms(
 
     Backtracking over elements in rank order, pruned by per-element
     invariants (rank, degrees, ideal and filter sizes, marked flag if
-    respect_marking), which each call builds afresh.
+    respect_marking), which each call builds afresh.  The cap and sizes
+    are checked at the call.
     """
     check_count(cap, "cap")
     if A.size > cap or B.size > cap:
         raise PreconditionError(f"interval size exceeds the cap of {cap}")
+    return _isomorphisms(A, B, respect_marking)
+
+
+def _isomorphisms(A, B, respect_marking):
     keys_a, keys_b = (
         [t if respect_marking else t[:-1] for t in ivl.element_invariants()] for ivl in (A, B)
     )
@@ -104,13 +109,13 @@ def find_isomorphisms(
 
 class ScanCase:
     """One scan instance: its marked interval [u, v]^J, which holds the
-    system, J, u and v, its report label (system name, J names, u, v) and
-    its polynomials (`_polys`)."""
+    system, J, u and v, its report label (system name, J names, u, v),
+    its polynomials (`_polys`) and, under lift controls, its lift u st."""
 
-    __slots__ = ("interval", "label", "polys")
+    __slots__ = ("interval", "label", "polys", "lift")
 
     def __init__(self, interval, label):
-        self.interval, self.label, self.polys = interval, label, None
+        self.interval, self.label, self.polys, self.lift = interval, label, None, None
 
 
 def _names(sys, J) -> str:
@@ -236,6 +241,8 @@ class ScanReport:
         self.kernels: dict = {}  # system name -> set of kernel kinds
         self.memo = memo_sizes()  # summed over the scanned systems at the end
         self.shells = [0, 0, 0]  # shells made, their elements, the largest
+        self.extensions: dict = {}  # (system name, J) -> extension, during the scan
+        self.lifted_shells = 0  # lifted shells checked against their base shells
         self.iso = {"searches": 0, "memo_hits": 0, "shared": 0}
         self.shapes = 0  # distinct marked shapes among the cases
 
@@ -264,9 +271,9 @@ class ScanReport:
 
     def stats(self) -> dict:
         """Wall seconds per phase, work counts, the kernel kind of each
-        system, the summed entries of each memo table and the shells.  Timings vary
-        from run to run, so they belong in the stdout envelope, never in
-        the report files."""
+        system, the summed entries of each memo table and the (lifted)
+        shells.  Timings vary from run to run, so they belong in
+        the stdout envelope, never in the report files."""
         return {
             "phase_seconds": {k: round(t, 6) for k, t in self.phase_seconds.items()},
             "cases": self.cases,
@@ -277,6 +284,7 @@ class ScanReport:
             "iso": dict(self.iso),
             "shapes": self.shapes,
             "shells": dict(zip(("count", "elements", "largest"), self.shells)),
+            "lifts": {"shells": self.lifted_shells},
         }
 
     def count_tables(self, name: str, sys: CoxeterSystem) -> None:
@@ -357,8 +365,11 @@ def _row(report, case_a, case_b, kind, iso, equal):
 def _enumerate_cases(report, config):
     """The cases in (system, J, v, u) order.  A top v's shell gives its
     bottoms u in W^J for every J at once, and their marks; each [u, v] is
-    built once, every J marks a copy, and each word is written once."""
-    cases = []
+    built once, every J marks a copy, and each word is written once.
+    Under lift controls, each J with cases at v makes its extension once,
+    and the shell of v st while v's is alive, checks it with `_lifts_onto`
+    and gives the cases their lifts u st."""
+    cases, extensions = [], report.extensions
     for name, sys in config.entries:
         if config.class_x is not None and not is_class_x(sys.matrix, config.class_x):
             report.skipped_systems.append(name)
@@ -371,6 +382,7 @@ def _enumerate_cases(report, config):
             shell = _Shell(sys, v, config.max_rank_gap)
             right = sys.kernel.right
             live = [q for q in quotients if not right(shell.elems[-1]) & q[1]]
+            made: dict = {}  # J -> [(shell index of u, case)]
             for i, u in enumerate(shell.words):
                 mask = right(shell.elems[i])
                 marks = [q for q in live if not mask & q[1]]
@@ -384,34 +396,57 @@ def _enumerate_cases(report, config):
                 for J, jmask, jnames, got in marks:
                     marked = ivl.with_marking(J, shell.marked(sys, ids, jmask))
                     got.append(ScanCase(marked, (name, jnames, text(u), text(v))))
+                    if config.lift_controls:
+                        made.setdefault(J, []).append((i, got[-1]))
+            for J, made_at in made.items():
+                ext = extensions.get((name, J))
+                if ext is None:
+                    ext = extensions[name, J] = extend_system(sys, J, class_x=config.class_x)
+                lifted = _Shell(ext.extended, lift(ext, v), shell.depth, keep=ext.stilde)
+                if not _lifts_onto(shell, lifted, ext, made_at):
+                    raise InvariantError(f"the shell of {text(v)} does not lift")
+                report.lifted_shells += 1
+                for i, case in made_at:
+                    case.lift = lifted.words[i]
         for *_, got in quotients:
             cases.extend(got)
     return cases
 
 
-def _run_controls(report, cases, config, extensions):
-    """Match each case with its lift; extensions collects the extended
-    system of each (system name, J).  Each base word is lifted, and each
-    lift written, once per extension; `lift` made the words, so no end
-    is checked again.  The cases of one top are
-    contiguous, so they share the shell of its lift (of the words with
-    st), until the next top's replaces it."""
-    lifts: dict = {}  # (system name, J) -> (S, label head, lift, word_str), memoized
+def _lifts_onto(shell, lifted, ext, made_at) -> bool:
+    """Whether z -> z st maps v's shell onto v st's (Bjorner-Brenti 2.2.7):
+    word for word, cover for cover (equal `above` lists, so equal sizes),
+    and W^J onto the maximal quotient on the cases' intervals [u, v], for
+    u at the shell indexes in made_at."""
+    right, eright, tail = ext.base.kernel.right, ext.extended.kernel.right, (ext.stilde,)
+    jmask, smask, up = bitmask(ext.J), bitmask(ext.maximal_quotient), 0
+    for i, _case in made_at:
+        up |= shell.up[i]
+    return lifted.above == shell.above and all(
+        x == w + tail for w, x in zip(shell.words, lifted.words)) and all(
+        (not right(shell.elems[j]) & jmask) == (not eright(lifted.elems[j]) & smask)
+        for j in _bits(up))
+
+
+def _run_controls(report, cases, config):
+    """Match each case with its lift [u st, v st] from `_enumerate_cases`,
+    which shares the case's shape and marking records and reads its ground
+    from the extension's index.  Each lift is written once per extension."""
+    lifts: dict = {}  # (system name, J) -> (extended system, S, label head, word_str, (st,))
     for case in cases:
         ivl = case.interval
         key = (case.label[0], ivl.J)
-        ext = extensions.get(key)
-        if ext is None:
-            ext = extensions[key] = extend_system(ivl.system, ivl.J, class_x=config.class_x)
-            S, cache = ext.maximal_quotient, functools.cache
-            lifts[key] = (S, (key[0] + "~ext", _names(ext.extended, S)),
-                          cache(functools.partial(lift, ext)), cache(ext.extended.word_str))
-        S, head, lifted_of, text = lifts[key]
-        lu, lv = lifted_of(ivl.bottom), lifted_of(ivl.top)
-        lifted = ScanCase(
-            _shell_interval(ext.extended, lu, lv, S, config.max_rank_gap, ext.stilde),
-            (*head, text(lu), text(lv)),
-        )
+        if key not in lifts:
+            ext = report.extensions[key]
+            esys, S = ext.extended, ext.maximal_quotient
+            lifts[key] = (esys, S, (key[0] + "~ext", _names(esys, S)),
+                          functools.cache(esys.word_str), (ext.stilde,))
+        esys, S, head, text, tail = lifts[key]
+        words, index = esys.kernel.words, esys.canonical_memo
+        ground = tuple(words[index[z + tail]] for z in ivl.ground)
+        lifted = ScanCase(object.__new__(IntervalPoset)._fill(
+            esys, case.lift, ground[-1], S, ground, ivl._shape, ivl.marked),
+            (*head, text(case.lift), text(ground[-1])))
         witness = check_hypothesis_pair(
             case.interval, lifted.interval, config.max_interval_size, report.iso
         )
@@ -491,16 +526,16 @@ def scan(config: ScanConfig) -> ScanReport:
     t = clock()
     matched = _match_buckets(report, buckets, config)
     seconds["matching"] = clock() - t
-    extensions: dict = {}
     if matched and config.lift_controls:
         t = clock()
-        _run_controls(report, cases, config, extensions)
+        _run_controls(report, cases, config)
         seconds["controls"] = clock() - t
     systems = [*config.entries,
-               *((name + "~ext", ext.extended) for (name, _J), ext in extensions.items())]
+               *((name + "~ext", ext.extended) for (name, _J), ext in report.extensions.items())]
     for name, sys in systems:
         report.count_tables(name, sys)
     report.memo = memo_sizes(*(sys for _name, sys in systems))
+    report.extensions.clear()  # keep their counts, not the systems, past the scan
     return report
 
 

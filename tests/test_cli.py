@@ -604,6 +604,18 @@ def test_scan_report_bytes_are_pinned(capsys, tmp_path):
         assert report_digests(tmp_path / name) == REPORT_DIGESTS[name], name
 
 
+def test_failed_lift_check_exits_without_reports(capsys, tmp_path, monkeypatch):
+    """A lifted shell that fails its check is an invariant failure: the
+    scan exits 1 and writes no report."""
+    import coxkl.invariance
+
+    monkeypatch.setattr(coxkl.invariance, "_lifts_onto", lambda *args: False)
+    code, out, err = run(capsys, "scan", "--config", str(CONFIGS / "a3-maximal.json"),
+                         "--out", str(tmp_path / "a3"))
+    assert (code, out) == (1, "") and "does not lift" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
     systems = []
     count_tables = ScanReport.count_tables
@@ -624,8 +636,8 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
         assert sys.caches.get("order") and not {"leq", "cone"} & set(sys.caches)
     obj = envelope(out)
     stats, summary = obj["stats"], obj["result"]["summary"]
-    assert set(stats) == {"phase_seconds", "cases", "pairs_checked",
-                          "controls_checked", "kernels", "memo", "iso", "shapes", "shells"}
+    assert set(stats) == {"phase_seconds", "cases", "pairs_checked", "controls_checked",
+                          "kernels", "memo", "iso", "shapes", "shells", "lifts"}
     assert stats["kernels"] == {"A3": "ring:int", "A3~ext": "ring:int"}
     assert set(stats["memo"]) == {"elements", "canonical", "order", "R", "P", "Pdual"}
     assert all(stats["memo"][k] > 0 for k in ("elements", "canonical", "order", "P"))
@@ -634,6 +646,9 @@ def test_scan_stats_in_envelope_only(capsys, tmp_path, monkeypatch):
     shells = stats["shells"]
     assert set(shells) == {"count", "elements", "largest"}
     assert 0 < shells["largest"] <= shells["elements"] and shells["count"] > 0
+    # each lifted shell was checked, and is one of the shells
+    assert set(stats["lifts"]) == {"shells"}
+    assert 0 < stats["lifts"]["shells"] < shells["count"]
     # one entry per computed pair and type; pinned so that entry counting cannot drift
     assert [stats["memo"][k] for k in ("R", "P", "Pdual")] == [104, 104, 0]
     assert set(stats["phase_seconds"]) == {"enumerate", "buckets", "matching",

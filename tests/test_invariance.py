@@ -12,6 +12,7 @@ from coxkl import INF, InputError, InvariantError, PreconditionError, validate_s
 from coxkl.bruhat import (
     IsoWitness,
     _build_interval,
+    _Shell,
     bruhat_leq,
     cone,
     interval,
@@ -24,6 +25,8 @@ from coxkl.invariance import (
     ScanConfig,
     ScanReport,
     _enumerate_cases,
+    _lifts_onto,
+    _run_controls,
     check_hypothesis_pair,
     find_isomorphisms,
     is_class_x,
@@ -262,14 +265,27 @@ def _a3b3_len3():
     return scan_config_from_jsonable(obj)
 
 
-def test_pruned_lifted_shells_give_the_unpruned_intervals(h3):
+def test_pruned_lifted_shells_give_the_unpruned_intervals(h3, monkeypatch):
     """For every lift control of scan_a3b3_all at max_length 3 and of
     H3's maximal quotients (general backend): the lifted interval that
     the scan builds, from a shell of v st that keeps only the words
     containing st, equals in ground, covers and marked set the one from
     an unpruned shell of v st, and the pruned shell holds no word
     without st.  Building the two in turn, `_build_interval` never
-    reuses a shell that keeps other words."""
+    reuses a shell that keeps other words.  In the scan, every case
+    keeps its lift u st, and each
+    control's lifted interval, built from its case's records and the
+    extension's index, equals the one from an unpruned shell too."""
+    import coxkl.invariance
+
+    controls = []
+    check = coxkl.invariance.check_hypothesis_pair
+
+    def recorded(ia, ib, *args):
+        controls.append((ia, ib))
+        return check(ia, ib, *args)
+
+    monkeypatch.setattr(coxkl.invariance, "check_hypothesis_pair", recorded)
     assert h3.backend == "general"
     h3_maximal = ScanConfig([("H3", h3)], quotients="maximal", max_length=15)
     for config in (_a3b3_len3(), h3_maximal):
@@ -291,6 +307,40 @@ def test_pruned_lifted_shells_give_the_unpruned_intervals(h3):
             assert (pruned.ground, pruned.covers, pruned.marked) == (
                 full.ground, full.covers, full.marked)
         assert dropped > 0
+        report = ScanReport({})
+        cases = _enumerate_cases(report, config)
+        assert report.lifted_shells > 0
+        del controls[:]
+        _run_controls(report, cases, config)
+        assert report.ok and report.controls_checked == len(controls) == len(cases)
+        for case, (ivl, got) in zip(cases, controls):
+            ext = report.extensions[case.label[0], ivl.J]
+            sys_, S, gap = ext.extended, ext.maximal_quotient, config.max_rank_gap
+            assert ivl is case.interval and case.lift is not None
+            assert (got.system, got.J, got.bottom, got.top) == (
+                sys_, S, case.lift, lift(ext, ivl.top))
+            full = _build_interval(sys_, case.lift, got.top, S, gap)
+            assert (got.ground, got.covers, got.marked) == (full.ground, full.covers, full.marked)
+
+
+def test_lifts_onto_checks_words_and_marks(a3):
+    """`_lifts_onto` accepts the shell of v st against v's shell, and
+    refuses the shell of another top's lift, its words out of place and
+    the marks of another J."""
+    ext = extend_system(a3, frozenset({0, 1}))
+
+    def lifted(w):
+        return _Shell(ext.extended, lift(ext, w), 3, keep=ext.stilde)
+
+    v, w = a3.element("s1 s2 s3"), a3.element("s2 s1 s3")
+    shell, made_at = _Shell(a3, v, 3), [(0, None)]  # index 0 is e, below all
+    assert _lifts_onto(shell, lifted(v), ext, made_at)
+    assert not _lifts_onto(shell, lifted(w), ext, made_at)
+    moved = lifted(v)
+    moved.words = moved.words[1:] + moved.words[:1]  # same covers and marks
+    assert not _lifts_onto(shell, moved, ext, made_at)
+    for K in (frozenset(), frozenset({2}), frozenset({0, 2})):
+        assert not _lifts_onto(shell, lifted(v), ext._replace(J=K), made_at)
 
 
 def test_memoized_witnesses_are_the_first_ones_found():

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from coxkl import InputError, validate_system
+from coxkl import InputError, PreconditionError, validate_system
 from coxkl.bruhat import bruhat_leq, cone, interval, parabolic_interval
 from coxkl.extension import extend_system, lift, lift_interval, verify_reduction
 from coxkl.invariance import ClassX, ScanConfig, check_hypothesis_pair, find_isomorphisms
@@ -151,8 +151,9 @@ def test_bad_bond_is_an_input_error(a3_ext, call, bond):
 COUNT_CALLS = {
     "ball": (lambda s, n: s.ball(n), "radius"),
     "all_elements": (lambda s, n: s.all_elements(n), "cap"),
+    # the call raises: no witness is asked for
     "find_isomorphisms": (
-        lambda s, n: next(find_isomorphisms(interval(s, (), (0, 1)), interval(s, (), (0, 1)), cap=n)),
+        lambda s, n: find_isomorphisms(interval(s, (), (0, 1)), interval(s, (), (0, 1)), cap=n),
         "cap",
     ),
     "check_hypothesis_pair": (
@@ -171,6 +172,20 @@ def test_bad_count_is_an_input_error(a3_ext, call, n):
     fn, what = COUNT_CALLS[call]
     with pytest.raises(InputError, match=re.escape(f"{what} must be a nonnegative integer, not {n!r}")):
         fn(a3_ext[0], n)
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+@pytest.mark.parametrize("respect_marking", [False, True])
+def test_find_isomorphisms_over_the_cap_raises_at_the_call(a3_ext, cap, respect_marking):
+    """[e, s1 s2] has four elements; either side over the cap is refused
+    before any witness is asked for.  At the cap, the diamond's two
+    automorphisms (no element unmarked) are found."""
+    sys_, _ext = a3_ext
+    small, big = interval(sys_, (), (0,)), interval(sys_, (), (0, 1))
+    for a, b in ((big, big), (big, small), (small, big)):
+        with pytest.raises(PreconditionError, match=f"exceeds the cap of {cap}"):
+            find_isomorphisms(a, b, respect_marking, cap)
+    assert len(list(find_isomorphisms(big, big, respect_marking, 4))) == 2
 
 
 @pytest.mark.parametrize("x", ["Q", "", None, 1, True, ["q"]])
