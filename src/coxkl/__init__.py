@@ -45,7 +45,6 @@ from .extension import (
     extend_system,
     lift,
     lift_interval,
-    lift_order_embedding_check,
     verify_reduction,
     verify_reduction_sweep,
 )

@@ -330,7 +330,7 @@ class _Shell:
     indexes above), so [u, v] is up[u].  caches["shells"] counts the
     system's shells, their elements and the largest."""
 
-    __slots__ = ("top", "depth", "keep", "words", "elems", "pos", "above", "up")
+    __slots__ = ("top", "depth", "words", "elems", "pos", "above", "up")
 
     def __init__(self, sys, v, depth, keep=None):
         k = sys.kernel
@@ -344,7 +344,7 @@ class _Shell:
                 below[z] = got
                 level.update(got)
             levels.append(sorted(level, key=k.words.__getitem__))
-        self.top, self.depth, self.keep = v, depth, keep
+        self.top, self.depth = v, depth
         self.elems = elems = [z for level in reversed(levels) for z in level]
         self.words = list(map(k.words.__getitem__, elems))
         self.pos = pos = {z: i for i, z in enumerate(elems)}
@@ -382,16 +382,16 @@ class _Shell:
         return IntervalPoset(sys, u, self.top, J, ground, covers, marked)
 
 
-def _build_interval(sys, u, v, J, depth=0, keep=None):
+def _build_interval(sys, u, v, J):
     """[u, v], marked with J unless J is None, after checking that u and
     v are canonical words in W^J: from the system's latest shell if it
-    has top v and keep and reaches u, else from a new one at least depth
-    deep, which takes its place."""
+    has top v and reaches u, else from a new one that reaches u, which
+    takes its place."""
     jmask = bitmask(J or ())
     u, v = sys._check_rep(u, jmask, "u"), sys._check_rep(v, jmask, "v")
     shell = sys.caches.get("shell")
-    if shell is None or shell.top != v or shell.keep != keep or shell.depth < len(v) - len(u):
-        shell = sys.caches["shell"] = _Shell(sys, v, max(depth, len(v) - len(u)), keep)
+    if shell is None or shell.top != v or shell.depth < len(v) - len(u):
+        shell = sys.caches["shell"] = _Shell(sys, v, len(v) - len(u))
     ivl = shell.interval(sys, u, J)
     if ivl is None:
         raise PreconditionError("u is not <= v in Bruhat order")

@@ -223,7 +223,8 @@ def cmd_verify_reduction(args) -> int:
         "records": records,
     }
     seconds = {k: round(t, 6) for k, t in report.phase_seconds.items()}
-    stats = {"memo": memo_sizes(sys, ext.extended), "phase_seconds": seconds}
+    stats = {"memo": memo_sizes(sys, ext.extended), "phase_seconds": seconds,
+             "lifts": {"shells": report.lifted_shells}}
     _emit("verify-reduction", {"system": name}, result, started, stats)
     return EXIT_OK if report.all_equal else EXIT_DISAGREEMENT
 

@@ -6,8 +6,11 @@ everything else (3 by default, which keeps crystallographic systems
 crystallographic).  Right-multiplying by st lifts W^J onto the part of
 the maximal quotient of the extended system that lies in W st, carrying
 intervals, marked subsets and both polynomial families along with it.
-verify_reduction checks the polynomial transport on concrete pairs, via
-both computation paths.
+One check certifies the lift of intervals (`_lifted_shell`): for a top
+v, it builds the shell of v st once and compares it with v's shell, so
+every [u, v]^J below v is carried at once.  The scan, the sweep and
+`lift_interval` all call it.  verify_reduction checks the polynomial
+transport on concrete pairs, via both computation paths.
 """
 
 from __future__ import annotations
@@ -15,8 +18,16 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .bruhat import IsoWitness, _build_interval, _leq, cone
-from .core import ClassX, CoxeterSystem, InputError, InvariantError, PreconditionError, check_bond
+from .bruhat import IsoWitness, _bits, _Shell, cone
+from .core import (
+    ClassX,
+    CoxeterSystem,
+    InputError,
+    InvariantError,
+    PreconditionError,
+    bitmask,
+    check_bond,
+)
 from .klpoly import KL_TYPES, get_table
 from .laurent import LaurentPoly
 
@@ -91,26 +102,40 @@ def lift(ext: ExtendedSystem, z) -> tuple:
     return lifted
 
 
-def lift_interval(ext: ExtendedSystem, u, v):
-    """Lift [u, v]^J to [u st, v st]^S and certify the transport.
+def _lifted_shell(ext: ExtendedSystem, shell, at) -> _Shell:
+    """The shell of v st at the depth of v's shell (v its top), keeping
+    the words with st, after checking that z -> z st maps v's shell onto
+    it (Bjorner-Brenti 2.2.7): word for word, cover for cover (equal
+    `above` lists, so equal sizes), and W^J onto the maximal quotient on
+    the intervals [u, v] for u at the shell indexes in at.  A failure is
+    an InvariantError."""
+    lifted = _Shell(ext.extended, lift(ext, shell.top), shell.depth, keep=ext.stilde)
+    right, eright, tail = ext.base.kernel.right, ext.extended.kernel.right, (ext.stilde,)
+    jmask, smask, up = bitmask(ext.J), bitmask(ext.maximal_quotient), 0
+    for i in at:
+        up |= shell.up[i]
+    if not (lifted.above == shell.above and all(
+            x == w + tail for w, x in zip(shell.words, lifted.words)) and all(
+            (not right(shell.elems[j]) & jmask) == (not eright(lifted.elems[j]) & smask)
+            for j in _bits(up))):
+        raise InvariantError(f"the shell of {ext.base.word_str(shell.top)} does not lift")
+    return lifted
 
-    Returns the directly built lifted interval (from a shell of the words
-    with st) together with the witness
-    z -> z st from the base interval.  Raises InvariantError unless the
-    witness verifies as a marked isomorphism (a failure would be an
-    implementation bug); an element lifted outside the direct interval
-    leaves the mapping no bijection.
-    """
-    base_ivl = _build_interval(ext.base, u, v, ext.J)
-    lifted_ivl = _build_interval(
-        ext.extended, lift(ext, u), lift(ext, v), ext.maximal_quotient, keep=ext.stilde
-    )
-    index = {w: i for i, w in enumerate(lifted_ivl.ground)}
-    mapping = tuple(index.get(lift(ext, z), -1) for z in base_ivl.ground)
-    witness = IsoWitness(base_ivl, lifted_ivl, mapping, respects_marking=True)
-    if not witness.verify():
-        raise InvariantError("lift is not a marked isomorphism onto the direct interval")
-    return lifted_ivl, witness
+
+def lift_interval(ext: ExtendedSystem, u, v):
+    """Lift [u, v]^J to [u st, v st]^S: the lifted interval, from the
+    checked shell of v st (`_lifted_shell` on u alone), and the witness
+    z -> z st from the base interval, which that check certifies."""
+    base, J, jmask = ext.base, ext.J, bitmask(ext.J)
+    u, v = base._check_rep(u, jmask, "u"), base._check_rep(v, jmask, "v")
+    shell = _Shell(base, v, len(v) - len(u))
+    i = shell.pos.get(base.canonical_memo.get(u))
+    if i is None:
+        raise PreconditionError("u is not <= v in Bruhat order")
+    lifted, ids = _lifted_shell(ext, shell, (i,)), shell.ids(i)
+    lifted_ivl = lifted.interval(ext.extended, lifted.words[i], ext.maximal_quotient, ids)
+    base_ivl = shell.interval(base, u, J, ids)
+    return lifted_ivl, IsoWitness(base_ivl, lifted_ivl, tuple(range(len(ids))), True)
 
 
 class ReductionRecord(NamedTuple):
@@ -127,8 +152,9 @@ class ReductionRecord(NamedTuple):
 class ReductionReport:
     def __init__(self):
         self.records: list[ReductionRecord] = []
-        # wall seconds of the sweep's polynomial checks and lifted intervals
+        # wall seconds of the sweep's polynomial checks and lifted-shell checks
         self.phase_seconds = dict.fromkeys(("polynomials", "intervals"), 0.0)
+        self.lifted_shells = 0  # lifted shells checked, one per top
 
     @property
     def all_equal(self) -> bool:
@@ -178,44 +204,20 @@ def verify_reduction(ext: ExtendedSystem, u, v, report: ReductionReport | None =
 
 
 def verify_reduction_sweep(ext: ExtendedSystem, max_length: int) -> ReductionReport:
-    """verify_reduction and lift_interval over every pair u <= v in W^J
-    with l(v) <= max_length."""
+    """verify_reduction over every pair u <= v in W^J with
+    l(v) <= max_length, after one `_lifted_shell` check per top v, on
+    the bottoms u of its pairs."""
     sys, clock = ext.base, time.perf_counter
     report = ReductionReport()
     seconds = report.phase_seconds
     for v in sys.ball(max_length, ext.J):
-        for u in cone(sys, v, ext.J):
-            t0 = clock()
+        t0 = clock()
+        shell, bottoms = _Shell(sys, v, len(v)), cone(sys, v, ext.J)
+        _lifted_shell(ext, shell, [shell.pos[sys.canonical_memo[u]] for u in bottoms])
+        report.lifted_shells += 1
+        t1 = clock()
+        for u in bottoms:
             verify_reduction(ext, u, v, report)
-            t1 = clock()
-            lift_interval(ext, u, v)
-            seconds["polynomials"] += t1 - t0
-            seconds["intervals"] += clock() - t1
+        seconds["intervals"] += t1 - t0
+        seconds["polynomials"] += clock() - t1
     return report
-
-
-def lift_order_embedding_check(ext: ExtendedSystem, radius: int = 8) -> bool:
-    """Certify that z -> z st is an order isomorphism from W^J onto the
-    slice of the extended maximal quotient inside W st, on a length ball.
-
-    Order is checked pairwise in both directions; surjectivity is checked
-    against a direct enumeration of the extended maximal quotient.
-    """
-    sys = ext.base
-    wj = sys.ball(radius, ext.J)
-    lifted = {w: lift(ext, w) for w in wj}
-    for a in wj:
-        for b in wj:
-            if _leq(sys, a, b) != _leq(ext.extended, lifted[a], lifted[b]):
-                return False
-    stilde = ext.stilde
-    target = set()
-    for z in ext.extended.ball(radius + 1, ext.maximal_quotient):
-        if not ext.extended.descent_mask(z, "right") >> stilde & 1:
-            continue
-        w = ext.extended.multiply_gen(z, stilde, "right")
-        if any(s == stilde for s in w):
-            continue
-        if len(w) <= radius:
-            target.add(z)
-    return target == set(lifted.values())

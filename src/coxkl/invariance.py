@@ -18,7 +18,7 @@ import time
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .bruhat import IntervalPoset, IsoWitness, _bits, _by_length, _order, _Shell
+from .bruhat import IntervalPoset, IsoWitness, _by_length, _order, _Shell
 from .core import (
     INF,
     ClassX,
@@ -30,7 +30,7 @@ from .core import (
     check_count,
     is_class_x,
 )
-from .extension import extend_system, lift
+from .extension import _lifted_shell, extend_system
 from .klpoly import KL_TYPES, check_kl_type, get_table, memo_sizes
 from .laurent import LaurentPoly
 
@@ -367,8 +367,8 @@ def _enumerate_cases(report, config):
     bottoms u in W^J for every J at once, and their marks; each [u, v] is
     built once, every J marks a copy, and each word is written once.
     Under lift controls, each J with cases at v makes its extension once,
-    and the shell of v st while v's is alive, checks it with `_lifts_onto`
-    and gives the cases their lifts u st."""
+    and the checked shell of v st while v's is alive (`_lifted_shell`),
+    which gives the cases their lifts u st."""
     cases, extensions = [], report.extensions
     for name, sys in config.entries:
         if config.class_x is not None and not is_class_x(sys.matrix, config.class_x):
@@ -402,30 +402,13 @@ def _enumerate_cases(report, config):
                 ext = extensions.get((name, J))
                 if ext is None:
                     ext = extensions[name, J] = extend_system(sys, J, class_x=config.class_x)
-                lifted = _Shell(ext.extended, lift(ext, v), shell.depth, keep=ext.stilde)
-                if not _lifts_onto(shell, lifted, ext, made_at):
-                    raise InvariantError(f"the shell of {text(v)} does not lift")
+                lifted = _lifted_shell(ext, shell, [i for i, _case in made_at])
                 report.lifted_shells += 1
                 for i, case in made_at:
                     case.lift = lifted.words[i]
         for *_, got in quotients:
             cases.extend(got)
     return cases
-
-
-def _lifts_onto(shell, lifted, ext, made_at) -> bool:
-    """Whether z -> z st maps v's shell onto v st's (Bjorner-Brenti 2.2.7):
-    word for word, cover for cover (equal `above` lists, so equal sizes),
-    and W^J onto the maximal quotient on the cases' intervals [u, v], for
-    u at the shell indexes in made_at."""
-    right, eright, tail = ext.base.kernel.right, ext.extended.kernel.right, (ext.stilde,)
-    jmask, smask, up = bitmask(ext.J), bitmask(ext.maximal_quotient), 0
-    for i, _case in made_at:
-        up |= shell.up[i]
-    return lifted.above == shell.above and all(
-        x == w + tail for w, x in zip(shell.words, lifted.words)) and all(
-        (not right(shell.elems[j]) & jmask) == (not eright(lifted.elems[j]) & smask)
-        for j in _bits(up))
 
 
 def _run_controls(report, cases, config):

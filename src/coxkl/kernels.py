@@ -109,8 +109,9 @@ class RingKernel:
             self.rows.append(row)
             self.rights.append(None)
             self.covers.append(None)
+            self.index[word] = i  # before any path to i, so _id finds its word
             self.rows[j][t] = i
-            self.ids[y] = self.index[word] = j = i
+            self.ids[y] = j = i
         return j
 
     def walk(self, word) -> int:

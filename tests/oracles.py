@@ -12,6 +12,10 @@ in the oracle too.
 * `subword_leq_oracle`: u <= v by enumerating all 2^l subwords of v.
 * `project_to_quotient` and `deodhar_criterion`: u <= v through the
   images of u and v in every maximal quotient.
+* `lift_order_embedding_check`: z -> z st as an order isomorphism from
+  W^J onto its image in the extended maximal quotient, by comparing
+  every pair of a length ball in both systems and enumerating the
+  image's ball, with no shell.
 * `laurent_normal_form`: the offset, coefficients and display of a
   Laurent polynomial, from a map of its nonzero terms.
 * `Laurent`: the reference arithmetic of Laurent polynomials (sums,
@@ -21,7 +25,7 @@ in the oracle too.
 
 from __future__ import annotations
 
-from coxkl import CoxeterSystem, bruhat_leq
+from coxkl import CoxeterSystem, ExtendedSystem, bruhat_leq, lift
 
 
 class Golden:
@@ -186,6 +190,33 @@ def deodhar_criterion(sys: CoxeterSystem, u, v) -> bool:
         ):
             return False
     return True
+
+
+def lift_order_embedding_check(ext: ExtendedSystem, radius: int = 8) -> bool:
+    """Certify that z -> z st is an order isomorphism from W^J onto the
+    slice of the extended maximal quotient inside W st, on a length ball.
+
+    Order is checked pairwise in both directions; surjectivity is checked
+    against a direct enumeration of the extended maximal quotient.
+    """
+    sys = ext.base
+    wj = sys.ball(radius, ext.J)
+    lifted = {w: lift(ext, w) for w in wj}
+    for a in wj:
+        for b in wj:
+            if bruhat_leq(sys, a, b) != bruhat_leq(ext.extended, lifted[a], lifted[b]):
+                return False
+    stilde = ext.stilde
+    target = set()
+    for z in ext.extended.ball(radius + 1, ext.maximal_quotient):
+        if not ext.extended.descent_mask(z, "right") >> stilde & 1:
+            continue
+        w = ext.extended.multiply_gen(z, stilde, "right")
+        if any(s == stilde for s in w):
+            continue
+        if len(w) <= radius:
+            target.add(z)
+    return target == set(lifted.values())
 
 
 def laurent_normal_form(coeffs, offset: int) -> tuple:

@@ -16,13 +16,12 @@ from coxkl.extension import (
     extend_system,
     lift,
     lift_interval,
-    lift_order_embedding_check,
     verify_reduction_sweep,
 )
 from coxkl.klpoly import bar_squared_check, get_table
 from coxkl.serialize import load_scan_config
 from coxkl.invariance import scan
-from oracles import Laurent, deodhar_criterion
+from oracles import Laurent, deodhar_criterion, lift_order_embedding_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -604,14 +604,28 @@ def test_scan_report_bytes_are_pinned(capsys, tmp_path):
         assert report_digests(tmp_path / name) == REPORT_DIGESTS[name], name
 
 
-def test_failed_lift_check_exits_without_reports(capsys, tmp_path, monkeypatch):
-    """A lifted shell that fails its check is an invariant failure: the
-    scan exits 1 and writes no report."""
-    import coxkl.invariance
+@pytest.mark.parametrize("argv", [
+    ["scan", "--config", str(CONFIGS / "a3-maximal.json")],
+    ["verify-reduction", "--system", str(CONFIGS / "a3.json"), "--quotient", "s2",
+     "--max-length", "3"],
+], ids=["scan", "verify-reduction"])
+def test_failed_lift_check_exits_without_reports(capsys, tmp_path, monkeypatch, argv):
+    """A lifted shell that fails the shared check (here, one whose words
+    are out of place) is an invariant failure: the command exits 1,
+    prints nothing on stdout and writes no report."""
+    import coxkl.extension
 
-    monkeypatch.setattr(coxkl.invariance, "_lifts_onto", lambda *args: False)
-    code, out, err = run(capsys, "scan", "--config", str(CONFIGS / "a3-maximal.json"),
-                         "--out", str(tmp_path / "a3"))
+    shell = coxkl.extension._Shell
+
+    def moved(sys, v, depth, keep=None):
+        got = shell(sys, v, depth, keep)
+        if keep is not None:
+            got.words = got.words[1:] + got.words[:1]
+        return got
+
+    monkeypatch.setattr(coxkl.extension, "_Shell", moved)
+    out_arg = ["--out", str(tmp_path / "r")] if argv[0] == "scan" else []
+    code, out, err = run(capsys, *argv, *out_arg)
     assert (code, out) == (1, "") and "does not lift" in err
     assert not list(tmp_path.iterdir())
 
@@ -697,9 +711,10 @@ def test_scan_bad_class_x_entry_exits_2(capsys, tmp_path, class_x):
         f"class_x entry must be an int >= 3 or 'inf', not {class_x[-1]!r}" in err)
 
 
-def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
+def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch, b3):
     """stats.memo holds the six table counts of the base system plus
-    those of the extended system."""
+    those of the extended system, and stats.lifts counts one checked
+    lifted shell per top."""
     import coxkl.cli
 
     seen = []
@@ -715,7 +730,10 @@ def test_verify_reduction_stats_sum_both_systems_memos(capsys, monkeypatch):
         "--quotient", "s1", "--max-length", "4",
     )
     assert code == 0
-    memo = envelope(out)["stats"]["memo"]
+    stats = envelope(out)["stats"]
+    assert set(stats) == {"memo", "phase_seconds", "lifts"}
+    assert stats["lifts"] == {"shells": len(b3.ball(4, frozenset({0})))}
+    memo = stats["memo"]
     assert len(seen) == 2
     assert memo == {kind: seen[0][kind] + seen[1][kind] for kind in seen[0]}
     assert set(memo) == {"elements", "canonical", "order", "R", "P", "Pdual"}

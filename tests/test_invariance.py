@@ -11,7 +11,6 @@ from conftest import all_subsets
 from coxkl import INF, InputError, InvariantError, PreconditionError, validate_system
 from coxkl.bruhat import (
     IsoWitness,
-    _build_interval,
     _Shell,
     bruhat_leq,
     cone,
@@ -19,13 +18,12 @@ from coxkl.bruhat import (
     parabolic_interval,
 )
 from coxkl.core import CoxeterMatrix
-from coxkl.extension import extend_system, lift
+from coxkl.extension import _lifted_shell, extend_system, lift
 from coxkl.invariance import (
     ClassX,
     ScanConfig,
     ScanReport,
     _enumerate_cases,
-    _lifts_onto,
     _run_controls,
     check_hypothesis_pair,
     find_isomorphisms,
@@ -271,9 +269,7 @@ def test_pruned_lifted_shells_give_the_unpruned_intervals(h3, monkeypatch):
     the scan builds, from a shell of v st that keeps only the words
     containing st, equals in ground, covers and marked set the one from
     an unpruned shell of v st, and the pruned shell holds no word
-    without st.  Building the two in turn, `_build_interval` never
-    reuses a shell that keeps other words.  In the scan, every case
-    keeps its lift u st, and each
+    without st.  In the scan, every case keeps its lift u st, and each
     control's lifted interval, built from its case's records and the
     extension's index, equals the one from an unpruned shell too."""
     import coxkl.invariance
@@ -298,12 +294,10 @@ def test_pruned_lifted_shells_give_the_unpruned_intervals(h3, monkeypatch):
             ext = extensions[key]
             sys_, S, st, gap = ext.extended, ext.maximal_quotient, ext.stilde, config.max_rank_gap
             lu, lv = lift(ext, ivl.bottom), lift(ext, ivl.top)
-            pruned = _build_interval(sys_, lu, lv, S, gap, st)
-            shell = sys_.caches["shell"]
-            assert shell.keep == st and all(st in w for w in shell.words)
-            full = _build_interval(sys_, lu, lv, S, gap)
-            assert sys_.caches["shell"].keep is None
-            dropped += len(sys_.caches["shell"].words) - len(shell.words)
+            shell, full_shell = _Shell(sys_, lv, gap, keep=st), _Shell(sys_, lv, gap)
+            assert all(st in w for w in shell.words)
+            dropped += len(full_shell.words) - len(shell.words)
+            pruned, full = shell.interval(sys_, lu, S), full_shell.interval(sys_, lu, S)
             assert (pruned.ground, pruned.covers, pruned.marked) == (
                 full.ground, full.covers, full.marked)
         assert dropped > 0
@@ -319,28 +313,36 @@ def test_pruned_lifted_shells_give_the_unpruned_intervals(h3, monkeypatch):
             assert ivl is case.interval and case.lift is not None
             assert (got.system, got.J, got.bottom, got.top) == (
                 sys_, S, case.lift, lift(ext, ivl.top))
-            full = _build_interval(sys_, case.lift, got.top, S, gap)
+            full = _Shell(sys_, got.top, gap).interval(sys_, case.lift, S)
             assert (got.ground, got.covers, got.marked) == (full.ground, full.covers, full.marked)
 
 
 def test_lifts_onto_checks_words_and_marks(a3):
-    """`_lifts_onto` accepts the shell of v st against v's shell, and
-    refuses the shell of another top's lift, its words out of place and
-    the marks of another J."""
+    """`_lifted_shell` gives the shell of v st, at the depth of v's shell
+    and with the words that contain st, and refuses a base shell that
+    claims another top, one with its words out of place, one that lost a
+    cover and the marks of another J."""
     ext = extend_system(a3, frozenset({0, 1}))
-
-    def lifted(w):
-        return _Shell(ext.extended, lift(ext, w), 3, keep=ext.stilde)
-
     v, w = a3.element("s1 s2 s3"), a3.element("s2 s1 s3")
-    shell, made_at = _Shell(a3, v, 3), [(0, None)]  # index 0 is e, below all
-    assert _lifts_onto(shell, lifted(v), ext, made_at)
-    assert not _lifts_onto(shell, lifted(w), ext, made_at)
-    moved = lifted(v)
+    at = [0]  # index 0 is e, below all
+
+    def base():
+        return _Shell(a3, v, 3)
+
+    lifted = _lifted_shell(ext, base(), at)
+    want = _Shell(ext.extended, lift(ext, v), 3, keep=ext.stilde)
+    assert (lifted.top, lifted.depth, lifted.words, lifted.above) == (
+        want.top, want.depth, want.words, want.above)
+    other = base()
+    other.top = w
+    moved = base()
     moved.words = moved.words[1:] + moved.words[:1]  # same covers and marks
-    assert not _lifts_onto(shell, moved, ext, made_at)
-    for K in (frozenset(), frozenset({2}), frozenset({0, 2})):
-        assert not _lifts_onto(shell, lifted(v), ext._replace(J=K), made_at)
+    cut = base()
+    cut.above = [above[1:] if i == 0 else above for i, above in enumerate(cut.above)]
+    for shell, ext_ in [(other, ext), (moved, ext), (cut, ext), *(
+            (base(), ext._replace(J=K)) for K in (frozenset(), frozenset({2}), frozenset({0, 2})))]:
+        with pytest.raises(InvariantError, match="does not lift"):
+            _lifted_shell(ext_, shell, at)
 
 
 def test_memoized_witnesses_are_the_first_ones_found():

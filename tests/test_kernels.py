@@ -114,7 +114,9 @@ def test_every_record_matches_the_matrix_algorithm(name):
 
 class _CheckedIds(dict):
     """A table's point index that refuses an id published without the
-    table's lock, or before the record's fields are appended."""
+    table's lock, before the record's fields are appended, or before the
+    word index holds its word (a caller that reaches the id would then
+    find no id for its word)."""
 
     def __init__(self, kernel):
         super().__init__(kernel.ids)
@@ -123,16 +125,19 @@ class _CheckedIds(dict):
     def __setitem__(self, y, i):
         k = self.kernel
         fields = (k.points, k.masks, k.words, k.rows, k.rights, k.covers)
-        if not (k.lock.locked() and {len(f) for f in fields} == {i + 1} and k.points[i] == y):
-            raise AssertionError(f"id {i} published before its record, or without the lock")
+        if not (k.lock.locked() and {len(f) for f in fields} == {i + 1} and k.points[i] == y
+                and k.index.get(k.words[i]) == i):
+            raise AssertionError(f"id {i} published before its record or its word's index "
+                                 "entry, or without the lock")
         super().__setitem__(y, i)
 
 
 def test_threads_walking_one_system_make_one_record_per_element():
     """Four threads walk the same words on one fresh system at once, in
     four orders.  Every id is published under the table's lock, after its
-    record; each element gets one id and one word object, which every
-    thread receives; and the rows agree with a serial system."""
+    record and its word's index entry; each element gets one id and one
+    word object, which every thread receives; and the rows agree with a
+    serial system."""
     shared, serial = validate_system(HYPERBOLIC4), validate_system(HYPERBOLIC4)
     kernel = shared.kernel
     kernel.ids = _CheckedIds(kernel)

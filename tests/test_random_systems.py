@@ -18,14 +18,10 @@ from hypothesis import strategies as st
 
 from coxkl import INF, InputError, validate_system
 from coxkl.bruhat import IntervalPoset, bruhat_leq, parabolic_interval
-from coxkl.extension import (
-    extend_system,
-    lift,
-    lift_order_embedding_check,
-    verify_reduction_sweep,
-)
+from coxkl.extension import extend_system, lift, verify_reduction_sweep
 from coxkl.invariance import ClassX, IsoWitness, find_isomorphisms, is_class_x
 from coxkl.klpoly import KLTable
+from oracles import lift_order_embedding_check
 
 BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INF])
 POLICY_BONDS = st.sampled_from([3, 4, 5, 6, INF])
@@ -85,7 +81,7 @@ def _extensions(draw):
 def test_transport_over_random_bond_policies(extension, data):
     """For any J and any bonds >= 3 or inf on the adjoined generator,
     z -> z st carries [u, v]^J onto its lift in the maximal quotient
-    (`lift_interval` certifies every pair in the sweep) and carries P and
+    (the sweep checks the lifted shell of every top) and carries P and
     R of both types; it embeds W^J in order.  Inside a class X the
     extended matrix stays in the class, and a bond outside it is refused."""
     matrix, J, policy, class_x = extension
