@@ -34,6 +34,9 @@ INTERVAL_CUTOFF = 18
 #: J = {}, whose index numbers W itself
 _W = frozenset()
 
+#: an `_Order.acts` slot not yet found (None means outside W^J)
+_UNSET = object()
+
 
 def bruhat_leq(sys: CoxeterSystem, u, v) -> bool:
     """Whether u <= v in Bruhat order, for canonical words u and v.
@@ -94,12 +97,15 @@ class _Order:
     """W^J elements, numbered as met: words[i] has id i, its record
     elems[i] in the kernel, length lens[i], lower covers[i] (the first is
     words[i][1:]) and bitmasks down[i] (ids <= it) and up[i] (ids >= it).
-    An id is published under the lock, after its bits."""
+    An id is published under the lock, after its bits.  acts[i] is the
+    row of s·z for z of id i (`act`), made when the first s is asked and
+    filled one s at a time; concurrent callers can only write a slot
+    twice with the same value, as in the kernel's rows."""
 
     def __init__(self, jmask: int):
         self.jmask, self.lock = jmask, threading.Lock()
         self.ids, self.words, self.elems, self.lens = {}, [], [], []
-        self.covers, self.down, self.up = [], [], []
+        self.covers, self.down, self.up, self.acts = [], [], [], {}
 
     def id(self, sys, v) -> int:
         """The id of v (canonical, in W^J), numbering its cone first."""
@@ -116,13 +122,22 @@ class _Order:
         return map(self.words.__getitem__, _bits(self.up[self.ids[u]] & self.down[self.ids[v]]))
 
     def act(self, sys, i, s):
-        """s·z for z = words[i], read from the row of z's record: a lower
-        cover's id, a higher word in W^J, or None outside W^J."""
-        k, e = sys.kernel, self.elems[i]
-        j = k.act(s, e)
-        if k.masks[e] >> s & 1:
-            return self.ids[k.words[j]]
-        return None if self.jmask and k.right(j) & self.jmask else k.words[j]
+        """s·z for z = words[i]: a lower cover's id, a higher word in W^J,
+        or None outside W^J.  Found from the row of z's record once per
+        (i, s), and then read from acts[i]."""
+        row = self.acts.get(i)
+        if row is None:
+            row = self.acts.setdefault(i, [_UNSET] * sys.n)
+        got = row[s]
+        if got is _UNSET:
+            k, e = sys.kernel, self.elems[i]
+            j = k.act(s, e)
+            if k.masks[e] >> s & 1:
+                got = self.ids[k.words[j]]
+            else:
+                got = None if self.jmask and k.right(j) & self.jmask else k.words[j]
+            row[s] = got
+        return got
 
     def _number(self, sys, v):
         # W^J is graded (Bjorner-Brenti 2.5.5): z covers its lower covers in W^J
@@ -324,7 +339,8 @@ def _lower_covers(k, i) -> tuple:
 class _Shell:
     """The z <= v with l(v) - l(z) <= depth, found down lower covers (the
     subword property), that contain the generator keep unless it is None
-    (every z above a bottom with keep has it): words in (length, word)
+    (a bit test on the record's support mask; every z above a bottom with
+    keep has it): words in (length, word)
     order, elems (their records' ids), pos (the index of each id), above
     (the indexes of each one's upper covers) and up (bitmasks of the
     indexes above), so [u, v] is up[u].  caches["shells"] counts the
@@ -334,13 +350,13 @@ class _Shell:
 
     def __init__(self, sys, v, depth, keep=None):
         k = sys.kernel
-        levels, below = [[sys._id(v)]], {}
+        levels, below, supports = [[sys._id(v)]], {}, k.supports
         for _ in range(min(depth, len(v))):
             level = set()
             for z in levels[-1]:
                 got = _lower_covers(k, z)
                 if keep is not None:
-                    got = [y for y in got if keep in k.words[y]]
+                    got = [y for y in got if supports[y] >> keep & 1]
                 below[z] = got
                 level.update(got)
             levels.append(sorted(level, key=k.words.__getitem__))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .bruhat import IsoWitness, _bits, _Shell, cone
+from .bruhat import IsoWitness, _Shell, cone
 from .core import (
     ClassX,
     CoxeterSystem,
@@ -114,10 +114,13 @@ def _lifted_shell(ext: ExtendedSystem, shell, at) -> _Shell:
     jmask, smask, up = bitmask(ext.J), bitmask(ext.maximal_quotient), 0
     for i in at:
         up |= shell.up[i]
+    # the indexes of up in one pass over its binary digits, the lowest first
+    # (the union is often the whole shell, and a bit at a time is quadratic)
+    marks = (j for j, bit in enumerate(bin(up)[:1:-1]) if bit == "1")
     if not (lifted.above == shell.above and all(
             x == w + tail for w, x in zip(shell.words, lifted.words)) and all(
             (not right(shell.elems[j]) & jmask) == (not eright(lifted.elems[j]) & smask)
-            for j in _bits(up))):
+            for j in marks)):
         raise InvariantError(f"the shell of {ext.base.word_str(shell.top)} does not lift")
     return lifted
 

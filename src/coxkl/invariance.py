@@ -325,8 +325,8 @@ def _polys(case, config) -> tuple:
         iv = order.id(sys, ivl.top)  # numbers bottom first
         ids = (sys, order, order.ids[ivl.bottom], iv, J)
         table = get_table(sys)
-        kinds = (table._kl, table._r) if config.include_r_polynomials else (table._kl,)
-        case.polys = tuple(poly(*ids, x) for poly in kinds for x in config.types)
+        kinds = ("P", "R") if config.include_r_polynomials else ("P",)
+        case.polys = tuple(table._entry(kind, *ids, x) for kind in kinds for x in config.types)
     return case.polys
 
 
@@ -364,7 +364,8 @@ def _row(report, case_a, case_b, kind, iso, equal):
 
 def _enumerate_cases(report, config):
     """The cases in (system, J, v, u) order.  A top v's shell gives its
-    bottoms u in W^J for every J at once, and their marks; each [u, v] is
+    bottoms u in W^J for every J at once, and their marks, from one read
+    of each shell element's right-descent mask; each [u, v] is
     built once, every J marks a copy, and each word is written once.
     Under lift controls, each J with cases at v makes its extension once,
     and the checked shell of v st while v's is alive (`_lifted_shell`),
@@ -380,12 +381,11 @@ def _enumerate_cases(report, config):
         text = functools.cache(sys.word_str)
         for v in sorted(tops, key=_by_length):
             shell = _Shell(sys, v, config.max_rank_gap)
-            right = sys.kernel.right
-            live = [q for q in quotients if not right(shell.elems[-1]) & q[1]]
+            rights = list(map(sys.kernel.right, shell.elems))
+            live = [q for q in quotients if not rights[-1] & q[1]]
             made: dict = {}  # J -> [(shell index of u, case)]
             for i, u in enumerate(shell.words):
-                mask = right(shell.elems[i])
-                marks = [q for q in live if not mask & q[1]]
+                marks = [q for q in live if not rights[i] & q[1]]
                 if not marks:
                     continue
                 ids = shell.ids(i)
@@ -394,7 +394,8 @@ def _enumerate_cases(report, config):
                     continue
                 ivl = shell.interval(sys, u, ids=ids)
                 for J, jmask, jnames, got in marks:
-                    marked = ivl.with_marking(J, shell.marked(sys, ids, jmask))
+                    marked = ivl.with_marking(
+                        J, frozenset(k for k, j in enumerate(ids) if not rights[j] & jmask))
                     got.append(ScanCase(marked, (name, jnames, text(u), text(v))))
                     if config.lift_controls:
                         made.setdefault(J, []).append((i, got[-1]))

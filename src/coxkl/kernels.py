@@ -42,9 +42,11 @@ class RingKernel:
     a left descent of w exactly when y_t < 0, and t.w has y_u - a(t,u) y_t
     in place of y_u.  Id i has points[i], masks[i] (left descents),
     words[i] (ShortLex: the least left descent t, then the word of t·w),
-    rows[i] (rows[i][s] is the id of s·w, None until asked), rights[i]
-    (right descents, None until asked) and covers[i] (lower covers, set
-    by `bruhat._lower_covers`).  `ids` maps points to ids, `index` words.
+    supports[i] (the bitmask of the letters in words[i]: that of t·w with
+    t set), rows[i] (rows[i][s] is the id of s·w, None until asked),
+    rights[i] (right descents, None until asked) and covers[i] (lower
+    covers, set by `bruhat._lower_covers`).  `ids` maps points to ids,
+    `index` words.
     Records are appended under the lock and published after their
     fields, so each element gets one id and one word object; other
     entries are pure functions of the records, which concurrent callers
@@ -64,7 +66,7 @@ class RingKernel:
         origin = (ring.one,) * self.n
         self.lock = threading.Lock()
         self.ids, self.index = {origin: 0}, {(): 0}
-        self.points, self.masks, self.words = [origin], [0], [()]
+        self.points, self.masks, self.words, self.supports = [origin], [0], [()], [0]
         self.rows, self.rights, self.covers = [[None] * self.n], [0], [()]
 
     def _reflect(self, t, y):
@@ -106,6 +108,7 @@ class RingKernel:
             self.points.append(y)
             self.masks.append(mask)
             self.words.append(word)
+            self.supports.append(self.supports[j] | 1 << t)
             self.rows.append(row)
             self.rights.append(None)
             self.covers.append(None)

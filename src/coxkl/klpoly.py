@@ -23,10 +23,15 @@ check them against the reference `Laurent` in `tests/oracles.py`);
 `LaurentPoly`, a value with no arithmetic, is the public type, made at
 the entry points.  The recursions run on ids in the order index
 `bruhat._order(sys, J)`, which give lengths, the cover sv, the left
-action s·z and [u, v]^J.  An entry point checks its arguments and reads
-the ids of u and v once per call (`_check_pair`), and returns the memo's
-tuple as a `LaurentPoly` without a copy; the scan reads the tuples of
-cases it checked when it built them.
+action s·z (memoized per id and s) and [u, v]^J.  Memo entries are keyed
+by (iu, iv, J, x).  A recursion reads each sub-entry inline: 1 at u = v,
+else 0 unless the down bit of u in v is set, else `memo.get(key)`; only
+a miss enters a step (`_r`, `_kl`, `_kl_dual`), which computes the
+entry and stores it.  An entry point checks its arguments and reads the
+ids of u and v once per call (`_check_pair`), reads the entry the same
+way (`_entry`), and returns the memo's tuple as a `LaurentPoly` without
+a copy; the scan reads the tuples of cases it checked when it built
+them.
 """
 
 from __future__ import annotations
@@ -92,32 +97,6 @@ def _truncate(p: tuple, k: int) -> tuple:
     return _trim(list(p[: k + 1]))
 
 
-def _memoized(kind: str):
-    """A recursion step (self, sys, order, iu, iv, J, x), on ids in the
-    index order = `bruhat._order(sys, J)`, memoized in tables[kind] by
-    (iu, iv, J, x): 1 at u = v, 0 unless u <= v, else body(...) on the
-    same arguments.  sys and order are fixed for a whole recursion, so
-    they are passed down rather than looked up on each step."""
-
-    def wrap(body):
-        def step(self, sys, order, iu, iv, J, x):
-            if iu == iv:
-                return _ONE
-            key = (iu, iv, J, x)
-            memo = self.tables[kind]
-            got = memo.get(key)
-            if got is not None:
-                return got
-            if not order.down[iv] >> iu & 1:
-                return ()
-            res = memo[key] = body(self, sys, order, iu, iv, J, x)
-            return res
-
-        return step
-
-    return wrap
-
-
 class KLTable:
     """Per-system memo table for R- and KL polynomials.
 
@@ -144,7 +123,9 @@ class KLTable:
     def _check_pair(self, u, v, J, x):
         """The arguments (sys, order, iu, iv, J) of a recursion step, after
         checking J, x, u and v, numbering v's cone on a miss; None when u
-        is not numbered, so not <= v."""
+        is not numbered, so not <= v.  A word that is the index's own word
+        object for its id is a canonical word in W^J, so one lookup checks
+        it and gives its id; any other word takes `_check_rep`."""
         sys = self._sys()
         if sys is None:
             raise PreconditionError("the table's Coxeter system no longer exists")
@@ -152,26 +133,30 @@ class KLTable:
         if x != "q" and x != "-1":
             check_kl_type(x)
         order = _order(sys, J)
-        u = sys._check_rep(u, order.jmask, "u")
-        v = sys._check_rep(v, order.jmask, "v")
-        ids = order.ids
-        iv = ids.get(v)
-        if iv is None:
-            iv = order.id(sys, v)
-        iu = ids.get(u)
+        ids, words = order.ids, order.words
+        try:
+            iu, iv = ids.get(u), ids.get(v)
+        except TypeError:  # unhashable: `_check_rep` says why
+            iu = iv = None
+        if iu is None or words[iu] is not u:
+            u, iu = sys._check_rep(u, order.jmask, "u"), None
+        if iv is None or words[iv] is not v:
+            iv = order.id(sys, sys._check_rep(v, order.jmask, "v"))
+        if iu is None:  # numbered with v's cone, if u <= v
+            iu = ids.get(u)
         return None if iu is None else (sys, order, iu, iv, J)
 
     def parabolic_r(self, u, v, J, x: str) -> LaurentPoly:
         ids = self._check_pair(u, v, J, x)
-        return LaurentPoly(self._r(*ids, x) if ids else ())
+        return LaurentPoly(self._entry("R", *ids, x) if ids else ())
 
     def parabolic_kl(self, u, v, J, x: str) -> LaurentPoly:
         ids = self._check_pair(u, v, J, x)
-        return LaurentPoly(self._kl(*ids, x) if ids else ())
+        return LaurentPoly(self._entry("P", *ids, x) if ids else ())
 
     def parabolic_kl_duality(self, u, v, J, x: str) -> LaurentPoly:
         ids = self._check_pair(u, v, J, x)
-        return LaurentPoly(self._kl_dual(*ids, x) if ids else ())
+        return LaurentPoly(self._entry("Pdual", *ids, x) if ids else ())
 
     def mu(self, w, v, J, x: str) -> int:
         """Coefficient of q^((l(v)-l(w)-1)/2) in P^{J,x}_{w,v}."""
@@ -180,48 +165,92 @@ class KLTable:
             return 0
         _, order, iw, iv, _ = ids
         gap = order.lens[iv] - order.lens[iw]
-        p = self._kl(*ids, x) if gap % 2 else ()
+        p = self._entry("P", *ids, x) if gap % 2 else ()
         k = (gap - 1) // 2
         return p[k] if 0 <= k < len(p) else 0
 
+    # -- memo reads ----------------------------------------------------------
+
+    def _entry(self, kind, sys, order, iu, iv, J, x) -> tuple:
+        """The memo entry of kind ("R", "P" or "Pdual") for ids iu, iv in
+        the index order = `bruhat._order(sys, J)`: 1 at u = v, else the
+        memo's tuple, else 0 unless u <= v, else computed by a step.  An
+        entry point's query is most often a hit, so the memo is read
+        before the down bit; the recursions read their sub-entries inline,
+        the down bit first, and enter a step only on a miss.  sys and
+        order are fixed for a whole recursion, so they are passed down
+        rather than looked up on each step."""
+        if iu == iv:
+            return _ONE
+        got = self.tables[kind].get((iu, iv, J, x))
+        if got is None:
+            if not order.down[iv] >> iu & 1:
+                return ()
+            got = self._STEPS[kind](self, sys, order, iu, iv, J, x)
+        return got
+
     # -- R recursion ------------------------------------------------------
 
-    @_memoized("R")
     def _r(self, sys, order, iu, iv, J, x) -> tuple:
+        """R_{u,v} for u < v with no memo entry, stored in the memo."""
+        memo, down = self.tables["R"], order.down
         isv = order.covers[iv][0]
         su = order.act(sys, iu, order.words[iv][0])
-        if su is None:  # su leaves W^J
-            return _trim(_addto([], self._r(sys, order, iu, isv, J, x), *_R3[x]))
-        if su.__class__ is int:  # su < u
-            return self._r(sys, order, su, isv, J, x)
-        # (q - 1) R_{u,sv} + q R_{su,sv}; su is numbered if su <= sv
-        a = self._r(sys, order, iu, isv, J, x)
-        out = _addto(_addto([], a, 1, 1), a, -1)
-        isu = order.ids.get(su)
-        if isu is not None:
-            _addto(out, self._r(sys, order, isu, isv, J, x), 1, 1)
-        return _trim(out)
+        if su.__class__ is int:  # su < u: R_{su,sv}
+            res = _ONE if su == isv else memo.get((su, isv, J, x)) if down[isv] >> su & 1 else ()
+            if res is None:
+                res = self._r(sys, order, su, isv, J, x)
+        else:
+            a = _ONE if iu == isv else memo.get((iu, isv, J, x)) if down[isv] >> iu & 1 else ()
+            if a is None:
+                a = self._r(sys, order, iu, isv, J, x)
+            if su is None:  # su leaves W^J
+                res = _trim(_addto([], a, *_R3[x]))
+            else:
+                # (q - 1) R_{u,sv} + q R_{su,sv}; su is numbered if su <= sv
+                out = _addto(_addto([], a, 1, 1), a, -1)
+                isu = order.ids.get(su)
+                if isu is not None:
+                    b = (_ONE if isu == isv else memo.get((isu, isv, J, x))
+                         if down[isv] >> isu & 1 else ())
+                    if b is None:
+                        b = self._r(sys, order, isu, isv, J, x)
+                    _addto(out, b, 1, 1)
+                res = _trim(out)
+        memo[iu, iv, J, x] = res
+        return res
 
     # -- fast path: descent recursion with mu corrections --------------------
 
-    @_memoized("P")
     def _kl(self, sys, order, iu, iv, J, x) -> tuple:
-        lens = order.lens
+        """P_{u,v} for u < v with no memo entry, stored in the memo."""
+        memo, down, lens = self.tables["P"], order.down, order.lens
         s, isv = order.words[iv][0], order.covers[iv][0]
         su = order.act(sys, iu, s)
-        if su is None:
-            # (q + 1) P_{u,sv} for x = q, else 0
-            a = self._kl(sys, order, iu, isv, J, x) if x == "q" else ()
-            out = _addto(list(a), a, 1, 1)
-        elif su.__class__ is int:
-            out = list(self._kl(sys, order, su, isv, J, x))
-            _addto(out, self._kl(sys, order, iu, isv, J, x), 1, 1)
+        if su is None and x != "q":
+            out = []  # su leaves W^J: 0 for x = -1
         else:
-            isu = order.ids.get(su)
-            out = [] if isu is None else _addto([], self._kl(sys, order, isu, isv, J, x), 1, 1)
-            _addto(out, self._kl(sys, order, iu, isv, J, x))
+            a = _ONE if iu == isv else memo.get((iu, isv, J, x)) if down[isv] >> iu & 1 else ()
+            if a is None:
+                a = self._kl(sys, order, iu, isv, J, x)
+            if su is None:  # (q + 1) P_{u,sv}
+                out = _addto(list(a), a, 1, 1)
+            elif su.__class__ is int:  # P_{su,sv} + q P_{u,sv}
+                b = _ONE if su == isv else memo.get((su, isv, J, x)) if down[isv] >> su & 1 else ()
+                if b is None:
+                    b = self._kl(sys, order, su, isv, J, x)
+                out = _addto(list(b), a, 1, 1)
+            else:  # P_{u,sv} + q P_{su,sv}, where su is numbered if su <= sv
+                out = list(a)
+                isu = order.ids.get(su)
+                if isu is not None:
+                    b = (_ONE if isu == isv else memo.get((isu, isv, J, x))
+                         if down[isv] >> isu & 1 else ())
+                    if b is None:
+                        b = self._kl(sys, order, isu, isv, J, x)
+                    _addto(out, b, 1, 1)
         lsv = lens[isv]
-        for w in _bits(order.up[iu] & order.down[isv]):
+        for w in _bits(order.up[iu] & down[isv]):
             # mu(w, sv) is 0 unless l(sv) - l(w) is odd (w == sv included)
             if not (lsv - lens[w]) % 2:
                 continue
@@ -229,23 +258,30 @@ class KLTable:
             sw = order.act(sys, w, s)
             if not (sw.__class__ is int or sw is None and x == "q"):
                 continue
-            p = self._kl(sys, order, w, isv, J, x)
+            p = memo.get((w, isv, J, x))  # u <= w < sv
+            if p is None:
+                p = self._kl(sys, order, w, isv, J, x)
             k = (lsv - lens[w] - 1) // 2
             if k < len(p) and p[k]:
                 gap = lens[iv] - lens[w]
                 if gap % 2:
                     raise InvariantError("mu correction at odd length gap")
-                _addto(out, self._kl(sys, order, iu, w, J, x), -p[k], gap // 2)
+                c = _ONE if iu == w else memo.get((iu, w, J, x))
+                if c is None:
+                    c = self._kl(sys, order, iu, w, J, x)
+                _addto(out, c, -p[k], gap // 2)
         res = _trim(out)
         if res and 2 * (len(res) - 1) > lens[iv] - lens[iu] - 1:
             raise InvariantError("degree bound violated")
+        memo[iu, iv, J, x] = res
         return res
 
     # -- normative path: bar-duality solver ------------------------------------
 
-    @_memoized("Pdual")
     def _kl_dual(self, sys, order, iu, iv, J, x) -> tuple:
-        lens, mirrors, rs = order.lens, self.mirrors, self.tables["R"]
+        """P_{u,v} for u < v with no memo entry, by duality, stored in the
+        memo."""
+        memo, lens, mirrors, rs = self.tables["Pdual"], order.lens, self.mirrors, self.tables["R"]
         lu, lv = lens[iu], lens[iv]
         gap = lv - lu
         # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v}),
@@ -255,9 +291,11 @@ class KLTable:
             wkey = (w, iv, J, x)
             mirrored = mirrors.get(wkey)
             if mirrored is None:
-                p = self._kl_dual(sys, order, w, iv, J, x)
+                p = _ONE if w == iv else memo.get(wkey)
+                if p is None:
+                    p = self._kl_dual(sys, order, w, iv, J, x)
                 mirrored = mirrors[wkey] = _mirror(p, lv - lens[w])
-            r = rs.get((iu, w, J, x))
+            r = rs.get((iu, w, J, x))  # u < w <= v
             if r is None:
                 r = self._r(sys, order, iu, w, J, x)
             lw = lens[w] - lu
@@ -272,7 +310,10 @@ class KLTable:
         res = _truncate(rhs, (gap - 1) // 2)
         if rhs != _trim(_addto(list(res), _mirror(res, gap), -1)):
             raise InvariantError("duality right-hand side is not self-mirrored")
+        memo[iu, iv, J, x] = res
         return res
+
+    _STEPS = {"R": _r, "P": _kl, "Pdual": _kl_dual}
 
 
 def get_table(sys: CoxeterSystem) -> KLTable:
@@ -313,9 +354,9 @@ def bar_squared_check(sys, u, v, J, x: str) -> bool:
     if ids is None:
         return True
     _, order, iu, iv, J = ids
-    total = []
+    lens, total = order.lens, []
     for w in _bits(order.up[iu] & order.down[iv]):
-        mirrored = _mirror(table._r(sys, order, w, iv, J, x), order.lens[iv] - order.lens[w])
-        _addmul(total, mirrored, table._r(sys, order, iu, w, J, x))
+        mirrored = _mirror(table._entry("R", sys, order, w, iv, J, x), lens[iv] - lens[w])
+        _addmul(total, mirrored, table._entry("R", sys, order, iu, w, J, x))
     # the sign (-1)^(l(v)-l(u)) cannot turn 0 into 1, and is 1 at u = v
     return _trim(total) == (_ONE if iu == iv else ())

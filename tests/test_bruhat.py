@@ -9,6 +9,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,10 @@ from coxkl.bruhat import (
 from coxkl.extension import extend_system, lift, lift_interval, verify_reduction
 from coxkl.kernels import RingKernel
 from coxkl.klpoly import KLTable, bar_squared_check, get_table
+from coxkl.serialize import load_system
 from oracles import PyIntKernel, deodhar_criterion, project_to_quotient, subword_leq_oracle
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_identity_below_everything(a3):
@@ -618,6 +622,37 @@ def test_left_action_matches_kernel(fixture, request):
                 assert row[z[0]] == order.covers[i][0]
 
 
+@pytest.mark.parametrize("config", ["a1xa1", "a2", "a3", "b3", "d4", "f4", "h3"])
+def test_action_memo_matches_the_records(config):
+    """For every J of a bundled finite system, on a fresh index per J,
+    every id of W^J and every generator s: `_Order.act` equals s·z
+    recomputed from the element table without the memo (`kernel.act`,
+    `masks` and `right`): the id of s·z when s is a left descent of z,
+    None when s·z leaves W^J, and else its word.  Every index is filled
+    before any row is read, and the rows are read twice, so a memo that
+    drops s from its key, or that J's indexes share, gives a wrong
+    answer."""
+    _name, system = load_system(CONFIGS / f"{config}.json")
+    k, elems = system.kernel, system.all_elements()
+    orders = []
+    for J in all_subsets(system.generators):
+        order = _Order(system.subset_mask(J))
+        for v in elems:
+            if system.is_min_rep(v, J):
+                order.id(system, v)
+        orders.append(order)
+    for _ in range(2):
+        for order in orders:
+            for i, e in enumerate(order.elems):
+                for s in system.generators:
+                    j = k.act(s, e)
+                    if k.masks[e] >> s & 1:
+                        want = order.ids[k.words[j]]
+                    else:
+                        want = None if k.right(j) & order.jmask else k.words[j]
+                    assert order.act(system, i, s) == want
+
+
 def _action(order, system, i):
     """The left-action row of id i, with ids read back as words."""
     row = (order.act(system, i, s) for s in system.generators)
@@ -646,8 +681,9 @@ def test_threads_fill_one_order_index_consistently():
     solver and the recursion on one fresh system in four orders, so they
     number the same cones and fill the same left-action rows at once.
     Every id must be published under the index's lock and after its bits,
-    every answer must equal a serial one, and the filled index and its
-    rows and the element table must be consistent."""
+    every answer, and every action row a thread reads on v's cone right
+    after its polynomials, must equal a serial one, and the filled index
+    and its rows and the element table must be consistent."""
     matrix = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
     shared, serial = validate_system(matrix), validate_system(matrix)
     subsets = all_subsets(range(3))
@@ -656,17 +692,21 @@ def test_threads_fill_one_order_index_consistently():
         order.ids = _CheckedIds(order)
     jobs = [(J, v) for J in subsets for v in serial.ball(6, J)]
 
-    def both(table, J, v):
-        return table.parabolic_kl_duality((), v, J, "q"), table.parabolic_kl((), v, J, "q")
+    def both(system, table, J, v):
+        polys = table.parabolic_kl_duality((), v, J, "q"), table.parabolic_kl((), v, J, "q")
+        order = _order(system, J)
+        rows = {z: _action(order, system, order.ids[z]) for z in order.between((), v)}
+        return polys, rows
 
     table = KLTable(serial)
-    expected = {job: both(table, *job) for job in jobs}
+    expected = {job: both(serial, table, *job) for job in jobs}
     start = threading.Barrier(4)
 
     def work(seed):
         table = KLTable(shared)
         start.wait(timeout=60)
-        return {job: both(table, *job) for job in random.Random(seed).sample(jobs, len(jobs))}
+        return {job: both(shared, table, *job)
+                for job in random.Random(seed).sample(jobs, len(jobs))}
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

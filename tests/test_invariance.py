@@ -321,7 +321,10 @@ def test_lifts_onto_checks_words_and_marks(a3):
     """`_lifted_shell` gives the shell of v st, at the depth of v's shell
     and with the words that contain st, and refuses a base shell that
     claims another top, one with its words out of place, one that lost a
-    cover and the marks of another J."""
+    cover and the marks of another J.  With one record swapped for one of
+    the other mark, it refuses the shell exactly when the swapped index
+    lies in the interval it checks: every index of that interval, at its
+    own position, and no other."""
     ext = extend_system(a3, frozenset({0, 1}))
     v, w = a3.element("s1 s2 s3"), a3.element("s2 s1 s3")
     at = [0]  # index 0 is e, below all
@@ -343,6 +346,17 @@ def test_lifts_onto_checks_words_and_marks(a3):
             (base(), ext._replace(J=K)) for K in (frozenset(), frozenset({2}), frozenset({0, 2})))]:
         with pytest.raises(InvariantError, match="does not lift"):
             _lifted_shell(ext_, shell, at)
+    i = base().words.index(a3.element("s3"))  # [s3, v] is half the shell
+    for j in range(len(base().words)):
+        swapped = base()
+        in_quotient = not a3.kernel.right(swapped.elems[j]) & a3.subset_mask(ext.J)
+        swapped.elems = [*swapped.elems]
+        swapped.elems[j] = a3._id((0,) if in_quotient else ())
+        if swapped.up[i] >> j & 1:
+            with pytest.raises(InvariantError, match="does not lift"):
+                _lifted_shell(ext, swapped, [i])
+        else:
+            _lifted_shell(ext, swapped, [i])
 
 
 def test_memoized_witnesses_are_the_first_ones_found():

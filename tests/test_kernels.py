@@ -88,9 +88,9 @@ def test_memo_matches_fresh_kernel_on_random_words(name):
 def test_every_record_matches_the_matrix_algorithm(name):
     """Every record of the element table that random words reach, on the
     general backend, against the matrix algorithm (over Z[phi] for H3):
-    its canonical word, both descent masks and s·w for every s; and its
-    lower covers against the one-letter deletions of its word (the
-    subword property)."""
+    its canonical word, both descent masks, its support mask against the
+    letters of its word and s·w for every s; and its lower covers against
+    the one-letter deletions of its word (the subword property)."""
     matrix = HYPERBOLIC4 if name == "hyperbolic4" else MATRICES[name]
     system = validate_system(matrix, backend="general")
     cartan = golden_cartan(matrix) if name == "H3" else validate_system(matrix).cartan
@@ -104,6 +104,7 @@ def test_every_record_matches_the_matrix_algorithm(name):
         assert kernel.ids[kernel.points[i]] == kernel.index[w] == i
         assert kernel.masks[i] == oracle.right_descent_mask(w[::-1])
         assert kernel.right(i) == oracle.right_descent_mask(w)
+        assert kernel.supports[i] == sum(1 << s for s in set(w))
         for s in range(system.n):
             assert kernel.words[kernel.act(s, i)] == oracle.canonicalize((s,) + w)[0]
         covers = [kernel.words[c] for c in _lower_covers(kernel, i)]
@@ -124,7 +125,7 @@ class _CheckedIds(dict):
 
     def __setitem__(self, y, i):
         k = self.kernel
-        fields = (k.points, k.masks, k.words, k.rows, k.rights, k.covers)
+        fields = (k.points, k.masks, k.words, k.supports, k.rows, k.rights, k.covers)
         if not (k.lock.locked() and {len(f) for f in fields} == {i + 1} and k.points[i] == y
                 and k.index.get(k.words[i]) == i):
             raise AssertionError(f"id {i} published before its record or its word's index "

@@ -6,6 +6,7 @@ python -O."""
 import gc
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -19,6 +20,7 @@ from conftest import all_subsets
 from coxkl import InputError, InvariantError, PreconditionError, validate_system
 from coxkl.bruhat import _order, bruhat_leq
 from coxkl.klpoly import KLTable, bar_squared_check, get_table, memo_sizes
+from coxkl.laurent import LaurentPoly
 from oracles import Laurent, Q
 
 
@@ -314,6 +316,46 @@ def test_recomputation_is_deterministic(a3):
         assert t2.parabolic_kl(u, v, J, x) == expected
 
 
+B3 = [[1, 4, 2], [4, 1, 3], [2, 3, 1]]
+
+
+def _filled_tables(queries):
+    """The R and P memos of a fresh B3 after the given (J, x, u, v)
+    queries, keyed by words instead of ids, and the system."""
+    system = validate_system(B3)
+    table = get_table(system)
+    for J, x, u, v in queries:
+        table.parabolic_kl(u, v, J, x)
+        table.parabolic_r(u, v, J, x)
+    words = {J: _order(system, J).words for J in all_subsets(system.generators)}
+    memos = {
+        kind: {(words[J][iu], words[J][iv], J, x): p
+               for (iu, iv, J, x), p in table.tables[kind].items()}
+        for kind in ("R", "P")
+    }
+    return system, memos
+
+
+def test_memos_do_not_depend_on_query_order():
+    """B3, every J, both types, every (u, v) in W^J x W^J: the R and P
+    memos filled in (v, u) order equal those filled in a seeded shuffled
+    order on a fresh system, and every P entry equals the duality
+    solver's."""
+    b3 = validate_system(B3)
+    elems = b3.all_elements()
+    queries = []
+    for J in all_subsets(b3.generators):
+        reps = [w for w in elems if b3.is_min_rep(w, J)]
+        queries += [(J, x, u, v) for x in ("q", "-1") for v in reps for u in reps]
+    system, in_order = _filled_tables(queries)
+    shuffled = random.Random(20240611).sample(queries, len(queries))
+    assert _filled_tables(shuffled)[1] == in_order
+    assert in_order["R"] and in_order["P"]
+    table = KLTable(system)
+    for (u, v, J, x), p in in_order["P"].items():
+        assert table.parabolic_kl_duality(u, v, J, x) == LaurentPoly(p)
+
+
 def test_dropped_system_is_freed_without_gc():
     """The system holds its table; the table must not hold the system, or
     the pair would wait for a collector pass to be freed."""
@@ -342,6 +384,33 @@ def test_memo_sizes_make_no_table():
     assert sizes["R"] == sizes["P"] == sizes["Pdual"] == 0
     get_table(system).parabolic_r((), (0, 1), frozenset(), "q")
     assert memo_sizes(system)["R"] > 0
+
+
+def test_entry_points_check_words_twin_to_numbered_ones():
+    """Once [e, s1 s2] is numbered, a word that equals or hashes like a
+    numbered word but is not that record's own word object still takes
+    the full check at every entry point: (True,) and (1.0,) raise
+    InputError, and a list or a tuple subclass answers as s2 does.  s1,
+    which the index of W holds, is refused in W^{s1}."""
+    system = validate_system([[1, 3], [3, 1]])
+    table, top, W = KLTable(system), system.element("s1 s2"), frozenset()
+
+    class Word(tuple):
+        pass
+
+    for name in ("parabolic_r", "parabolic_kl", "parabolic_kl_duality", "mu"):
+        query = getattr(table, name)
+        want = query((1,), top, W, "q")
+        for twin in ([1], Word((1,))):
+            assert query(twin, top, W, "q") == want
+        assert query((0,), [0, 1], W, "q") == query((0,), top, W, "q")
+        for bad in ((True,), (1.0,)):
+            with pytest.raises(InputError, match="invalid generator index"):
+                query(bad, top, W, "q")
+        with pytest.raises(InputError, match="invalid generator index"):
+            query((), (False, True), W, "q")
+        with pytest.raises(PreconditionError, match="not in W"):
+            query((0,), top, frozenset({0}), "q")
 
 
 def test_invalid_type_rejected(a2):
