@@ -323,10 +323,9 @@ def _polys(case, config) -> tuple:
         sys, J = ivl.system, ivl.J
         order = _order(sys, J)
         iv = order.id(sys, ivl.top)  # numbers bottom first
-        ids = (sys, order, order.ids[ivl.bottom], iv, J)
-        table = get_table(sys)
         kinds = ("P", "R") if config.include_r_polynomials else ("P",)
-        case.polys = tuple(table._entry(kind, *ids, x) for kind in kinds for x in config.types)
+        case.polys = get_table(sys)._entries(
+            kinds, config.types, sys, order, order.ids[ivl.bottom], iv, J)
     return case.polys
 
 

@@ -4,9 +4,11 @@ Two independent computation paths are kept side by side, as methods of
 the per-system `KLTable` (`get_table`):
 
 * `parabolic_kl_duality` is the normative definition: it solves the
-  bar-duality identity by descending induction, splitting each right-hand
-  side into a low-degree half (the polynomial) and its mirrored image,
-  and checks that the split is consistent.
+  bar-duality identity by descending induction.  Each right-hand side is
+  summed straight from the memoized P^dual tuples, a coefficient p[k] of
+  P_{w,v} at degree l(v) - l(w) - k; its low-degree half is the
+  polynomial, and the rest is checked in place to be that half's negated
+  mirror.
 * `parabolic_kl` is the fast path: the descent recursion with a
   mu-coefficient correction sum.
 
@@ -30,8 +32,8 @@ a miss enters a step (`_r`, `_kl`, `_kl_dual`), which computes the
 entry and stores it.  An entry point checks its arguments and reads the
 ids of u and v once per call (`_check_pair`), reads the entry the same
 way (`_entry`), and returns the memo's tuple as a `LaurentPoly` without
-a copy; the scan reads the tuples of cases it checked when it built
-them.
+a copy; the scan reads all the tuples of a case in one call (`_entries`)
+and keeps them with the case.
 """
 
 from __future__ import annotations
@@ -92,11 +94,6 @@ def _mirror(p: tuple, d: int) -> tuple:
     return _trim([0] * (d + 1 - len(p)) + list(reversed(p)))
 
 
-def _truncate(p: tuple, k: int) -> tuple:
-    """The terms of p of degree <= k (k >= 0)."""
-    return _trim(list(p[: k + 1]))
-
-
 class KLTable:
     """Per-system memo table for R- and KL polynomials.
 
@@ -104,8 +101,7 @@ class KLTable:
     with the ids of u and v in `bruhat._order(sys, J)`, and hold
     coefficient tuples; recomputation is deterministic, so concurrent
     duplicate inserts under the GIL are benign.  Every entry is computed
-    by one of the two paths; `mirrors` holds the duality solver's mirrored
-    Pdual entries.
+    by one of the two paths, and the table holds nothing else.
 
     The table refers to its system weakly: the system's `caches` hold the
     table, so a strong reference back would be a cycle that only the
@@ -116,7 +112,6 @@ class KLTable:
     def __init__(self, sys: CoxeterSystem):
         self._sys = weakref.ref(sys)
         self.tables: dict[str, dict] = {"R": {}, "P": {}, "Pdual": {}}
-        self.mirrors: dict = {}
 
     # -- public, validated entry points -----------------------------------
 
@@ -188,6 +183,22 @@ class KLTable:
                 return ()
             got = self._STEPS[kind](self, sys, order, iu, iv, J, x)
         return got
+
+    def _entries(self, kinds, types, sys, order, iu, iv, J) -> tuple:
+        """The memo entries of each kind in kinds, for each type in types
+        within a kind, by `_entry`'s rule, in one pass: a scan case reads
+        all of its polynomials at once."""
+        if iu == iv:
+            return (_ONE,) * (len(kinds) * len(types))
+        out = []
+        for kind in kinds:
+            memo, step = self.tables[kind], self._STEPS[kind]
+            for x in types:
+                got = memo.get((iu, iv, J, x))
+                if got is None:
+                    got = step(self, sys, order, iu, iv, J, x) if order.down[iv] >> iu & 1 else ()
+                out.append(got)
+        return tuple(out)
 
     # -- R recursion ------------------------------------------------------
 
@@ -281,35 +292,41 @@ class KLTable:
     def _kl_dual(self, sys, order, iu, iv, J, x) -> tuple:
         """P_{u,v} for u < v with no memo entry, by duality, stored in the
         memo."""
-        memo, lens, mirrors, rs = self.tables["Pdual"], order.lens, self.mirrors, self.tables["R"]
+        memo, lens, rs = self.tables["Pdual"], order.lens, self.tables["R"]
         lu, lv = lens[iu], lens[iv]
         gap = lv - lu
         # sum over w in (u, v]^J of (-1)^(l(w)-l(u)) R_{u,w} q^(l(v)-l(w)) bar(P_{w,v}),
-        # of degree <= gap: deg R_{u,w} <= l(w) - l(u), and `_mirror` checks the rest
+        # read from p = P_{w,v} itself: a = p[k] adds a R_{u,w} q^(d-k), d = l(v) - l(w).
+        # It has degree <= gap when deg p <= d and deg R_{u,w} <= l(w) - l(u),
+        # which are checked here.
         rhs = [0] * (gap + 1)
         for w in _bits((order.up[iu] & order.down[iv]) ^ 1 << iu):
-            wkey = (w, iv, J, x)
-            mirrored = mirrors.get(wkey)
-            if mirrored is None:
-                p = _ONE if w == iv else memo.get(wkey)
-                if p is None:
-                    p = self._kl_dual(sys, order, w, iv, J, x)
-                mirrored = mirrors[wkey] = _mirror(p, lv - lens[w])
+            p = _ONE if w == iv else memo.get((w, iv, J, x))
+            if p is None:
+                p = self._kl_dual(sys, order, w, iv, J, x)
+            lw, d = lens[w] - lu, lv - lens[w]
+            if len(p) > d + 1:
+                raise InvariantError("mirrored polynomial left Z[q]")
             r = rs.get((iu, w, J, x))  # u < w <= v
             if r is None:
                 r = self._r(sys, order, iu, w, J, x)
-            lw = lens[w] - lu
             if len(r) > lw + 1:
                 raise InvariantError("R polynomial above its degree bound")
-            for k, a in enumerate(mirrored):
+            sign = -1 if lw % 2 else 1
+            for a in p:
                 if a:
-                    a = -a if lw % 2 else a
-                    for i, b in enumerate(r, k):
+                    a *= sign
+                    for i, b in enumerate(r, d):
                         rhs[i] += a * b
-        rhs = _trim(rhs)
-        res = _truncate(rhs, (gap - 1) // 2)
-        if rhs != _trim(_addto(list(res), _mirror(res, gap), -1)):
-            raise InvariantError("duality right-hand side is not self-mirrored")
+                d -= 1
+        # P is the part of degree <= (gap - 1) / 2, and the rest must be
+        # its negated mirror: rhs = P - q^gap bar(P)
+        h = (gap - 1) // 2
+        res = _trim(rhs[: h + 1])
+        n = len(res)
+        for i in range(h + 1, gap + 1):
+            if rhs[i] != (-res[gap - i] if gap - i < n else 0):
+                raise InvariantError("duality right-hand side is not self-mirrored")
         memo[iu, iv, J, x] = res
         return res
 

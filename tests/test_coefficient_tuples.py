@@ -1,6 +1,7 @@
 """The Z[q] coefficient-tuple helpers of klpoly, checked against the
 reference arithmetic `Laurent` of tests/oracles.py on random polynomials.
-The recursion and the duality solver share these helpers, and no memo."""
+The R and KL recursions and `bar_squared_check` compute with these
+helpers; the duality solver sums from the memo tuples itself."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from coxkl import InvariantError
 from coxkl import LaurentPoly
-from coxkl.klpoly import _addmul, _addto, _mirror, _trim, _truncate
+from coxkl.klpoly import _addmul, _addto, _mirror, _trim
 from oracles import Laurent
 
 _zq = st.lists(st.integers(-9, 9), max_size=8).map(lambda c: _trim(list(c)))
@@ -44,12 +45,6 @@ def test_tuple_mirror(p, extra):
     if len(p) > 1:
         with pytest.raises(InvariantError):
             _mirror(p, len(p) - 2)
-
-
-@settings(deadline=None)
-@given(_zq, st.integers(0, 9))
-def test_tuple_truncate(p, k):
-    assert _laurent(_truncate(p, k)) == Laurent(p).truncate_above(k)
 
 
 @settings(deadline=None)

@@ -455,7 +455,8 @@ def test_invariant_check_survives_python_O():
     assert "degree bound violated" in out
 
 
-# R_{e,s2} = q - 1 has degree 1; the duality sum for (e, s1 s2) reads it
+# Plants R_{e,s2} = r in A2's memo (the true one is q - 1) and prints the
+# InvariantError of the duality sum for (e, v), which reads it
 _POISON_R = """
 from coxkl import InvariantError, validate_system
 from coxkl.bruhat import _order
@@ -464,25 +465,38 @@ from coxkl.klpoly import get_table
 a2 = validate_system([[1, 3], [3, 1]])
 t = get_table(a2)
 order = _order(a2, frozenset())
-order.id(a2, (0, 1))
-t.tables["R"][(order.ids[()], order.ids[(1,)], frozenset(), "q")] = (0, 0, 1)
+order.id(a2, {v})
+t.tables["R"][(order.ids[()], order.ids[(1,)], frozenset(), "q")] = {r}
 try:
-    t.parabolic_kl_duality((), (0, 1), frozenset(), "q")
+    t.parabolic_kl_duality((), {v}, frozenset(), "q")
 except InvariantError as exc:
     print(exc)
 """
+
+
+def _poisoned_r_duality(v, r, optimized, capsys) -> str:
+    script = _POISON_R.format(v=v, r=r)
+    if optimized:
+        return _run_optimized(script)
+    exec(script, {})
+    return capsys.readouterr().out
 
 
 @pytest.mark.parametrize("optimized", [False, True], ids=["plain", "python-O"])
 def test_duality_sum_rejects_memoized_r_above_its_degree(optimized, capsys):
     """An R entry above its degree bound raises InvariantError in the
     duality sum, never IndexError or a truncated answer."""
-    if optimized:
-        out = _run_optimized(_POISON_R)
-    else:
-        exec(_POISON_R, {})
-        out = capsys.readouterr().out
+    out = _poisoned_r_duality((0, 1), (0, 0, 1), optimized, capsys)
     assert out == "R polynomial above its degree bound\n"
+
+
+@pytest.mark.parametrize("optimized", [False, True], ids=["plain", "python-O"])
+def test_duality_rejects_a_right_hand_side_not_self_mirrored(optimized, capsys):
+    """R_{e,s2} = 1 keeps its degree bound but is wrong: the duality sum
+    for (e, s2) is then -1, whose part above degree 0 is not the negated
+    mirror of its part below, and the solver must raise, not store -1."""
+    out = _poisoned_r_duality((1,), (1,), optimized, capsys)
+    assert out == "duality right-hand side is not self-mirrored\n"
 
 
 def test_duality_rejects_memoized_entry_above_its_degree(a2):
