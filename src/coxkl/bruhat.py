@@ -256,7 +256,7 @@ class IntervalPoset:
         if marked is None:
             jmask, descents = bitmask(J), self.system.descent_mask
             marked = (i for i, z in enumerate(self.ground) if not descents(z) & jmask)
-        copy = object.__new__(IntervalPoset)
+        copy = object.__new__(type(self))
         return copy._fill(self.system, self.bottom, self.top, J, self.ground, self._shape, marked)
 
     @property

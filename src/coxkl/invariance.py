@@ -7,8 +7,11 @@ equivalent to asking for an isomorphism of the marked subposets that
 extends to the full intervals.  Two intervals that share one marking
 record have equal ranks, covers and marked sets, so the identity maps
 one onto the other; every other witness, found or remembered, is
-verified (`IsoWitness.verify`) before it is trusted.  Scans are
-deterministic: no randomness, all iteration in canonical orders.
+verified (`IsoWitness.verify`) before it is trusted.  A lift control
+searches nothing: the check of its top's lifted shell certifies that
+[u, v]^J maps onto [u st, v st]^S, so it compares polynomials only.
+Scans are deterministic: no randomness, all iteration in canonical
+orders.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ def _isomorphisms(A, B, respect_marking):
 class ScanCase:
     """One scan instance: its marked interval [u, v]^J, which holds the
     system, J, u and v, its report label (system name, J names, u, v),
-    its polynomials (`_polys`) and, under lift controls, its lift u st."""
+    its polynomials (`_polys`) and, under lift controls, the words
+    (u st, v st) of its lift."""
 
     __slots__ = ("interval", "label", "polys", "lift")
 
@@ -315,28 +319,29 @@ def _quotient_list(sys: CoxeterSystem, mode: str):
     return subsets
 
 
+def _entries(config, sys, J, u, v) -> tuple:
+    """The configured P for each type, then R for each type, of u <= v in
+    W^J, words checked when they were made (canonical, in W^J, u <= v),
+    so the tables' coefficient tuples are read without the entry points'
+    validation."""
+    order = _order(sys, J)
+    iv = order.id(sys, v)  # numbers u first
+    kinds = ("P", "R") if config.include_r_polynomials else ("P",)
+    return get_table(sys)._entries(kinds, config.types, sys, order, order.ids[u], iv, J)
+
+
 def _polys(case, config) -> tuple:
-    """The case's configured P for each type, then R for each type, read
-    from its table once."""
+    """The case's `_entries`, read from its table once."""
     if case.polys is None:
         ivl = case.interval
-        sys, J = ivl.system, ivl.J
-        order = _order(sys, J)
-        iv = order.id(sys, ivl.top)  # numbers bottom first
-        kinds = ("P", "R") if config.include_r_polynomials else ("P",)
-        case.polys = get_table(sys)._entries(
-            kinds, config.types, sys, order, order.ids[ivl.bottom], iv, J)
+        case.polys = _entries(config, ivl.system, ivl.J, ivl.bottom, ivl.top)
     return case.polys
 
 
-def _poly_equal_check(report, case_a, case_b, config, control=False):
-    """Compare the configured polynomials of two matched cases.
-
-    The case words were checked when the cases were made (canonical, in
-    W^J, u <= v) and the config checked the types, so this compares the
-    tables' coefficient tuples without the entry points' validation.
-    """
-    polys_a, polys_b = _polys(case_a, config), _polys(case_b, config)
+def _poly_equal_check(report, case, label_b, polys_b, config, control=False):
+    """Compare the configured polynomials of a case with polys_b, those of
+    the case or lift labelled label_b that it was matched with."""
+    polys_a = _polys(case, config)
     report.equalities_verified += len(polys_a)
     if polys_a == polys_b:
         return True
@@ -348,8 +353,8 @@ def _poly_equal_check(report, case_a, case_b, config, control=False):
                     "control": control,
                     "kind": kind,
                     "type": x,
-                    "case_a": case_a.label,
-                    "case_b": case_b.label,
+                    "case_a": case.label,
+                    "case_b": label_b,
                     "poly_a": str(LaurentPoly(pa)),
                     "poly_b": str(LaurentPoly(pb)),
                 }
@@ -357,8 +362,8 @@ def _poly_equal_check(report, case_a, case_b, config, control=False):
     return False
 
 
-def _row(report, case_a, case_b, kind, iso, equal):
-    report.rows.append((*case_a.label, *case_b.label, kind, int(iso), int(equal)))
+def _row(report, label_a, label_b, kind, iso, equal):
+    report.rows.append((*label_a, *label_b, kind, int(iso), int(equal)))
 
 
 def _enumerate_cases(report, config):
@@ -368,7 +373,7 @@ def _enumerate_cases(report, config):
     built once, every J marks a copy, and each word is written once.
     Under lift controls, each J with cases at v makes its extension once,
     and the checked shell of v st while v's is alive (`_lifted_shell`),
-    which gives the cases their lifts u st."""
+    which gives the cases their lifts (u st, v st)."""
     cases, extensions = [], report.extensions
     for name, sys in config.entries:
         if config.class_x is not None and not is_class_x(sys.matrix, config.class_x):
@@ -405,49 +410,32 @@ def _enumerate_cases(report, config):
                 lifted = _lifted_shell(ext, shell, [i for i, _case in made_at])
                 report.lifted_shells += 1
                 for i, case in made_at:
-                    case.lift = lifted.words[i]
+                    case.lift = lifted.words[i], lifted.top
         for *_, got in quotients:
             cases.extend(got)
     return cases
 
 
 def _run_controls(report, cases, config):
-    """Match each case with its lift [u st, v st] from `_enumerate_cases`,
-    which shares the case's shape and marking records and reads its ground
-    from the extension's index.  Each lift is written once per extension."""
-    lifts: dict = {}  # (system name, J) -> (extended system, S, label head, word_str, (st,))
+    """Compare each case's configured polynomials with those of its lift
+    [u st, v st]^S on the extended system, whose words `_enumerate_cases`
+    took from the checked shell of v st (`_lifted_shell`, the lift's one
+    isomorphism certificate).  Each lift is written once per extension."""
+    lifts: dict = {}  # (system name, J) -> (extended system, S, label head, word_str)
     for case in cases:
-        ivl = case.interval
-        key = (case.label[0], ivl.J)
+        key = (case.label[0], case.interval.J)
         if key not in lifts:
             ext = report.extensions[key]
             esys, S = ext.extended, ext.maximal_quotient
             lifts[key] = (esys, S, (key[0] + "~ext", _names(esys, S)),
-                          functools.cache(esys.word_str), (ext.stilde,))
-        esys, S, head, text, tail = lifts[key]
-        words, index = esys.kernel.words, esys.canonical_memo
-        ground = tuple(words[index[z + tail]] for z in ivl.ground)
-        lifted = ScanCase(object.__new__(IntervalPoset)._fill(
-            esys, case.lift, ground[-1], S, ground, ivl._shape, ivl.marked),
-            (*head, text(case.lift), text(ground[-1])))
-        witness = check_hypothesis_pair(
-            case.interval, lifted.interval, config.max_interval_size, report.iso
-        )
+                          functools.cache(esys.word_str))
+        esys, S, head, text = lifts[key]
+        u, v = case.lift
         report.controls_checked += 1
-        if witness is None:
-            report.counterexamples.append(
-                {
-                    "control": True,
-                    "kind": "iso",
-                    "case_a": case.label,
-                    "case_b": lifted.label,
-                    "detail": "lifted pair not detected as isomorphic",
-                }
-            )
-            _row(report, case, lifted, "control", False, False)
-            return
-        equal = _poly_equal_check(report, case, lifted, config, control=True)
-        _row(report, case, lifted, "control", True, equal)
+        label = (*head, text(u), text(v))
+        equal = _poly_equal_check(
+            report, case, label, _entries(config, esys, S, u, v), config, control=True)
+        _row(report, case.label, label, "control", True, equal)
         if not equal:
             return
 
@@ -468,14 +456,15 @@ def _match_buckets(report, buckets, config) -> bool:
                 )
                 if witness is not None:
                     report.hypothesis_hits += 1
-                    equal = _poly_equal_check(report, case, rep, config)
-                    _row(report, case, rep, "scan", True, equal)
+                    equal = _poly_equal_check(
+                        report, case, rep.label, _polys(rep, config), config)
+                    _row(report, case.label, rep.label, "scan", True, equal)
                     if not equal:
                         return False
                     cls.append(case)
                     placed = True
                     break
-                _row(report, case, rep, "scan", False, True)
+                _row(report, case.label, rep.label, "scan", False, True)
             if not placed:
                 classes.append([case])
         for cls in classes:

@@ -318,10 +318,6 @@ class Laurent:
         """Substitute q -> q**-1."""
         return Laurent._from_terms((-i, c) for i, c in self.terms.items())
 
-    def truncate_above(self, k: int) -> "Laurent":
-        """Keep only the terms with exponent <= k."""
-        return Laurent._from_terms((i, c) for i, c in self.terms.items() if i <= k)
-
     def __eq__(self, other):
         try:
             other = Laurent.of(other)

@@ -30,6 +30,8 @@ from coxkl.invariance import (
     is_class_x,
     scan,
 )
+from coxkl.klpoly import get_table
+from coxkl.laurent import LaurentPoly
 from coxkl.serialize import scan_config_from_jsonable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -263,25 +265,15 @@ def _a3b3_len3():
     return scan_config_from_jsonable(obj)
 
 
-def test_pruned_lifted_shells_give_the_unpruned_intervals(h3, monkeypatch):
+def test_pruned_lifted_shells_give_the_unpruned_intervals(h3):
     """For every lift control of scan_a3b3_all at max_length 3 and of
     H3's maximal quotients (general backend): the lifted interval that
     the scan builds, from a shell of v st that keeps only the words
     containing st, equals in ground, covers and marked set the one from
     an unpruned shell of v st, and the pruned shell holds no word
-    without st.  In the scan, every case keeps its lift u st, and each
-    control's lifted interval, built from its case's records and the
-    extension's index, equals the one from an unpruned shell too."""
-    import coxkl.invariance
-
-    controls = []
-    check = coxkl.invariance.check_hypothesis_pair
-
-    def recorded(ia, ib, *args):
-        controls.append((ia, ib))
-        return check(ia, ib, *args)
-
-    monkeypatch.setattr(coxkl.invariance, "check_hypothesis_pair", recorded)
+    without st.  In the scan, every case keeps the words (u st, v st) of
+    its lift, and the interval between them in an unpruned shell of v st
+    is the case's own, word z st for word z, with its covers and marks."""
     assert h3.backend == "general"
     h3_maximal = ScanConfig([("H3", h3)], quotients="maximal", max_length=15)
     for config in (_a3b3_len3(), h3_maximal):
@@ -304,17 +296,65 @@ def test_pruned_lifted_shells_give_the_unpruned_intervals(h3, monkeypatch):
         report = ScanReport({})
         cases = _enumerate_cases(report, config)
         assert report.lifted_shells > 0
-        del controls[:]
-        _run_controls(report, cases, config)
-        assert report.ok and report.controls_checked == len(controls) == len(cases)
-        for case, (ivl, got) in zip(cases, controls):
+        for case in cases:
+            ivl = case.interval
             ext = report.extensions[case.label[0], ivl.J]
-            sys_, S, gap = ext.extended, ext.maximal_quotient, config.max_rank_gap
-            assert ivl is case.interval and case.lift is not None
-            assert (got.system, got.J, got.bottom, got.top) == (
-                sys_, S, case.lift, lift(ext, ivl.top))
-            full = _Shell(sys_, got.top, gap).interval(sys_, case.lift, S)
-            assert (got.ground, got.covers, got.marked) == (full.ground, full.covers, full.marked)
+            sys_, S, tail = ext.extended, ext.maximal_quotient, (ext.stilde,)
+            assert case.lift == (lift(ext, ivl.bottom), lift(ext, ivl.top))
+            full = _Shell(sys_, case.lift[1], config.max_rank_gap).interval(
+                sys_, case.lift[0], S)
+            assert (full.ground, full.covers, full.marked) == (
+                tuple(z + tail for z in ivl.ground), ivl.covers, ivl.marked)
+        _run_controls(report, cases, config)
+        assert report.ok and report.controls_checked == len(cases)
+
+
+@pytest.mark.parametrize("name", ["scan_a3b3_all-len3", "scan_rank4_maximal"])
+def test_controls_compare_the_public_polynomials_of_the_lift(name, monkeypatch):
+    """Every lift control compares its case's polynomials with the public
+    P and R of (u st, v st) in the maximal quotient S of the extended
+    system, for each configured type, computed on a fresh extension.
+    The base pair and the lift in W^J have the same polynomials (the
+    reduction itself), so the scan's extensions must also have numbered
+    an order index for S alone: a control that read another system or
+    quotient would leave none, or one more."""
+    import coxkl.invariance
+
+    controls, scanned = [], []
+    check, extend = coxkl.invariance._poly_equal_check, coxkl.invariance.extend_system
+
+    def recorded(report, case, label_b, polys_b, config, control=False):
+        if control:
+            controls.append((case, label_b, polys_b))
+        return check(report, case, label_b, polys_b, config, control)
+
+    def kept(*args, **kwargs):
+        scanned.append(extend(*args, **kwargs))
+        return scanned[-1]
+
+    monkeypatch.setattr(coxkl.invariance, "_poly_equal_check", recorded)
+    monkeypatch.setattr(coxkl.invariance, "extend_system", kept)
+    if name == "scan_rank4_maximal":
+        config = scan_config_from_jsonable(json.loads((CONFIGS / (name + ".json")).read_text()))
+    else:
+        config = _a3b3_len3()
+    report = scan(config)
+    assert report.ok and len(controls) == report.controls_checked == report.cases > 0
+    assert scanned and all(
+        set(ext.extended.caches.get("order", ())) == {ext.maximal_quotient} for ext in scanned)
+    extensions = {}
+    for case, label, polys in controls:
+        ivl = case.interval
+        key = (case.label[0], ivl.J)
+        if key not in extensions:
+            ext = extend_system(ivl.system, ivl.J)
+            extensions[key] = (ext, get_table(ext.extended))
+        ext, table = extensions[key]
+        lu, lv, S = lift(ext, ivl.bottom), lift(ext, ivl.top), ext.maximal_quotient
+        assert label[2:] == (ext.extended.word_str(lu), ext.extended.word_str(lv))
+        expected = [table.parabolic_kl(lu, lv, S, x) for x in config.types]
+        expected += [table.parabolic_r(lu, lv, S, x) for x in config.types]
+        assert [LaurentPoly(p) for p in polys] == expected
 
 
 def test_lifts_onto_checks_words_and_marks(a3):
@@ -422,9 +462,9 @@ def test_memoized_witness_is_verified_again():
 def test_shared_marking_is_an_identity_witness(monkeypatch):
     """Every pair that the scans of scan_a3b3_all (max_length 3) and
     scan_rank4_maximal check and that shares one marking record has the
-    identity as a verified witness, and every lift control shares its
-    case's record: s~ is the last generator, so appending it keeps the
-    (length, word) order of the ground set."""
+    identity as a verified witness.  Only matching checks pairs: a lift
+    control compares polynomials, so the isomorphism counts add up to
+    pairs_checked."""
     import coxkl.invariance
 
     checked = []
@@ -440,11 +480,10 @@ def test_shared_marking_is_an_identity_witness(monkeypatch):
     for config in (_a3b3_len3(), rank4):
         del checked[:]
         report = scan(config)
-        assert report.ok and len(checked) == report.pairs_checked + report.controls_checked
-        controls = checked[report.pairs_checked:]  # the matching phase runs first
-        assert all(a._marking is b._marking for a, b in controls)
+        assert report.ok and report.controls_checked == report.cases > 0
+        assert len(checked) == report.pairs_checked == sum(report.iso.values())
         shared = [(a, b) for a, b in checked if a._marking is b._marking]
-        assert len(controls) < len(shared) == report.iso["shared"]
+        assert 0 < len(shared) == report.iso["shared"]
         for a, b in shared:
             assert IsoWitness(a, b, tuple(range(a.size)), True).verify()
 

@@ -56,13 +56,6 @@ def test_coeff_and_items():
     assert p.low == 2 and p.degree == 4
 
 
-def test_truncate_above():
-    p = Laurent([1, 1, 1, 1])  # 1 + q + q^2 + q^3
-    assert p.truncate_above(1) == 1 + Q
-    assert p.truncate_above(-1) == 0
-    assert p.truncate_above(5) == p
-
-
 def test_display():
     assert str(LaurentPoly([1])) == "1"
     assert str(LaurentPoly([1], 1)) == "q"
